@@ -12,8 +12,9 @@ from .extremals import (HamiltonianExtremal, NSREReport, NotNormalizedError,
                         orthogonal_control_complement)
 from .homotopy import (EnergyComparison, Homotopy, Separation, VariationField,
                        VariationSplit, decompose_variation, endpoint_separation,
-                       energy_comparison_check, natural_homotopy,
-                       variation_direct, variation_fields, variation_integral)
+                       energy_comparison_check, natural_homotopies,
+                       natural_homotopy, variation_direct, variation_fields,
+                       variation_integral)
 from .certify import (Certificate, EpsilonResult, FrameConstants,
                       NotCertifiableError, TrialRecord, VerificationReport,
                       build_certificate, compute_epsilon, compute_eta,
@@ -33,8 +34,8 @@ __all__ = [
     "hamiltonian_extremal", "nsre_check", "orthogonal_control_complement",
     "EnergyComparison", "Homotopy", "Separation", "VariationField",
     "VariationSplit", "decompose_variation", "endpoint_separation",
-    "energy_comparison_check", "natural_homotopy", "variation_direct",
-    "variation_fields", "variation_integral",
+    "energy_comparison_check", "natural_homotopies", "natural_homotopy",
+    "variation_direct", "variation_fields", "variation_integral",
     "Certificate", "EpsilonResult", "FrameConstants", "NotCertifiableError",
     "TrialRecord", "VerificationReport", "build_certificate",
     "compute_epsilon", "compute_eta", "estimate_constants", "psi",

@@ -9,7 +9,6 @@ energy-nonincreasing perturbations and records per-trial slacks.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +16,15 @@ import numpy as np
 from .core import ControlSignal, Domain, SRFrame, SRXError, Trajectory, control_inner
 from .extremals import NSREReport, nsre_check
 from .flows import tangent_flow
-from .homotopy import (drift_matrix, endpoint_separation, energy_comparison_check,
-                       natural_homotopy, spread_matrix, variation_fields)
+from .homotopy import (Homotopy, drift_matrix, endpoint_separation,
+                       energy_comparison_check, natural_homotopies, spread_matrix,
+                       variation_fields)
 
 MARGIN_FACTOR = 0.999
 EPSILON_REL_TOL = 1e-6
+# Memory budget of one verification batch: the RK4 state history of its
+# members and variations.  Batches hold whole trials, at least one.
+VERIFY_BATCH_BYTES = 1 << 18
 
 
 class NotCertifiableError(SRXError):
@@ -124,9 +127,7 @@ def compute_eta(traj: Trajectory, domain: Domain,
     """
     if traj.left_domain:
         raise NotCertifiableError("trajectory leaves the domain")
-    dists = np.minimum(traj.states - domain.lower,
-                       domain.upper - traj.states).min(axis=1)
-    worst = float(dists.min())
+    worst = float(domain.boundary_distances(traj.states).min())
     if worst <= 0.0:
         raise NotCertifiableError("trajectory touches the domain boundary")
     allowance = traj.control.dt * constants.C0 * math.sqrt(traj.control.k)
@@ -381,6 +382,12 @@ class VerificationReport:
         }
 
 
+def _trials_per_batch(n_members: int, n_cells: int, n: int) -> int:
+    """Trials whose members and variations fit in VERIFY_BATCH_BYTES (>= 1)."""
+    trial_bytes = n_members * (n_cells + 1) * 2 * n * 8
+    return max(1, VERIFY_BATCH_BYTES // trial_bytes)
+
+
 def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
                        traj: Trajectory, cert: Certificate, *,
                        n_trials: int = 200, base_seed: int = 0,
@@ -393,8 +400,12 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
     endpoint separation must meet (c/2 - T' xi(T')) * |du|^2, and all growth
     bounds (spread, variation, drift, the angle lower bound on b_0, and the
     energy-comparison identity) must hold.  Trials are seeded base_seed +
-    trial, so the report is identical for any thread count.
+    trial and integrated in batches of whole trials sized by
+    VERIFY_BATCH_BYTES, so the report depends on neither the batch layout nor
+    `threads`, which is accepted for compatibility and unused.
     """
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
     dt = u.dt
     target = t_prime if t_prime is not None else min(cert.epsilon, 0.05)
     m = int(math.floor(target / dt + 1e-9))
@@ -412,11 +423,9 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
     x = xi(tp, cert.constants, frame.k, frame.n)
     bound_coef = 0.5 * cert.c - tp * x
 
-    def run_trial(i: int) -> TrialRecord:
-        rng = np.random.default_rng(cert.seed + base_seed + i)
-        du, rejected = sample_admissible_perturbation(rng, u_r)
-        hom = natural_homotopy(frame, u_r, du, q0, n_s, domain, substeps)
-        fields = variation_fields(frame, u_r, hom, substeps)
+    def trial_record(i: int, du: ControlSignal, rejected: int,
+                     hom: Homotopy) -> TrialRecord:
+        fields = variation_fields(hom)
         sep = endpoint_separation(hom)
         du_l2 = du.l2_norm()
         du_sq = du.l2_norm_sq()
@@ -447,9 +456,14 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
         return TrialRecord(i, cert.seed + base_seed + i, du_l2, sep.separation,
                            bound, slack, tuple(violations), rejected)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = tuple(pool.map(run_trial, range(n_trials)))
-    else:
-        records = tuple(run_trial(i) for i in range(n_trials))
-    return VerificationReport(records, tp, bound_coef, base_seed, n_s)
+    batch = _trials_per_batch(n_s + 1, m, frame.n)
+    records: list[TrialRecord] = []
+    for start in range(0, n_trials, batch):
+        trials = range(start, min(start + batch, n_trials))
+        draws = [sample_admissible_perturbation(
+            np.random.default_rng(cert.seed + base_seed + i), u_r) for i in trials]
+        homs = natural_homotopies(frame, u_r, [du for du, _ in draws], q0, n_s,
+                                  domain, substeps)
+        records.extend(trial_record(i, du, rejected, hom)
+                       for i, (du, rejected), hom in zip(trials, draws, homs))
+    return VerificationReport(tuple(records), tp, bound_coef, base_seed, n_s)

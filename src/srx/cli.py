@@ -90,7 +90,7 @@ def cmd_homotopy(scenario: Scenario, out: Path) -> int:
     du = scenario.delta_u
     hom = natural_homotopy(frame, u, du, scenario.q0, scenario.homotopy_n_s,
                            domain, scenario.substeps)
-    fields = variation_fields(frame, u, hom, scenario.substeps)
+    fields = variation_fields(hom)
     sep = endpoint_separation(hom)
 
     rows = []
@@ -225,7 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker cap for verification trials")
+                       help="accepted for compatibility; verification runs "
+                            "as memory-bounded batches in one thread, and "
+                            "this flag changes neither results nor speed")
     return parser
 
 

@@ -71,7 +71,7 @@ class _StackedPolys:
         pts = np.asarray(points, dtype=float)
         if self.exponents.shape[0] == 0:
             return np.zeros(pts.shape[:-1] + (self.rows,))
-        monomials = np.prod(pts[..., None, :] ** self.exponents, axis=-1)
+        monomials = (pts[..., None, :] ** self.exponents).prod(axis=-1)
         return monomials @ self.weights
 
 
@@ -217,14 +217,11 @@ class SRFrame:
 
     def field_matrix(self, q) -> np.ndarray:
         """n x k matrix whose columns are X_1(q), ..., X_k(q)."""
-        vals = self._value_stack().eval(self._point(q)).reshape(self.k, self.n)
-        return vals.T
+        return self._field_matrix_fast(self._point(q))
 
     def field_matrix_many(self, points: np.ndarray) -> np.ndarray:
         """(P, n) points -> (P, n, k) stacked field matrices."""
-        pts = np.asarray(points, dtype=float)
-        vals = self._value_stack().eval(pts).reshape(pts.shape[0], self.k, self.n)
-        return np.swapaxes(vals, 1, 2)
+        return self._field_matrix_fast(np.asarray(points, dtype=float))
 
     def jacobians(self, q) -> np.ndarray:
         """(k, n, n) stack of field Jacobians at q."""
@@ -241,23 +238,19 @@ class SRFrame:
         n, k = self.n, self.k
         return self._hessian_stack().eval(pts).reshape(pts.shape[0], k, n, n, n)
 
-    def control_field(self, q, u_cell: np.ndarray) -> np.ndarray:
-        """Value of sum_i u^i X_i at q."""
-        return self.field_matrix(q) @ np.asarray(u_cell, dtype=float)
-
-    def control_jacobian(self, q, u_cell: np.ndarray) -> np.ndarray:
-        """State Jacobian of sum_i u^i X_i at q (control frozen)."""
-        jac = self.jacobians(q)
-        return np.einsum("i,iab->ab", np.asarray(u_cell, dtype=float), jac)
-
-    # unchecked variants for integrator hot loops; blow-ups surface as
-    # non-finite values that the integrators turn into IntegrationError
+    # unchecked variants for integrator hot loops, batched over leading
+    # axes; blow-ups surface as non-finite values that the integrators turn
+    # into IntegrationError
     def _field_matrix_fast(self, q: np.ndarray) -> np.ndarray:
-        return self._value_stack().eval(q).reshape(self.k, self.n).T
+        """(..., n) points -> (..., n, k) field matrices."""
+        vals = self._value_stack().eval(q).reshape(q.shape[:-1] + (self.k, self.n))
+        return np.swapaxes(vals, -1, -2)
 
-    def _control_jacobian_fast(self, q: np.ndarray, u_cell: np.ndarray) -> np.ndarray:
-        jac = self._jacobian_stack().eval(q).reshape(self.k, self.n, self.n)
-        return np.einsum("i,iab->ab", u_cell, jac)
+    def _control_jacobian_fast(self, q: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """State Jacobians of sum_i u^i X_i: (..., n), (..., k) -> (..., n, n)."""
+        n = self.n
+        jac = self._jacobian_stack().eval(q).reshape(q.shape[:-1] + (self.k, n, n))
+        return np.einsum("...i,...iab->...ab", u, jac)
 
     def check_independence(self, domain: "Domain", resolution: int = 5,
                            sv_tol: float = 1e-10) -> float:
@@ -360,22 +353,19 @@ class Domain:
     def n(self) -> int:
         return self.lower.shape[0]
 
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
+    def boundary_distances(self, points) -> np.ndarray:
+        """(..., n) points -> distance of each to the nearest box face.
+
+        Negative outside the closure.
+        """
+        pts = np.asarray(points, dtype=float)
+        return np.minimum(pts - self.lower, self.upper - pts).min(axis=-1)
 
     def boundary_distance(self, q) -> float:
-        """Distance to the nearest box face; negative outside the closure."""
-        q = np.asarray(q, dtype=float)
-        return float(np.minimum(q - self.lower, self.upper - q).min())
+        return float(self.boundary_distances(q))
 
     def contains(self, q) -> bool:
         return self.boundary_distance(q) > 0.0
-
-    def contains_all(self, points: np.ndarray) -> bool:
-        pts = np.asarray(points, dtype=float)
-        d = np.minimum(pts - self.lower, self.upper - pts).min(axis=1)
-        return bool(np.all(d > 0.0))
 
     def grid(self, resolution: int) -> np.ndarray:
         """Inclusive uniform grid with `resolution` points per axis, shape (res^n, n)."""
@@ -561,11 +551,3 @@ class Trajectory:
         control = self.control.window(j0, j1)
         states = self.states[j0:j1 + 1].copy()
         return Trajectory(control.grid, states, control, states[0].copy())
-
-    def restrict(self, m: int) -> "Trajectory":
-        traj = self.window(0, m)
-        if self.left_domain and self.first_exit_time is not None \
-                and self.first_exit_time <= traj.horizon:
-            object.__setattr__(traj, "left_domain", True)
-            object.__setattr__(traj, "first_exit_time", self.first_exit_time)
-        return traj

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ControlSignal, Domain, SRFrame, SRXError, Trajectory
-from .flows import DomainExitError, IntegrationError, TangentFlow, tangent_flow
+from .flows import (DomainExitError, IntegrationError, TangentFlow, _apply,
+                    _marked_trajectory, _rk4, tangent_flow)
 
 SIGMA_TOL = 1e-8
 THETA_MIN = 1e-3
@@ -261,34 +262,25 @@ def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
     if abs(level - 1.0) > level_tol:
         raise ValueError(f"initial covector is off the unit level: 2H = {level!r}")
 
-    def rhs(q, p):
+    n = frame.n
+
+    def rhs(_, y):
+        q, p = y[:, :n], y[:, n:]
         f = frame._field_matrix_fast(q)
-        u = f.T @ p
+        u = np.einsum("xnk,xn->xk", f, p)
         a = frame._control_jacobian_fast(q, u)
-        return f @ u, -(a.T @ p)
+        return np.concatenate([_apply(f, u), -np.einsum("xab,xa->xb", a, p)],
+                              axis=1)
 
-    dt = horizon / n_cells
-    nsub = 2 * max(1, substeps)
-    h = dt / nsub
-    states = np.empty((n_cells + 1, frame.n))
-    costates = np.empty((n_cells + 1, frame.n))
-    raw = np.empty((n_cells, frame.k))
-    states[0], costates[0] = q0, p0
-
-    q, p = q0.copy(), p0.copy()
-    for j in range(n_cells):
-        for step in range(nsub):
-            if step == nsub // 2:
-                raw[j] = frame._field_matrix_fast(q).T @ p
-            k1q, k1p = rhs(q, p)
-            k2q, k2p = rhs(q + 0.5 * h * k1q, p + 0.5 * h * k1p)
-            k3q, k3p = rhs(q + 0.5 * h * k2q, p + 0.5 * h * k2p)
-            k4q, k4p = rhs(q + h * k3q, p + h * k3p)
-            q = q + (h / 6.0) * (k1q + 2.0 * (k2q + k3q) + k4q)
-            p = p + (h / 6.0) * (k1p + 2.0 * (k2p + k3p) + k4p)
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-            raise IntegrationError(f"extremal blew up at t={(j + 1) * dt:.6g}")
-        states[j + 1], costates[j + 1] = q, p
+    # two half cells per cell, so the cell-midpoint state that samples the
+    # control is a cell end of the stepper
+    half = max(1, substeps)
+    ys = _rk4(rhs, np.concatenate([q0, p0])[None], horizon / n_cells / (2 * half),
+              half, 2 * n_cells)[:, 0]
+    states, costates = ys[::2, :n], ys[::2, n:]
+    mids = ys[1::2]
+    raw = np.einsum("jnk,jn->jk", frame._field_matrix_fast(mids[:, :n]),
+                    mids[:, n:])
 
     norms = np.linalg.norm(raw, axis=1)
     drift = float(np.abs(norms - 1.0).max())
@@ -298,15 +290,8 @@ def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
             "refine the grid or substeps")
     control = ControlSignal(horizon, raw / norms[:, None])
 
-    left = False
-    first_exit = None
-    if domain is not None:
-        inside = np.array([domain.contains(s) for s in states])
-        if not inside.all():
-            j_exit = int(np.argmin(inside))
-            raise DomainExitError(
-                f"extremal left the domain at t={control.grid[j_exit]:.6g}")
-
-    traj = Trajectory(control.grid, states, control, q0,
-                      left_domain=left, first_exit_time=first_exit)
+    traj = _marked_trajectory(control.grid, states, control, domain)
+    if traj.left_domain:
+        raise DomainExitError(
+            f"extremal left the domain at t={traj.first_exit_time:.6g}")
     return HamiltonianExtremal(traj, control, costates, drift)

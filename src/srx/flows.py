@@ -3,7 +3,9 @@
 One RK4 step per control cell (optionally substepped): within a cell the
 control is constant, so the vector field is autonomous and smooth there and
 the classical order-4 error bound applies cell by cell.  Adaptive steppers
-are deliberately avoided to keep every run bit-deterministic.
+are deliberately avoided to keep every run bit-deterministic.  Every
+integrator in srx, here and in the homotopy and Hamiltonian modules, runs
+through the one batched stepper `_rk4`.
 """
 from __future__ import annotations
 
@@ -29,9 +31,63 @@ class SingularFlowError(SRXError):
 COND_LIMIT = 1e12
 
 
-def _check_finite(q: np.ndarray, t: float) -> None:
-    if not np.all(np.isfinite(q)):
-        raise IntegrationError(f"state became non-finite at t={t:.6g}")
+def _rk4(rhs, y0: np.ndarray, h: float, substeps: int,
+         n_cells: int) -> np.ndarray:
+    """Classical RK4 over n_cells control cells of `substeps` steps each.
+
+    The single stepper behind every integrator in srx.  y0 is a (B, d)
+    batch of states and rhs(j, y) the (B, d) right-hand side in cell j;
+    rows advance independently, so a batch integrates B systems at the
+    cost of one Python loop.  Returns the (n_cells + 1, B, d) states at the
+    cell ends, or raises IntegrationError naming the first cell end with a
+    non-finite value.
+    """
+    ys = np.empty((n_cells + 1,) + y0.shape)
+    ys[0] = y = y0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n_cells):
+            for _ in range(substeps):
+                k1 = rhs(j, y)
+                k2 = rhs(j, y + 0.5 * h * k1)
+                k3 = rhs(j, y + 0.5 * h * k2)
+                k4 = rhs(j, y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            ys[j + 1] = y
+    finite = np.isfinite(ys).all(axis=(1, 2))
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise IntegrationError(f"state became non-finite at t={j * substeps * h:.6g}")
+    return ys
+
+
+def _apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Batched matrix-vector product: (B, a, b) x (B, b) -> (B, a)."""
+    return np.einsum("xab,xb->xa", mats, vecs)
+
+
+def _checked_start(frame: SRFrame, q0, domain: Domain | None,
+                   substeps: int) -> np.ndarray:
+    q0 = np.asarray(q0, dtype=float)
+    if q0.shape != (frame.n,) or not np.all(np.isfinite(q0)):
+        raise ValueError(f"q0 must be a finite vector of length {frame.n}")
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
+    if domain is not None and not domain.contains(q0):
+        raise DomainExitError("initial point lies outside the domain interior")
+    return q0
+
+
+def _marked_trajectory(grid: np.ndarray, states: np.ndarray, u: ControlSignal,
+                       domain: Domain | None) -> Trajectory:
+    """Trajectory of integrated states, marked with its first domain exit."""
+    first_exit = None
+    if domain is not None:
+        outside = domain.boundary_distances(states) <= 0.0
+        if outside.any():
+            first_exit = float(grid[np.argmax(outside)])
+    return Trajectory(grid, states, u, states[0],
+                      left_domain=first_exit is not None,
+                      first_exit_time=first_exit)
 
 
 def integrate_trajectory(frame: SRFrame, u: ControlSignal, q0,
@@ -43,44 +99,11 @@ def integrate_trajectory(frame: SRFrame, u: ControlSignal, q0,
     with the first exit time, and downstream certification treats it as
     invalid.  A non-finite state raises IntegrationError.
     """
-    q0 = np.asarray(q0, dtype=float)
-    if q0.shape != (frame.n,) or not np.all(np.isfinite(q0)):
-        raise ValueError(f"q0 must be a finite vector of length {frame.n}")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    if domain is not None and not domain.contains(q0):
-        raise DomainExitError("initial point lies outside the domain interior")
-
-    n_cells = u.n_cells
-    h = u.dt / substeps
-    states = np.empty((n_cells + 1, frame.n))
-    states[0] = q0
-    grid = u.grid
-    left = False
-    first_exit = None
-
-    q = q0.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_cells):
-            u_cell = u.samples[j]
-
-            def f(p):
-                return frame._field_matrix_fast(p) @ u_cell
-
-            for _ in range(substeps):
-                k1 = f(q)
-                k2 = f(q + 0.5 * h * k1)
-                k3 = f(q + 0.5 * h * k2)
-                k4 = f(q + h * k3)
-                q = q + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            _check_finite(q, grid[j + 1])
-            states[j + 1] = q
-            if domain is not None and not left and not domain.contains(q):
-                left = True
-                first_exit = float(grid[j + 1])
-
-    return Trajectory(grid, states, u, q0, left_domain=left,
-                      first_exit_time=first_exit)
+    q0 = _checked_start(frame, q0, domain, substeps)
+    cells = u.samples[:, None, :]
+    states = _rk4(lambda j, q: _apply(frame._field_matrix_fast(q), cells[j]),
+                  q0[None], u.dt / substeps, substeps, u.n_cells)
+    return _marked_trajectory(u.grid, states[:, 0], u, domain)
 
 
 @dataclass(eq=False)
@@ -108,61 +131,32 @@ class TangentFlow:
             self._inverses = np.linalg.inv(self.matrices)
         return self._inverses
 
-    def matrix(self, tau: float, t: float) -> np.ndarray:
-        """Two-point tangent map from time tau to time t."""
-        jt = self.node_index(t)
-        jtau = self.node_index(tau)
-        if jt == jtau:
-            return np.eye(self.matrices.shape[1])
-        return self.matrices[jt] @ self.inverses()[jtau]
-
 
 def tangent_flow(frame: SRFrame, u: ControlSignal, base: Trajectory,
                  base_tau: float = 0.0, substeps: int = 1,
                  cond_limit: float = COND_LIMIT) -> TangentFlow:
     """Integrate the matrix variational equation dM/dt = Df_u(gamma(t)) M.
 
-    Uses the same RK4 scheme, step and stage states as the base trajectory,
-    anchored first at t=0 and then re-based to `base_tau` by composition.
+    The base state is integrated alongside with the same RK4 scheme and
+    step.  The maps are anchored first at t=0 and then re-based to
+    `base_tau` by composition.
     Condition numbers above cond_limit only set `ill_conditioned`; they do
     not abort, since the flag is advisory for downstream rank decisions.
     """
     if u.n_cells != base.control.n_cells:
         raise ValueError("control and base trajectory grids differ")
     n = frame.n
-    n_cells = u.n_cells
-    h = u.dt / substeps
-    mats = np.empty((n_cells + 1, n, n))
-    mats[0] = np.eye(n)
+    cells = u.samples[:, None, :]
 
-    m = np.eye(n)
-    for j in range(n_cells):
-        u_cell = u.samples[j]
-        q = base.states[j].copy()
+    def rhs(j, y):
+        q, m = y[:, :n], y[:, n:].reshape(-1, n, n)
+        a = frame._control_jacobian_fast(q, cells[j])
+        return np.concatenate([_apply(frame._field_matrix_fast(q), cells[j]),
+                               (a @ m).reshape(-1, n * n)], axis=1)
 
-        def f(p):
-            return frame._field_matrix_fast(p) @ u_cell
-
-        def a(p):
-            return frame._control_jacobian_fast(p, u_cell)
-
-        for _ in range(substeps):
-            k1q = f(q)
-            k1m = a(q) @ m
-            q2 = q + 0.5 * h * k1q
-            k2q = f(q2)
-            k2m = a(q2) @ (m + 0.5 * h * k1m)
-            q3 = q + 0.5 * h * k2q
-            k3q = f(q3)
-            k3m = a(q3) @ (m + 0.5 * h * k2m)
-            q4 = q + h * k3q
-            k4q = f(q4)
-            k4m = a(q4) @ (m + h * k3m)
-            q = q + (h / 6.0) * (k1q + 2.0 * (k2q + k3q) + k4q)
-            m = m + (h / 6.0) * (k1m + 2.0 * (k2m + k3m) + k4m)
-        if not np.all(np.isfinite(m)):
-            raise IntegrationError(f"tangent map non-finite at t={base.grid[j + 1]:.6g}")
-        mats[j + 1] = m
+    y0 = np.concatenate([base.q0, np.eye(n).ravel()])[None]
+    ys = _rk4(rhs, y0, u.dt / substeps, substeps, u.n_cells)
+    mats = ys[:, 0, n:].reshape(-1, n, n)
 
     conds = np.linalg.cond(mats)
     max_cond = float(np.max(conds))

@@ -9,6 +9,7 @@ core consistency check of the whole pipeline.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,24 +18,26 @@ from .core import (ControlSignal, Domain, InnerProduct, SRFrame, Trajectory,
                    control_inner, require_same_grid)
 from .extremals import (ACB_BOUND, SIGMA_TOL, NotNormalizedError,
                         OrthoDistribution, build_f_perp)
-from .flows import TangentFlow, integrate_trajectory
+from .flows import (TangentFlow, _apply, _checked_start, _marked_trajectory,
+                    _rk4)
 
 
 @dataclass(frozen=True, eq=False)
 class Homotopy:
-    """Family of trajectories gamma_s driven by u + s*du, s on a uniform grid."""
+    """Family of trajectories gamma_s driven by u + s*du, s on a uniform grid.
+
+    variations[i] is the variation field b_s of member i, integrated together
+    with the members (see variation_direct for the ODE).
+    """
 
     s_grid: np.ndarray
     trajectories: tuple[Trajectory, ...]
     delta_u: ControlSignal
+    variations: np.ndarray  # (n_s + 1, N_t + 1, n)
 
     @property
     def base(self) -> Trajectory:
         return self.trajectories[0]
-
-    @property
-    def tip(self) -> Trajectory:
-        return self.trajectories[-1]
 
     @property
     def in_domain(self) -> bool:
@@ -55,26 +58,69 @@ class VariationField:
     grid: np.ndarray
     vectors: np.ndarray  # (N_t + 1, n)
 
-    def at(self, t: float) -> np.ndarray:
-        from .core import node_index
-        return self.vectors[node_index(self.grid, t)]
-
     def max_norm(self) -> float:
         return float(np.linalg.norm(self.vectors, axis=1).max())
+
+
+def _members_and_variations(frame: SRFrame, controls: np.ndarray,
+                            increments: np.ndarray, q0: np.ndarray, dt: float,
+                            substeps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Members and their variation fields for a batch of (control, du) pairs.
+
+    Integrates the member dq/dt = f_u(q) jointly with its variation
+    db/dt = f_du(q) + Df_u(q) b, b(0) = 0, so the b stages use the member's
+    own RK4 stage states.  controls and increments are (B, N_t, k); returns
+    states and variations, each (B, N_t + 1, n).
+    """
+    n = frame.n
+    cells = np.ascontiguousarray(controls.swapaxes(0, 1))      # (N_t, B, k)
+    incs = np.ascontiguousarray(increments.swapaxes(0, 1))
+
+    def rhs(j, y):
+        q, b = y[:, :n], y[:, n:]
+        f = frame._field_matrix_fast(q)
+        a = frame._control_jacobian_fast(q, cells[j])
+        return np.concatenate([_apply(f, cells[j]),
+                               _apply(f, incs[j]) + _apply(a, b)], axis=1)
+
+    y0 = np.tile(np.concatenate([q0, np.zeros(n)]), (controls.shape[0], 1))
+    ys = _rk4(rhs, y0, dt / substeps, substeps, controls.shape[1]).swapaxes(0, 1)
+    return ys[..., :n], ys[..., n:]
+
+
+def natural_homotopies(frame: SRFrame, u: ControlSignal,
+                       deltas: Sequence[ControlSignal], q0, n_s: int = 16,
+                       domain: Domain | None = None,
+                       substeps: int = 1) -> tuple[Homotopy, ...]:
+    """Natural homotopies of several perturbations of u as one RK4 batch.
+
+    All len(deltas) * (n_s + 1) members and their variation fields advance
+    together.  Rows do not interact, so the batch layout changes no result.
+    """
+    for du in deltas:
+        require_same_grid(u, du)
+    if n_s < 1:
+        raise ValueError("n_s must be >= 1")
+    q0 = _checked_start(frame, q0, domain, substeps)
+    s_grid = np.linspace(0.0, 1.0, n_s + 1)
+    n_members = s_grid.shape[0]
+    incs = np.repeat(np.stack([du.samples for du in deltas]), n_members, axis=0)
+    controls = u.samples + np.tile(s_grid, len(deltas))[:, None, None] * incs
+    states, variations = _members_and_variations(frame, controls, incs, q0,
+                                                 u.dt, substeps)
+    members = [_marked_trajectory(u.grid, x, ControlSignal(u.horizon, c), domain)
+               for x, c in zip(states, controls)]
+    return tuple(
+        Homotopy(s_grid, tuple(members[lo:lo + n_members]), du,
+                 variations[lo:lo + n_members])
+        for lo, du in zip(range(0, len(members), n_members), deltas))
 
 
 def natural_homotopy(frame: SRFrame, u: ControlSignal, du: ControlSignal, q0,
                      n_s: int = 16, domain: Domain | None = None,
                      substeps: int = 1) -> Homotopy:
-    """Integrate the n_s + 1 member trajectories of the natural homotopy."""
-    require_same_grid(u, du)
-    if n_s < 1:
-        raise ValueError("n_s must be >= 1")
-    s_grid = np.linspace(0.0, 1.0, n_s + 1)
-    members = tuple(
-        integrate_trajectory(frame, u.perturbed(du, s), q0, domain, substeps)
-        for s in s_grid)
-    return Homotopy(s_grid, members, du)
+    """Integrate the n_s + 1 members of the natural homotopy and their variations."""
+    return natural_homotopies(frame, u, [du], q0, n_s, domain, substeps)[0]
 
 
 def variation_direct(frame: SRFrame, u: ControlSignal, du: ControlSignal,
@@ -88,43 +134,11 @@ def variation_direct(frame: SRFrame, u: ControlSignal, du: ControlSignal,
     """
     require_same_grid(u, du)
     idx = homotopy.s_index(s)
-    member = homotopy.trajectories[idx]
     s_val = float(homotopy.s_grid[idx])
-    us = u.perturbed(du, s_val)
-
-    n_cells = u.n_cells
-    h = u.dt / substeps
-    vectors = np.zeros((n_cells + 1, frame.n))
-    q = member.q0.copy()
-    b = np.zeros(frame.n)
-    for j in range(n_cells):
-        us_cell = us.samples[j]
-        du_cell = du.samples[j]
-
-        def fq(p):
-            return frame._field_matrix_fast(p) @ us_cell
-
-        def fb(p, w):
-            mat = frame._field_matrix_fast(p)
-            return mat @ du_cell + frame._control_jacobian_fast(p, us_cell) @ w
-
-        for _ in range(substeps):
-            k1q = fq(q)
-            k1b = fb(q, b)
-            q2 = q + 0.5 * h * k1q
-            k2q = fq(q2)
-            k2b = fb(q2, b + 0.5 * h * k1b)
-            q3 = q + 0.5 * h * k2q
-            k3q = fq(q3)
-            k3b = fb(q3, b + 0.5 * h * k2b)
-            q4 = q + h * k3q
-            k4q = fq(q4)
-            k4b = fb(q4, b + h * k3b)
-            q = q + (h / 6.0) * (k1q + 2.0 * (k2q + k3q) + k4q)
-            b = b + (h / 6.0) * (k1b + 2.0 * (k2b + k3b) + k4b)
-        vectors[j + 1] = b
-
-    return VariationField(s_val, member.grid, vectors)
+    controls = u.perturbed(du, s_val).samples[None]
+    _, variations = _members_and_variations(frame, controls, du.samples[None],
+                                            homotopy.base.q0, u.dt, substeps)
+    return VariationField(s_val, homotopy.base.grid, variations[0])
 
 
 def variation_integral(frame: SRFrame, u: ControlSignal, du: ControlSignal,
@@ -153,12 +167,13 @@ def variation_integral(frame: SRFrame, u: ControlSignal, du: ControlSignal,
     return VariationField(0.0, traj0.grid, vectors)
 
 
-def variation_fields(frame: SRFrame, u: ControlSignal, homotopy: Homotopy,
-                     substeps: int = 1) -> tuple[VariationField, ...]:
-    """Variation fields at every node of the homotopy's s-grid."""
-    return tuple(
-        variation_direct(frame, u, homotopy.delta_u, homotopy, s, substeps)
-        for s in homotopy.s_grid)
+def variation_fields(homotopy: Homotopy) -> tuple[VariationField, ...]:
+    """Variation fields at every node of the homotopy's s-grid.
+
+    They were integrated with the members, so this integrates nothing.
+    """
+    return tuple(VariationField(float(s), homotopy.base.grid, vectors)
+                 for s, vectors in zip(homotopy.s_grid, homotopy.variations))
 
 
 def node_velocity(frame: SRFrame, u: ControlSignal, traj: Trajectory,

@@ -182,6 +182,10 @@ def parse_scenario(data: dict, sha256: str, name_hint: str = "scenario") -> Scen
 
     certify = dict(CERTIFY_DEFAULTS)
     certify.update(data.get("certify", {}))
+    for key in ("n_trials", "N_s"):
+        value = certify[key]
+        _require(isinstance(value, int) and not isinstance(value, bool)
+                 and value >= 1, f"certify.{key} must be an integer >= 1")
 
     try:
         frame.check_independence(domain, int(tolerances["frame_grid"]))

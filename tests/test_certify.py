@@ -6,6 +6,7 @@ import pytest
 from srx import (Domain, NotCertifiableError, build_certificate, compute_epsilon,
                  compute_eta, estimate_constants, integrate_trajectory, psi,
                  sample_admissible_perturbation, verify_certificate, xi, zeta)
+from srx import certify
 from srx.certify import FrameConstants
 
 from conftest import constant_control
@@ -227,6 +228,29 @@ def test_verification_threads_reproducible(heisenberg, line_certificate):
     for other in reports[1:]:
         for a, b in zip(base.trials, other.trials):
             assert a == b
+
+
+def test_verification_rejects_zero_trials(heisenberg, line_certificate):
+    box, u, traj, cert, _ = line_certificate
+    with pytest.raises(ValueError):
+        verify_certificate(heisenberg, box, u, traj, cert, n_trials=0)
+
+
+def test_verification_independent_of_batch_layout(heisenberg, line_certificate,
+                                                  monkeypatch):
+    box, u, traj, cert, _ = line_certificate
+    reports = []
+    for budget in (1, 1 << 40):     # one trial per batch vs a single batch
+        monkeypatch.setattr(certify, "VERIFY_BATCH_BYTES", budget)
+        reports.append(verify_certificate(heisenberg, box, u, traj, cert,
+                                          n_trials=7, base_seed=5))
+    assert reports[0].trials == reports[1].trials
+
+
+def test_batch_holds_at_least_one_trial(monkeypatch):
+    assert certify._trials_per_batch(17, 10 ** 9, 5) == 1
+    monkeypatch.setattr(certify, "VERIFY_BATCH_BYTES", 17 * 51 * 6 * 8 * 3)
+    assert certify._trials_per_batch(17, 50, 3) == 3
 
 
 def test_verification_catches_inflated_constant(heisenberg, line_certificate):

@@ -7,7 +7,8 @@ from srx import (ControlSignal, GridMismatchError, decompose_variation,
                  variation_direct, variation_fields, variation_integral)
 from srx.homotopy import drift_matrix, spread_matrix
 
-from conftest import constant_control, smooth_perturbation
+from conftest import (constant_control, make_quartic_frame, sampled_control,
+                      smooth_perturbation)
 
 
 def _heisenberg_line(heisenberg, n_cells=500):
@@ -56,6 +57,51 @@ def test_homotopy_grid_mismatch(euclidean2):
     du = constant_control([0.0, 1.0], n_cells=60)
     with pytest.raises(GridMismatchError):
         natural_homotopy(euclidean2, u, du, [0.0, 0.0])
+
+
+def _member_loop(frame, controls, increments, q0, dt, substeps):
+    """Reference: one member and its variation by a plain per-point RK4 loop."""
+    def rhs(q, b, u_cell, du_cell):
+        f = frame.field_matrix(q)
+        a = np.einsum("i,iab->ab", u_cell, frame.jacobians(q))
+        return np.concatenate([f @ u_cell, f @ du_cell + a @ b])
+
+    n = frame.n
+    h = dt / substeps
+    y = np.concatenate([q0, np.zeros(n)])
+    out = [y]
+    for u_cell, du_cell in zip(controls, increments):
+        for _ in range(substeps):
+            k1 = rhs(y[:n], y[n:], u_cell, du_cell)
+            k2 = rhs(*np.split(y + 0.5 * h * k1, 2), u_cell, du_cell)
+            k3 = rhs(*np.split(y + 0.5 * h * k2, 2), u_cell, du_cell)
+            k4 = rhs(*np.split(y + h * k3, 2), u_cell, du_cell)
+            y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        out.append(y)
+    out = np.array(out)
+    return out[:, :n], out[:, n:]
+
+
+def test_batched_members_match_per_member_loop():
+    # quartic field: RK4 is not exact there, so stage states matter
+    frame = make_quartic_frame()
+    u = constant_control([1.0], horizon=0.5, n_cells=40)
+    du = sampled_control(lambda t: [0.4 * np.sin(6.0 * t) - 0.2],
+                         horizon=0.5, n_cells=40)
+    q0 = np.array([0.3, -0.1])
+    hom = natural_homotopy(frame, u, du, q0, n_s=5, substeps=2)
+    fields = variation_fields(hom)
+    for idx, s in enumerate(hom.s_grid):
+        us = u.perturbed(du, s)
+        states, variations = _member_loop(frame, us.samples, du.samples, q0,
+                                          u.dt, 2)
+        lone = integrate_trajectory(frame, us, q0, substeps=2)
+        direct = variation_direct(frame, u, du, hom, s, substeps=2)
+        for got in (hom.trajectories[idx].states, lone.states):
+            assert np.abs(got - states).max() <= 1e-13 * np.abs(states).max()
+        for got in (fields[idx].vectors, direct.vectors):
+            assert np.abs(got - variations).max() <= \
+                1e-13 * np.abs(variations).max()
 
 
 # -- variation fields: two routes + finite differences -------------------------
@@ -223,7 +269,7 @@ def test_spread_and_drift_matrices(heisenberg):
     spread = spread_matrix(hom)
     assert spread.shape == (5, 101)
     assert np.all(spread[0] == 0.0)
-    fields = variation_fields(heisenberg, u, hom)
+    fields = variation_fields(hom)
     drift = drift_matrix(fields)
     assert drift.shape == (5, 101)
     assert np.all(drift[0] == 0.0)

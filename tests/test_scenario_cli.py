@@ -126,6 +126,18 @@ def test_cli_integrate_domain_exit(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("key", ["n_trials", "N_s"])
+def test_certify_counts_below_one_rejected(tmp_path, key):
+    # zero trials used to certify after verifying nothing
+    data = _load_bundled_dict("heisenberg_line")
+    data.setdefault("certify", {})[key] = 0
+    path = _write_scenario(tmp_path, data)
+    with pytest.raises(ScenarioError, match=key):
+        load_scenario(path)
+    assert main(["certify", "--config", path, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "certificate.json").exists()
+
+
 def test_cli_malformed_config_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{]")

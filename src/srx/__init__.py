@@ -9,7 +9,7 @@ from .flows import (DomainExitError, IntegrationError, SingularFlowError,
 from .extremals import (HamiltonianExtremal, NSREReport, NotNormalizedError,
                         OrthoDistribution, angle_to_subspace, build_f_perp,
                         hamiltonian_extremal, nsre_check,
-                        orthogonal_control_complement)
+                        orthogonal_control_complement, span_profile)
 from .homotopy import (EnergyComparison, Homotopy, Separation, VariationField,
                        VariationSplit, decompose_variation, endpoint_separation,
                        energy_comparison_check, natural_homotopies,
@@ -32,6 +32,7 @@ __all__ = [
     "HamiltonianExtremal", "NSREReport", "NotNormalizedError",
     "OrthoDistribution", "angle_to_subspace", "build_f_perp",
     "hamiltonian_extremal", "nsre_check", "orthogonal_control_complement",
+    "span_profile",
     "EnergyComparison", "Homotopy", "Separation", "VariationField",
     "VariationSplit", "decompose_variation", "endpoint_separation",
     "energy_comparison_check", "natural_homotopies", "natural_homotopy",

@@ -118,6 +118,34 @@ def xi(t: float, constants: FrameConstants, k: int, n: int) -> float:
         + rk * (n * constants.C1 * p + constants.C2 * z))
 
 
+def bound_slacks(hom: Homotopy, u: ControlSignal, constants: FrameConstants,
+                 c: float, horizon: float
+                 ) -> tuple[dict[str, tuple[float, float]], float]:
+    """The growth bounds of one homotopy of u, evaluated at `horizon`.
+
+    Returns the spread, variation and drift bounds as name -> (largest value
+    over the (s, t) grid, limit), with limits sqrt(T) zeta |du|,
+    sqrt(T) psi |du| and T xi |du|^2, and the smallest slack of the angle
+    lower bound |b_0(t)| >= c |integral_0^t phi|.
+    """
+    du = hom.delta_u
+    k, n = u.k, hom.base.n
+    fields = variation_fields(hom)
+    du_l2 = du.l2_norm()
+    root_t = math.sqrt(horizon)
+    bounds = {
+        "spread": (float(spread_matrix(hom).max()),
+                   root_t * zeta(horizon, constants, k) * du_l2),
+        "variation": (float(max(f.max_norm() for f in fields)),
+                      root_t * psi(horizon, constants, k, n) * du_l2),
+        "drift": (float(drift_matrix(fields).max()),
+                  horizon * xi(horizon, constants, k, n) * du.l2_norm_sq()),
+    }
+    b0_norms = np.linalg.norm(fields[0].vectors, axis=1)
+    phi_cum = np.abs(control_inner(u, du).cumulative)
+    return bounds, float((b0_norms - c * phi_cum).min())
+
+
 def compute_eta(traj: Trajectory, domain: Domain,
                 constants: FrameConstants) -> float:
     """Tube radius: worst node distance to the boundary minus a step allowance.
@@ -160,6 +188,11 @@ class EpsilonResult:
     def angle_ok(self) -> bool:
         return self.angle_lhs < self.angle_limit
 
+    @property
+    def holds(self) -> bool:
+        """Both conditions hold and their left-hand sides were monotone."""
+        return self.domain_ok and self.angle_ok and self.monotone_ok
+
 
 def compute_epsilon(constants: FrameConstants, c: float, eta: float, k: int,
                     n: int, t_max: float, *,
@@ -178,6 +211,8 @@ def compute_epsilon(constants: FrameConstants, c: float, eta: float, k: int,
         raise NotCertifiableError("tube radius eta <= 0")
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
+    if not 0.0 < margin_factor < 1.0:
+        raise ValueError("margin_factor must lie in (0, 1)")
 
     def domain_lhs(e: float) -> float:
         return 4.0 * e * zeta(e, constants, k)
@@ -392,7 +427,7 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
                        traj: Trajectory, cert: Certificate, *,
                        n_trials: int = 200, base_seed: int = 0,
                        t_prime: float | None = None, n_s: int = 16,
-                       threads: int = 1, substeps: int = 1,
+                       substeps: int = 1,
                        slack_tol: float = 1e-9) -> VerificationReport:
     """Monte-Carlo check of the certificate on the restricted horizon.
 
@@ -401,8 +436,7 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
     bounds (spread, variation, drift, the angle lower bound on b_0, and the
     energy-comparison identity) must hold.  Trials are seeded base_seed +
     trial and integrated in batches of whole trials sized by
-    VERIFY_BATCH_BYTES, so the report depends on neither the batch layout nor
-    `threads`, which is accepted for compatibility and unused.
+    VERIFY_BATCH_BYTES, so the report does not depend on the batch layout.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -418,19 +452,14 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
     u_r = u.restrict(m)
     q0 = traj.q0
 
-    z = zeta(tp, cert.constants, frame.k)
-    p = psi(tp, cert.constants, frame.k, frame.n)
-    x = xi(tp, cert.constants, frame.k, frame.n)
-    bound_coef = 0.5 * cert.c - tp * x
+    bound_coef = 0.5 * cert.c - tp * xi(tp, cert.constants, frame.k, frame.n)
 
     def trial_record(i: int, du: ControlSignal, rejected: int,
                      hom: Homotopy) -> TrialRecord:
-        fields = variation_fields(hom)
         sep = endpoint_separation(hom)
-        du_l2 = du.l2_norm()
-        du_sq = du.l2_norm_sq()
-        bound = bound_coef * du_sq
+        bound = bound_coef * du.l2_norm_sq()
         slack = sep.separation - bound
+        bounds, b0_slack = bound_slacks(hom, u_r, cert.constants, cert.c, tp)
 
         violations: list[str] = []
         if not hom.in_domain:
@@ -439,22 +468,17 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
             violations.append("separation_bound")
         if sep.separation <= 0.0:
             violations.append("separation_zero")
-        if spread_matrix(hom).max() > math.sqrt(tp) * z * du_l2 + slack_tol:
-            violations.append("spread_bound")
-        if max(f.max_norm() for f in fields) > math.sqrt(tp) * p * du_l2 + slack_tol:
-            violations.append("variation_bound")
-        if drift_matrix(fields).max() > tp * x * du_sq + slack_tol:
-            violations.append("drift_bound")
-        b0_norms = np.linalg.norm(fields[0].vectors, axis=1)
-        phi_cum = np.abs(control_inner(u_r, du).cumulative)
-        if np.any(b0_norms < cert.c * phi_cum - slack_tol):
+        violations += [f"{name}_bound" for name, (value, limit) in bounds.items()
+                       if limit - value < -slack_tol]
+        if b0_slack < -slack_tol:
             violations.append("b0_lower_bound")
         comparison = energy_comparison_check(u_r, du)
         if not (comparison.applicable and comparison.holds and comparison.bound2):
             violations.append("energy_comparison")
 
-        return TrialRecord(i, cert.seed + base_seed + i, du_l2, sep.separation,
-                           bound, slack, tuple(violations), rejected)
+        return TrialRecord(i, cert.seed + base_seed + i, du.l2_norm(),
+                           sep.separation, bound, slack, tuple(violations),
+                           rejected)
 
     batch = _trials_per_batch(n_s + 1, m, frame.n)
     records: list[TrialRecord] = []

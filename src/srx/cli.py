@@ -6,21 +6,18 @@ not-certifiable runs), 4 inconclusive, 5 numerical failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .certify import (NotCertifiableError, build_certificate, verify_certificate,
-                      xi, zeta, psi, estimate_constants)
-from .core import ControlSignal, SRXError, Trajectory, control_inner
+from .certify import (NotCertifiableError, bound_slacks, build_certificate,
+                      estimate_constants, verify_certificate)
+from .core import ControlSignal, SRXError, Trajectory
 from .extremals import hamiltonian_extremal, nsre_check
 from .flows import (DomainExitError, IntegrationError, SingularFlowError,
                     integrate_trajectory, tangent_flow, write_tangent_flow_rows,
                     write_trajectory_rows)
-from .homotopy import (drift_matrix, endpoint_separation, energy_comparison_check,
-                       natural_homotopy, spread_matrix, variation_fields)
+from .homotopy import (endpoint_separation, energy_comparison_check,
+                       natural_homotopy, write_homotopy_rows)
 from .io import write_csv, write_json
 from .scenario import Scenario, ScenarioError, load_scenario
 
@@ -90,20 +87,11 @@ def cmd_homotopy(scenario: Scenario, out: Path) -> int:
     du = scenario.delta_u
     hom = natural_homotopy(frame, u, du, scenario.q0, scenario.homotopy_n_s,
                            domain, scenario.substeps)
-    fields = variation_fields(hom)
     sep = endpoint_separation(hom)
 
-    rows = []
-    for idx, s in enumerate(hom.s_grid):
-        member = hom.trajectories[idx]
-        bvec = fields[idx].vectors
-        for j, t in enumerate(member.grid):
-            rows.append([s, t, *member.states[j], *bvec[j]])
-    n = frame.n
-    header = ["s", "t"] + [f"q{a + 1}" for a in range(n)] + \
-             [f"b{a + 1}" for a in range(n)]
+    header, rows = write_homotopy_rows(hom)
     write_csv(out / "homotopy.csv", header, rows, scenario.sha256, scenario.name)
-    write_csv(out / "endpoints.csv", ["s"] + [f"q{a + 1}" for a in range(n)],
+    write_csv(out / "endpoints.csv", ["s"] + header[2:2 + frame.n],
               [[s, *e] for s, e in zip(hom.s_grid, sep.endpoints)],
               scenario.sha256, scenario.name)
 
@@ -111,34 +99,19 @@ def cmd_homotopy(scenario: Scenario, out: Path) -> int:
     report = nsre_check(frame, u, traj, substeps=scenario.substeps,
                         **scenario.nsre_kwargs()) if u.is_normalized() else None
     constants = estimate_constants(frame, domain,
-                                   int(scenario.certify["grid_resolution"]),
+                                   scenario.certify["grid_resolution"],
                                    float(scenario.certify["margin"]))
-    horizon = u.horizon
-    du_l2 = du.l2_norm()
-    z = zeta(horizon, constants, frame.k)
-    p = psi(horizon, constants, frame.k, frame.n)
-    x = xi(horizon, constants, frame.k, frame.n)
-    admissible = comparison.applicable
-    in_domain = hom.in_domain
-
-    b0_norms = np.linalg.norm(fields[0].vectors, axis=1)
-    phi_cum = np.abs(control_inner(u, du).cumulative)
     c = report.c if report is not None else 0.0
-    b0_slack = float((b0_norms - c * phi_cum).min())
-
-    bounds = {
-        "spread": _bound_entry(float(spread_matrix(hom).max()),
-                               math.sqrt(horizon) * z * du_l2, in_domain),
-        "variation": _bound_entry(float(max(f.max_norm() for f in fields)),
-                                  math.sqrt(horizon) * p * du_l2,
-                                  in_domain and admissible),
-        "drift": _bound_entry(float(drift_matrix(fields).max()),
-                              horizon * x * du.l2_norm_sq(),
-                              in_domain and admissible),
-        "b0_lower": {"min_slack": b0_slack, "c": c,
-                     "applicable": report is not None and
-                     report.status == "certified"},
-    }
+    slacks, b0_slack = bound_slacks(hom, u, constants, c, u.horizon)
+    in_domain = hom.in_domain
+    applicable = {"spread": in_domain,
+                  "variation": in_domain and comparison.applicable,
+                  "drift": in_domain and comparison.applicable}
+    bounds = {name: _bound_entry(value, limit, applicable[name])
+              for name, (value, limit) in slacks.items()}
+    bounds["b0_lower"] = {"min_slack": b0_slack, "c": c,
+                          "applicable": report is not None and
+                          report.status == "certified"}
     payload = {
         "separation": sep.separation,
         "in_domain": in_domain,
@@ -153,15 +126,13 @@ def cmd_homotopy(scenario: Scenario, out: Path) -> int:
     }
     write_json(out / "lemma_slacks.json", payload, scenario.sha256, scenario.name)
 
-    failed = any(b["applicable"] and b["slack"] < -1e-9
-                 for b in bounds.values() if "slack" in b)
-    failed = failed or (bounds["b0_lower"]["applicable"]
-                        and bounds["b0_lower"]["min_slack"] < -1e-9)
+    failed = any(b["applicable"] and b.get("slack", b.get("min_slack")) < -1e-9
+                 for b in bounds.values())
     failed = failed or (comparison.applicable and not comparison.holds)
     return EXIT_FAILED if failed else EXIT_OK
 
 
-def cmd_certify(scenario: Scenario, out: Path, threads: int) -> int:
+def cmd_certify(scenario: Scenario, out: Path) -> int:
     u, traj = _resolve_run(scenario)
     if traj.left_domain:
         print("trajectory leaves the domain; nothing to certify", file=sys.stderr)
@@ -170,7 +141,7 @@ def cmd_certify(scenario: Scenario, out: Path, threads: int) -> int:
     try:
         cert, report = build_certificate(
             scenario.frame, scenario.domain, u, traj,
-            grid_resolution=int(cfg["grid_resolution"]),
+            grid_resolution=cfg["grid_resolution"],
             margin=float(cfg["margin"]),
             margin_factor=float(cfg["margin_factor"]),
             seed=scenario.seed, substeps=scenario.substeps,
@@ -186,20 +157,22 @@ def cmd_certify(scenario: Scenario, out: Path, threads: int) -> int:
             return EXIT_INCONCLUSIVE
         return EXIT_FAILED
 
-    t_prime = cfg.get("T_prime")
     verification = verify_certificate(
         scenario.frame, scenario.domain, u, traj, cert,
-        n_trials=int(cfg["n_trials"]), base_seed=0,
-        t_prime=None if t_prime is None else float(t_prime),
-        n_s=int(cfg["N_s"]), threads=threads, substeps=scenario.substeps)
+        n_trials=cfg["n_trials"], base_seed=0, t_prime=cfg["T_prime"],
+        n_s=cfg["N_s"], substeps=scenario.substeps)
 
-    payload = {"certified": verification.ok}
+    payload = {"certified": verification.ok and cert.conditions.holds}
     payload.update(cert.to_json_dict())
     payload["verification"] = verification.to_json_dict()
     write_json(out / "certificate.json", payload, scenario.sha256, scenario.name)
     header, rows = verification.csv_rows()
     write_csv(out / "verification.csv", header, rows, scenario.sha256,
               scenario.name)
+    if not cert.conditions.holds:
+        print("the radius conditions do not hold at the certified radius",
+              file=sys.stderr)
+        return EXIT_FAILED
     if not verification.ok:
         print(f"{verification.violation_count} verification violations; "
               f"seeds {list(verification.failing_seeds)[:5]}", file=sys.stderr)
@@ -246,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_nsre_check(scenario, out)
         if args.command == "homotopy":
             return cmd_homotopy(scenario, out)
-        return cmd_certify(scenario, out, max(1, args.threads))
+        return cmd_certify(scenario, out)
     except ScenarioError as err:
         print(f"scenario error: {err}", file=sys.stderr)
         return EXIT_INPUT

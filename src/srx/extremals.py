@@ -7,6 +7,7 @@ directions through the tangent flow and rank-truncating an SVD.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .flows import (DomainExitError, IntegrationError, TangentFlow, _apply,
 SIGMA_TOL = 1e-8
 THETA_MIN = 1e-3
 ACB_BOUND = 50.0
+TAU_RANGES = ("0..t", "0..T")
 
 
 class DegenerateSpanError(SRXError):
@@ -55,7 +57,6 @@ class OrthoDistribution:
     t: float
     basis: np.ndarray            # (n, r), orthonormal columns
     singular_values: np.ndarray  # full spectrum before truncation
-    tau_grid: np.ndarray         # sample times that produced the columns
 
     @property
     def rank(self) -> int:
@@ -85,61 +86,58 @@ def _node_controls(u: ControlSignal) -> np.ndarray:
     return np.vstack([u.samples, u.samples[-1:]])
 
 
-def _pulled_complements(frame: SRFrame, u: ControlSignal, traj: Trajectory,
-                        tf: TangentFlow) -> np.ndarray:
-    """Orthogonal directions at every node, pulled back to the flow anchor.
+def span_profile(frame: SRFrame, traj: Trajectory, tf: TangentFlow,
+                 nodes=None, *, tau_range: str = "0..t", sample_stride: int = 1,
+                 sigma_tol: float = SIGMA_TOL) -> Iterator[OrthoDistribution]:
+    """Numerical flow-invariant orthogonal span at each of `nodes`.
 
-    Shape (N_t + 1, n, k - 1).  Pulling back once lets every later query
-    push the whole stack to any time with a single matrix product.
+    Orthogonal directions are sampled at grid nodes tau (every sample_stride-th
+    node from 0), pushed to the node through the tangent flow, stacked and
+    rank-truncated at sigma_tol * sigma_max.  tau_range "0..t" samples tau up
+    to the node itself (the range the variation decomposition consumes);
+    "0..T" samples the whole horizon.  nodes defaults to every grid node.
+    The directions are pulled back to the flow anchor once, so each node
+    pushes the whole stack with a single matrix product.
     """
+    if not isinstance(sample_stride, (int, np.integer)) or sample_stride < 1:
+        raise ValueError("sample_stride must be an integer >= 1")
+    if tau_range not in TAU_RANGES:
+        raise ValueError(f"tau_range must be one of {TAU_RANGES}")
     if frame.k < 2:
         raise DegenerateSpanError("rank-1 distributions have an empty orthogonal part")
-    node_u = _node_controls(u)
+    n_nodes = traj.grid.shape[0]
     mats = frame.field_matrix_many(traj.states)          # (N+1, n, k)
-    cols = np.empty((traj.grid.shape[0], frame.n, frame.k - 1))
-    for j in range(traj.grid.shape[0]):
-        w = orthogonal_control_complement(node_u[j])
-        cols[j] = mats[j] @ w
-    return np.einsum("jab,jbc->jac", tf.inverses(), cols)
-
-
-def _span_at(pulled: np.ndarray, tf: TangentFlow, node: int,
-             tau_nodes: np.ndarray, sigma_tol: float) -> OrthoDistribution:
-    stack = pulled[tau_nodes]                             # (m, n, k-1)
-    cols = np.concatenate(stack, axis=1) if stack.shape[0] else stack.reshape(
-        pulled.shape[1], 0)
-    pushed = tf.matrices[node] @ cols
-    u_svd, svals, _ = np.linalg.svd(pushed, full_matrices=False)
-    if svals.size and svals[0] > 0.0:
-        r = int(np.count_nonzero(svals > sigma_tol * svals[0]))
-    else:
-        r = 0
-    return OrthoDistribution(float(tf.grid[node]), u_svd[:, :r].copy(), svals,
-                             tf.grid[tau_nodes].copy())
+    perp = np.empty((n_nodes, frame.n, frame.k - 1))
+    for j, u_node in enumerate(_node_controls(traj.control)):
+        perp[j] = mats[j] @ orthogonal_control_complement(u_node)
+    pulled = np.einsum("jab,jbc->jac", tf.inverses(), perp)
+    for m in range(n_nodes) if nodes is None else nodes:
+        last = n_nodes - 1 if tau_range == "0..T" else m
+        cols = np.concatenate(pulled[0:last + 1:sample_stride], axis=1)
+        u_svd, svals, _ = np.linalg.svd(tf.matrices[m] @ cols,
+                                        full_matrices=False)
+        r = int(np.count_nonzero(svals > sigma_tol * svals[0])) \
+            if svals[0] > 0.0 else 0
+        yield OrthoDistribution(float(tf.grid[m]), u_svd[:, :r].copy(), svals)
 
 
 def build_f_perp(frame: SRFrame, traj: Trajectory, tf: TangentFlow, t: float,
                  sample_stride: int = 1, tau_range: str = "0..t",
                  sigma_tol: float = SIGMA_TOL) -> OrthoDistribution:
-    """Numerical flow-invariant orthogonal span at time t.
+    """Numerical flow-invariant orthogonal span at time t (see span_profile)."""
+    return next(span_profile(frame, traj, tf, [traj.node_index(t)],
+                             tau_range=tau_range, sample_stride=sample_stride,
+                             sigma_tol=sigma_tol))
 
-    Orthogonal directions are sampled at grid nodes tau (strided), pushed to
-    time t through the tangent flow, stacked and rank-truncated at
-    sigma_tol * sigma_max.  tau_range "0..t" samples tau in [0, t] (the range
-    the variation decomposition consumes); "0..T" samples the whole horizon.
-    """
-    if sample_stride < 1:
-        raise ValueError("sample_stride must be >= 1")
-    if tau_range not in ("0..t", "0..T"):
-        raise ValueError("tau_range must be '0..t' or '0..T'")
-    u = traj.control
-    if np.any(u.cell_norms() == 0.0):
-        raise ValueError("control must be nonvanishing")
-    node = traj.node_index(t)
-    pulled = _pulled_complements(frame, u, traj, tf)
-    last = traj.grid.shape[0] - 1 if tau_range == "0..T" else node
-    tau_nodes = np.arange(0, last + 1, sample_stride)
-    return _span_at(pulled, tf, node, tau_nodes, sigma_tol)
+
+def max_velocity_derivative(frame: SRFrame, u: ControlSignal,
+                            traj: Trajectory) -> float:
+    """Largest difference quotient of cellwise velocities (ACB proxy)."""
+    if u.n_cells < 2:
+        return 0.0
+    mats = frame.field_matrix_many(traj.states[:-1])
+    vel = np.einsum("jnk,jk->jn", mats, u.samples)
+    return float(np.linalg.norm(np.diff(vel, axis=0) / u.dt, axis=1).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,26 +198,15 @@ def nsre_check(frame: SRFrame, u: ControlSignal, traj: Trajectory,
         tf = tangent_flow(frame, u, traj, 0.0, substeps=substeps)
 
     mats = frame.field_matrix_many(traj.states)           # (N+1, n, k)
-    cell_velocities = np.einsum("jnk,jk->jn", mats[:-1], u.samples)
     node_velocities = np.einsum("jnk,jk->jn", mats, _node_controls(u))
-    speeds = np.linalg.norm(node_velocities, axis=1)
-    min_speed = float(speeds.min())
-
-    if u.n_cells > 1:
-        diffs = np.diff(cell_velocities, axis=0) / u.dt
-        max_dv = float(np.linalg.norm(diffs, axis=1).max())
-    else:
-        max_dv = 0.0
+    min_speed = float(np.linalg.norm(node_velocities, axis=1).min())
+    max_dv = max_velocity_derivative(frame, u, traj)
     regularity_ok = max_dv <= acb_bound
 
-    pulled = _pulled_complements(frame, u, traj, tf)
-    n_nodes = traj.grid.shape[0]
-    angles = np.empty(n_nodes)
-    for m in range(n_nodes):
-        last = n_nodes - 1 if tau_range == "0..T" else m
-        tau_nodes = np.arange(0, last + 1, sample_stride)
-        span = _span_at(pulled, tf, m, tau_nodes, sigma_tol)
-        angles[m] = angle_to_subspace(node_velocities[m], span)
+    spans = span_profile(frame, traj, tf, tau_range=tau_range,
+                         sample_stride=sample_stride, sigma_tol=sigma_tol)
+    angles = np.array([angle_to_subspace(v, span)
+                       for v, span in zip(node_velocities, spans)])
 
     b2_ok = bool(angles.min() > theta_min)
     c = float(np.abs(np.sin(angles)).min() * min_speed) \

@@ -17,7 +17,8 @@ import numpy as np
 from .core import (ControlSignal, Domain, InnerProduct, SRFrame, Trajectory,
                    control_inner, require_same_grid)
 from .extremals import (ACB_BOUND, SIGMA_TOL, NotNormalizedError,
-                        OrthoDistribution, build_f_perp)
+                        OrthoDistribution, build_f_perp,
+                        max_velocity_derivative, span_profile)
 from .flows import (TangentFlow, _apply, _checked_start, _marked_trajectory,
                     _rk4)
 
@@ -176,6 +177,19 @@ def variation_fields(homotopy: Homotopy) -> tuple[VariationField, ...]:
                  for s, vectors in zip(homotopy.s_grid, homotopy.variations))
 
 
+def write_homotopy_rows(homotopy: Homotopy) -> tuple[list[str], np.ndarray]:
+    """Header and row data for the homotopy CSV layout s,t,q1..qn,b1..bn."""
+    n = homotopy.base.n
+    header = ["s", "t"] + [f"q{a + 1}" for a in range(n)] + \
+             [f"b{a + 1}" for a in range(n)]
+    data = np.vstack([
+        np.column_stack([np.full(member.grid.shape, s), member.grid,
+                         member.states, b])
+        for s, member, b in zip(homotopy.s_grid, homotopy.trajectories,
+                                homotopy.variations)])
+    return header, data
+
+
 def node_velocity(frame: SRFrame, u: ControlSignal, traj: Trajectory,
                   m: int) -> np.ndarray:
     """Velocity of the trajectory at grid node m.
@@ -190,16 +204,6 @@ def node_velocity(frame: SRFrame, u: ControlSignal, traj: Trajectory,
     else:
         u_node = 0.5 * (u.samples[m - 1] + u.samples[m])
     return frame.field_matrix(traj.states[m]) @ u_node
-
-
-def max_velocity_derivative(frame: SRFrame, u: ControlSignal,
-                            traj: Trajectory) -> float:
-    """Largest difference quotient of cellwise velocities (ACB proxy)."""
-    mats = frame.field_matrix_many(traj.states[:-1])
-    vel = np.einsum("jnk,jk->jn", mats, u.samples)
-    if u.n_cells < 2:
-        return 0.0
-    return float(np.linalg.norm(np.diff(vel, axis=0) / u.dt, axis=1).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,23 +274,17 @@ def decomposition_residual_profile(frame: SRFrame, u: ControlSignal,
     directions are pulled back once and re-spanned per node.  Nodes with a
     zero variation report 0 (degenerate case counts as in-span).
     """
-    from .extremals import _pulled_complements, _span_at
-
     b_field = variation_integral(frame, u, du, traj0, tf)
     phi_cum = control_inner(u, du).cumulative
-    pulled = _pulled_complements(frame, u, traj0, tf)
-    n_nodes = traj0.grid.shape[0]
-    out = np.zeros(n_nodes)
-    for m in range(n_nodes):
-        b0 = b_field.vectors[m]
-        norm = float(np.linalg.norm(b0))
-        if norm == 0.0:
-            continue
-        residual = b0 - float(phi_cum[m]) * node_velocity(frame, u, traj0, m)
-        last = n_nodes - 1 if tau_range == "0..T" else m
-        span = _span_at(pulled, tf, m, np.arange(0, last + 1, sample_stride),
-                        sigma_tol)
-        out[m] = span.residual(residual) / norm
+    norms = [float(np.linalg.norm(b0)) for b0 in b_field.vectors]
+    nodes = [m for m, norm in enumerate(norms) if norm != 0.0]
+    out = np.zeros(len(norms))
+    spans = span_profile(frame, traj0, tf, nodes, tau_range=tau_range,
+                         sample_stride=sample_stride, sigma_tol=sigma_tol)
+    for m, span in zip(nodes, spans):
+        residual = b_field.vectors[m] - float(phi_cum[m]) * node_velocity(
+            frame, u, traj0, m)
+        out[m] = span.residual(residual) / norms[m]
     return out
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ControlSignal, Domain, FrameRankError, SRFrame, SRXError
+from .extremals import TAU_RANGES
 
 BUNDLED = ("euclidean_line", "heisenberg_line", "heisenberg_arc", "jump_control")
 
@@ -35,6 +37,48 @@ CERTIFY_DEFAULTS = {
     "N_s": 16,
 }
 
+INTEGRATOR_DEFAULTS = {"substeps": 1, "emit_tangent_flow": False}
+
+HOMOTOPY_DEFAULTS = {"N_s": 16, "delta_u": None}
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(v) -> bool:
+    return _integer(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+# section -> key -> (predicate, description of the accepted values)
+SECTION_CHECKS = {
+    "tolerances": {
+        "acb_bound": (lambda v: _number(v) and v > 0, "a number > 0"),
+        "theta_min": (lambda v: _number(v) and v >= 0, "a number >= 0"),
+        "sigma_tol": (lambda v: _number(v) and 0 < v < 1, "a number in (0, 1)"),
+        "tau_range": (lambda v: v in TAU_RANGES, f"one of {TAU_RANGES}"),
+        "frame_grid": (lambda v: _integer(v) and v >= 2, "an integer >= 2"),
+    },
+    "certify": {
+        "grid_resolution": (lambda v: _integer(v) and v >= 2, "an integer >= 2"),
+        "margin": (lambda v: _number(v) and v >= 1, "a number >= 1"),
+        "margin_factor": (lambda v: _number(v) and 0 < v < 1,
+                          "a number in (0, 1)"),
+        "T_prime": (lambda v: v is None or (_number(v) and v > 0),
+                    "null or a number > 0"),
+        "n_trials": (lambda v: _integer(v) and v >= 1, "an integer >= 1"),
+        "N_s": (lambda v: _integer(v) and v >= 1, "an integer >= 1"),
+    },
+    "integrator": {
+        "substeps": (lambda v: _integer(v) and v >= 1, "an integer >= 1"),
+        "emit_tangent_flow": (lambda v: isinstance(v, bool), "true or false"),
+    },
+    "homotopy": {
+        "N_s": (lambda v: _integer(v) and v >= 1, "an integer >= 1"),
+        "delta_u": (lambda v: isinstance(v, dict), "a control spec object"),
+    },
+}
+
 
 class ScenarioError(SRXError):
     """Scenario file is missing, malformed, or inconsistent."""
@@ -43,6 +87,19 @@ class ScenarioError(SRXError):
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ScenarioError(message)
+
+
+def _section(data: dict, name: str, defaults: dict) -> dict:
+    """Section `name` of the scenario over its defaults, every given key checked."""
+    spec = data.get(name, {})
+    _require(isinstance(spec, dict), f"{name} must be an object")
+    checks = SECTION_CHECKS[name]
+    unknown = set(spec) - set(checks)
+    _require(not unknown, f"unknown {name} keys: {sorted(unknown)}")
+    for key, value in spec.items():
+        accepts, what = checks[key]
+        _require(accepts(value), f"{name}.{key} must be {what}, got {value!r}")
+    return {**defaults, **spec}
 
 
 def _control_from_spec(spec: dict, k: int, defaults: dict | None = None) -> ControlSignal:
@@ -78,7 +135,10 @@ def _control_from_spec(spec: dict, k: int, defaults: dict | None = None) -> Cont
                      "each segment needs t_end and value")
             t_end = float(seg["t_end"])
             _require(t_end > t_prev, "segment times must increase")
-            stop = int(round(t_end / horizon * n_cells))
+            node = t_end / horizon * n_cells
+            stop = int(round(node))
+            _require(abs(node - stop) <= 1e-9 * n_cells,
+                     f"segment t_end={t_end!r} is not a control grid node")
             value = np.asarray(seg["value"], dtype=float)
             _require(value.shape == (k,), f"segment value must have length {k}")
             samples[start:stop] = value
@@ -140,15 +200,10 @@ def parse_scenario(data: dict, sha256: str, name_hint: str = "scenario") -> Scen
     _require(bool(np.all(np.isfinite(q0))), "q0 must be finite")
     _require(domain.contains(q0), "q0 must lie in the domain interior")
 
-    tolerances = dict(TOLERANCE_DEFAULTS)
-    tolerances.update(data.get("tolerances", {}))
-    _require(tolerances["tau_range"] in ("0..t", "0..T"),
-             "tolerances.tau_range must be '0..t' or '0..T'")
-
-    integrator = data.get("integrator", {})
-    substeps = int(integrator.get("substeps", 1))
-    _require(substeps >= 1, "integrator.substeps must be >= 1")
-    emit_tf = bool(integrator.get("emit_tangent_flow", False))
+    tolerances = _section(data, "tolerances", TOLERANCE_DEFAULTS)
+    integrator = _section(data, "integrator", INTEGRATOR_DEFAULTS)
+    hom = _section(data, "homotopy", HOMOTOPY_DEFAULTS)
+    certify = _section(data, "certify", CERTIFY_DEFAULTS)
 
     has_control = "control" in data
     has_ham = "hamiltonian" in data
@@ -168,11 +223,8 @@ def parse_scenario(data: dict, sha256: str, name_hint: str = "scenario") -> Scen
         _require(hamiltonian["T"] > 0 and hamiltonian["N_t"] >= 1,
                  "hamiltonian spec needs T > 0 and N_t >= 1")
 
-    hom = data.get("homotopy", {})
-    n_s = int(hom.get("N_s", 16))
-    _require(n_s >= 1, "homotopy.N_s must be >= 1")
     delta_u = None
-    if "delta_u" in hom:
+    if hom["delta_u"] is not None:
         base = {"T": control.horizon, "N_t": control.n_cells} if control else \
             {"T": hamiltonian["T"], "N_t": hamiltonian["N_t"]}
         delta_u = _control_from_spec(hom["delta_u"], frame.k, defaults=base)
@@ -180,15 +232,8 @@ def parse_scenario(data: dict, sha256: str, name_hint: str = "scenario") -> Scen
                  abs(delta_u.horizon - base["T"]) < 1e-12,
                  "delta_u must share the control grid")
 
-    certify = dict(CERTIFY_DEFAULTS)
-    certify.update(data.get("certify", {}))
-    for key in ("n_trials", "N_s"):
-        value = certify[key]
-        _require(isinstance(value, int) and not isinstance(value, bool)
-                 and value >= 1, f"certify.{key} must be an integer >= 1")
-
     try:
-        frame.check_independence(domain, int(tolerances["frame_grid"]))
+        frame.check_independence(domain, tolerances["frame_grid"])
     except FrameRankError as err:
         raise ScenarioError(str(err)) from err
 
@@ -196,8 +241,9 @@ def parse_scenario(data: dict, sha256: str, name_hint: str = "scenario") -> Scen
         name=str(data.get("name", name_hint)),
         frame=frame, domain=domain, q0=q0,
         control=control, hamiltonian=hamiltonian,
-        substeps=substeps, emit_tangent_flow=emit_tf,
-        tolerances=tolerances, homotopy_n_s=n_s, delta_u=delta_u,
+        substeps=integrator["substeps"],
+        emit_tangent_flow=integrator["emit_tangent_flow"],
+        tolerances=tolerances, homotopy_n_s=hom["N_s"], delta_u=delta_u,
         certify=certify, seed=int(data.get("seed", 0)),
         sha256=sha256, out_dir=data.get("out_dir"), raw=data)
 

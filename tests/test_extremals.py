@@ -3,7 +3,8 @@ import pytest
 
 from srx import (angle_to_subspace, build_f_perp, hamiltonian_extremal,
                  integrate_trajectory, nsre_check,
-                 orthogonal_control_complement, push_forward, tangent_flow)
+                 orthogonal_control_complement, push_forward, span_profile,
+                 tangent_flow)
 from srx.extremals import NotNormalizedError
 
 from conftest import constant_control, sampled_control
@@ -166,6 +167,31 @@ def test_nsre_report_json(heisenberg):
     assert data["tau_range"] == "0..t"
     assert len(data["angles"]) == 21
     assert data["status"] == "certified"
+
+
+@pytest.mark.parametrize("kwargs", [{"sample_stride": -1}, {"sample_stride": 0},
+                                    {"tau_range": "bogus"}])
+def test_nsre_rejects_bad_sampling(heisenberg, kwargs):
+    # a negative stride used to sample nothing and certify with every angle
+    # at pi/2; a zero stride divided by zero; an unknown range was echoed
+    u, traj, tf = _line_setup(heisenberg, n_cells=20)
+    with pytest.raises(ValueError):
+        nsre_check(heisenberg, u, traj, tf, **kwargs)
+
+
+def test_span_profile_node_subset(heisenberg):
+    ext = hamiltonian_extremal(heisenberg, [0.0, 0.0, 0.0], [1.0, 0.0, 2.0], 1.0, 40)
+    traj = ext.trajectory
+    tf = tangent_flow(heisenberg, ext.control, traj)
+    for tau_range in ("0..t", "0..T"):
+        kwargs = {"tau_range": tau_range, "sample_stride": 3, "sigma_tol": 1e-3}
+        full = list(span_profile(heisenberg, traj, tf, **kwargs))
+        assert len(full) == 41
+        for m, span in zip([0, 17, 40], span_profile(heisenberg, traj, tf,
+                                                      [0, 17, 40], **kwargs)):
+            assert span.t == traj.grid[m]
+            assert np.array_equal(span.basis, full[m].basis)
+            assert np.array_equal(span.singular_values, full[m].singular_values)
 
 
 def test_tau_range_variant(heisenberg):

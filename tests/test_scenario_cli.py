@@ -126,16 +126,53 @@ def test_cli_integrate_domain_exit(tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("key", ["n_trials", "N_s"])
-def test_certify_counts_below_one_rejected(tmp_path, key):
-    # zero trials used to certify after verifying nothing
+@pytest.mark.parametrize("key, value", [("n_trials", 0), ("N_s", 0),
+                                        ("margin_factor", 1.5)],
+                         ids=["n_trials", "N_s", "margin_factor"])
+def test_certify_counts_below_one_rejected(tmp_path, key, value):
+    # zero trials used to certify after verifying nothing, and a margin
+    # factor of 1.5 certified a radius that breaks the angle condition
     data = _load_bundled_dict("heisenberg_line")
-    data.setdefault("certify", {})[key] = 0
+    data.setdefault("certify", {})[key] = value
     path = _write_scenario(tmp_path, data)
     with pytest.raises(ScenarioError, match=key):
         load_scenario(path)
     assert main(["certify", "--config", path, "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "certificate.json").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("certify", "n_trails", 4),
+    ("certify", "margin", "1.1"),
+    ("certify", "grid_resolution", 7.5),
+    ("tolerances", "sigma_tol", -1),
+    ("tolerances", "sigma_tol", 1.0),
+    ("tolerances", "theta_min", -0.1),
+    ("tolerances", "theta_min", "0.001"),
+    ("tolerances", "acb_bound", 0),
+    ("integrator", "substep", 2),
+    ("integrator", "emit_tangent_flow", "yes"),
+    ("homotopy", "n_s", 4),
+])
+def test_nested_section_errors_rejected(tmp_path, section, key, value):
+    # typos and bad values inside a section used to be ignored or run on
+    data = _load_bundled_dict("heisenberg_line")
+    data.setdefault(section, {})[key] = value
+    path = _write_scenario(tmp_path, data)
+    with pytest.raises(ScenarioError, match=key):
+        load_scenario(path)
+    assert main(["nsre-check", "--config", path, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "nsre_report.json").exists()
+
+
+def test_segment_off_grid_rejected(tmp_path):
+    # an off-grid boundary used to be snapped to the nearest node
+    data = _load_bundled_dict("jump_control")
+    data["control"]["segments"][0]["t_end"] = 0.5004
+    path = _write_scenario(tmp_path, data)
+    with pytest.raises(ScenarioError, match="grid node"):
+        load_scenario(path)
+    assert main(["integrate", "--config", path, "--out", str(tmp_path)]) == 2
 
 
 def test_cli_malformed_config_exits_2(tmp_path):
@@ -222,6 +259,27 @@ def test_cli_certify_heisenberg(tmp_path):
     lines = (tmp_path / "verification.csv").read_text().splitlines()
     assert lines[1] == "trial,norm_du,separation,bound,slack"
     assert len(lines) == 2 + cert["verification"]["n_trials"]
+
+
+def test_cli_certified_requires_conditions(tmp_path, monkeypatch):
+    # a radius that breaks the angle condition used to be certified as long
+    # as every verification trial passed
+    import srx.cli
+    from dataclasses import replace
+    build = srx.cli.build_certificate
+
+    def broken_angle(*args, **kwargs):
+        cert, report = build(*args, **kwargs)
+        cond = replace(cert.conditions, angle_lhs=2.0 * cert.conditions.angle_limit)
+        return replace(cert, conditions=cond), report
+
+    monkeypatch.setattr(srx.cli, "build_certificate", broken_angle)
+    cfg = _quick_certify_scenario(tmp_path, n_trials=2, n_cells=200)
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 3
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert["conditions"]["angle"] is False
+    assert cert["verification"]["violations"] == 0
+    assert cert["certified"] is False
 
 
 def test_cli_certify_not_certifiable(tmp_path):

@@ -75,6 +75,15 @@ class _StackedPolys:
         return monomials @ self.weights
 
 
+def _check_object(data, what: str, allowed: set[str] | None = None) -> None:
+    """Reject a non-object, or keys outside `allowed` (typos in JSON input)."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{what} must be an object")
+    unknown = set(data) - allowed if allowed is not None else set()
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def _validate_table(table: ExponentTable, n: int) -> ExponentTable:
     clean: ExponentTable = {}
     for exp, coef in table.items():
@@ -167,13 +176,18 @@ class PolyVectorField:
 
     @classmethod
     def from_json_dict(cls, data: dict, n: int) -> "PolyVectorField":
+        _check_object(data, "frame field", {"coeffs"})
         raw = data.get("coeffs", {})
+        _check_object(raw, "coeffs")
         tables: list[ExponentTable] = [dict() for _ in range(n)]
         for key, table in raw.items():
             a = int(key)
             if not 0 <= a < n:
                 raise ValueError(f"output coordinate {a} out of range for n={n}")
+            _check_object(table, f"coeffs[{key!r}]")
             for exp_str, coef in table.items():
+                if isinstance(coef, bool) or not isinstance(coef, (int, float)):
+                    raise TypeError(f"coefficient {coef!r} is not a number")
                 exp = tuple(int(s) for s in exp_str.split(","))
                 tables[a][exp] = float(coef)
         return cls(tuple(tables), n)
@@ -324,8 +338,12 @@ class SRFrame:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SRFrame":
-        n = int(data["n"])
-        k = int(data["k"])
+        _check_object(data, "frame", {"n", "k", "fields"})
+        n, k = data["n"], data["k"]
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, k)):
+            raise TypeError("frame n and k must be integers")
+        if not isinstance(data["fields"], list):
+            raise TypeError("frame fields must be a list")
         fields = tuple(PolyVectorField.from_json_dict(f, n) for f in data["fields"])
         return cls(fields, n, k)
 
@@ -381,6 +399,7 @@ class Domain:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Domain":
+        _check_object(data, "domain", {"lower", "upper"})
         return cls(np.asarray(data["lower"], float), np.asarray(data["upper"], float))
 
 

@@ -20,6 +20,7 @@ SIGMA_TOL = 1e-8
 THETA_MIN = 1e-3
 ACB_BOUND = 50.0
 TAU_RANGES = ("0..t", "0..T")
+SPAN_BATCH = 256            # nodes per batched SVD, bounds the temporaries
 
 
 class DegenerateSpanError(SRXError):
@@ -56,11 +57,27 @@ class OrthoDistribution:
 
     t: float
     basis: np.ndarray            # (n, r), orthonormal columns
-    singular_values: np.ndarray  # full spectrum before truncation
+    # full spectrum before truncation, always n entries in decreasing order;
+    # trailing exact zeros mean exact rank deficiency (at early nodes fewer
+    # than n directions have been sampled)
+    singular_values: np.ndarray
 
     @property
     def rank(self) -> int:
         return self.basis.shape[1]
+
+    @property
+    def cut_ratios(self) -> tuple[float, float]:
+        """sigma_r / sigma_1 (last kept) and sigma_{r+1} / sigma_1 (first dropped).
+
+        A missing singular value counts as 0: rank n drops nothing, and
+        rank 0 means every sampled direction vanished.
+        """
+        s, r = self.singular_values, self.rank
+        if r == 0:
+            return 0.0, 0.0
+        dropped = s[r] / s[0] if r < s.shape[0] else 0.0
+        return float(s[r - 1] / s[0]), float(dropped)
 
     def project(self, v: np.ndarray) -> np.ndarray:
         if self.rank == 0:
@@ -82,7 +99,15 @@ def angle_to_subspace(v, dist: OrthoDistribution) -> float:
 
 
 def _node_controls(u: ControlSignal) -> np.ndarray:
-    """Control value attached to each grid node (last node uses the last cell)."""
+    """Control value attached to each grid node: the cell to its right.
+
+    The last node uses the last cell.  The NSRE test takes both the node's
+    orthogonal directions and its velocity from this one value, so the
+    velocity is exactly orthogonal to the directions sampled at its own node
+    even where the control jumps; a two-cell average there would tilt the
+    velocity into the span and report a spurious small angle.  The
+    variation decomposition uses homotopy.node_velocity instead.
+    """
     return np.vstack([u.samples, u.samples[-1:]])
 
 
@@ -92,12 +117,20 @@ def span_profile(frame: SRFrame, traj: Trajectory, tf: TangentFlow,
     """Numerical flow-invariant orthogonal span at each of `nodes`.
 
     Orthogonal directions are sampled at grid nodes tau (every sample_stride-th
-    node from 0), pushed to the node through the tangent flow, stacked and
+    node from 0), pushed to the node through the tangent flow and
     rank-truncated at sigma_tol * sigma_max.  tau_range "0..t" samples tau up
     to the node itself (the range the variation decomposition consumes);
-    "0..T" samples the whole horizon.  nodes defaults to every grid node.
-    The directions are pulled back to the flow anchor once, so each node
-    pushes the whole stack with a single matrix product.
+    "0..T" samples the whole horizon.  nodes defaults to every grid node and
+    may come in any order.
+
+    The directions are pulled back to the flow anchor once, and the stack C
+    of pulled-back columns is never re-formed: an n x n square-root factor L
+    with L L^T = C C^T stands in for it (Demmel, Grigori, Hoemmen & Langou,
+    SIAM J. Sci. Comput. 2012).  For "0..t" the factor is updated at each
+    sampled node by a QR of [L^T; new columns^T]; for "0..T" one QR of the
+    whole stack gives it.  M L and M C share their singular values and left
+    singular vectors, so each node costs one n x n SVD, taken in batches of
+    SPAN_BATCH nodes.
     """
     if not isinstance(sample_stride, (int, np.integer)) or sample_stride < 1:
         raise ValueError("sample_stride must be an integer >= 1")
@@ -106,19 +139,38 @@ def span_profile(frame: SRFrame, traj: Trajectory, tf: TangentFlow,
     if frame.k < 2:
         raise DegenerateSpanError("rank-1 distributions have an empty orthogonal part")
     n_nodes = traj.grid.shape[0]
+    nodes = np.arange(n_nodes) if nodes is None else np.asarray(list(nodes), dtype=int)
+    if nodes.size == 0:
+        return
+    if nodes.min() < 0 or nodes.max() >= n_nodes:
+        raise ValueError(f"nodes must lie in [0, {n_nodes - 1}]")
+    n = frame.n
     mats = frame.field_matrix_many(traj.states)          # (N+1, n, k)
-    perp = np.empty((n_nodes, frame.n, frame.k - 1))
+    perp = np.empty((n_nodes, n, frame.k - 1))
     for j, u_node in enumerate(_node_controls(traj.control)):
         perp[j] = mats[j] @ orthogonal_control_complement(u_node)
     pulled = np.einsum("jab,jbc->jac", tf.inverses(), perp)
-    for m in range(n_nodes) if nodes is None else nodes:
-        last = n_nodes - 1 if tau_range == "0..T" else m
-        cols = np.concatenate(pulled[0:last + 1:sample_stride], axis=1)
-        u_svd, svals, _ = np.linalg.svd(tf.matrices[m] @ cols,
-                                        full_matrices=False)
-        r = int(np.count_nonzero(svals > sigma_tol * svals[0])) \
-            if svals[0] > 0.0 else 0
-        yield OrthoDistribution(float(tf.grid[m]), u_svd[:, :r].copy(), svals)
+
+    # factors[j] is L at node j, zero-padded to n columns while C has fewer
+    # than n columns; those columns give the trailing zero singular values
+    if tau_range == "0..T":
+        r = np.linalg.qr(np.concatenate(pulled[::sample_stride], axis=1).T,
+                         mode="r")
+        factor = np.zeros((n, n))
+        factor[:, :r.shape[0]] = r.T
+        factors = np.broadcast_to(factor, (n_nodes, n, n))
+    else:
+        factors = np.zeros((n_nodes, n, n))
+        r = np.empty((0, n))
+        for j in range(0, int(nodes.max()) + 1, sample_stride):
+            r = np.linalg.qr(np.vstack([r, pulled[j].T]), mode="r")
+            factors[j:j + sample_stride, :, :r.shape[0]] = r.T
+    for start in range(0, nodes.size, SPAN_BATCH):
+        batch = nodes[start:start + SPAN_BATCH]
+        u_svd, svals, _ = np.linalg.svd(tf.matrices[batch] @ factors[batch])
+        ranks = np.count_nonzero(svals > sigma_tol * svals[:, :1], axis=1)
+        for m, basis, s, rank in zip(batch, u_svd, svals, ranks):
+            yield OrthoDistribution(float(tf.grid[m]), basis[:, :rank].copy(), s)
 
 
 def build_f_perp(frame: SRFrame, traj: Trajectory, tf: TangentFlow, t: float,
@@ -153,6 +205,16 @@ class NSREReport:
     acb_bound: float
     theta_min: float
     tau_range: str
+    span_ranks: np.ndarray       # rank of the orthogonal span at each node
+    sigma_tol: float
+    kept_ratio_min: float        # smallest sigma_r / sigma_1 over the nodes
+    dropped_ratio_max: float     # largest sigma_{r+1} / sigma_1 over the nodes
+    max_condition: float         # of the tangent flow
+    ill_conditioned: bool
+
+    @property
+    def min_angle_node(self) -> int:
+        return int(np.argmin(self.angles))
 
     @property
     def status(self) -> str:
@@ -174,6 +236,17 @@ class NSREReport:
             "theta_min": self.theta_min,
             "tau_range": self.tau_range,
             "status": self.status,
+            "min_angle_node": self.min_angle_node,
+            "span_rank": self.span_ranks.tolist(),
+            "rank_cut": {
+                "sigma_tol": self.sigma_tol,
+                "kept_ratio_min": self.kept_ratio_min,
+                "dropped_ratio_max": self.dropped_ratio_max,
+            },
+            "tangent_flow": {
+                "max_condition": self.max_condition,
+                "ill_conditioned": self.ill_conditioned,
+            },
         }
 
 
@@ -191,6 +264,8 @@ def nsre_check(frame: SRFrame, u: ControlSignal, traj: Trajectory,
     theta_min cannot be distinguished from integrator noise, so the report is
     inconclusive rather than false there.  The constant c is
     min |sin theta| * min speed when both conditions hold, else 0.
+    The report also records the span rank at each node, the singular-value
+    gap around the sigma_tol cut and the tangent flow's conditioning.
     """
     if not u.is_normalized():
         raise NotNormalizedError("nsre_check requires a normalized control")
@@ -205,14 +280,22 @@ def nsre_check(frame: SRFrame, u: ControlSignal, traj: Trajectory,
 
     spans = span_profile(frame, traj, tf, tau_range=tau_range,
                          sample_stride=sample_stride, sigma_tol=sigma_tol)
-    angles = np.array([angle_to_subspace(v, span)
-                       for v, span in zip(node_velocities, spans)])
+    angles = np.empty(len(node_velocities))
+    ranks = np.empty(len(node_velocities), dtype=int)
+    cut_ratios = np.empty((len(node_velocities), 2))
+    for j, (v, span) in enumerate(zip(node_velocities, spans)):
+        angles[j] = angle_to_subspace(v, span)
+        ranks[j] = span.rank
+        cut_ratios[j] = span.cut_ratios
 
     b2_ok = bool(angles.min() > theta_min)
     c = float(np.abs(np.sin(angles)).min() * min_speed) \
         if (regularity_ok and b2_ok) else 0.0
     return NSREReport(angles, c, regularity_ok, b2_ok, min_speed, max_dv,
-                      acb_bound, theta_min, tau_range)
+                      acb_bound, theta_min, tau_range, ranks, sigma_tol,
+                      float(cut_ratios[:, 0].min()),
+                      float(cut_ratios[:, 1].max()), tf.max_condition,
+                      tf.ill_conditioned)
 
 
 @dataclass(frozen=True, eq=False)

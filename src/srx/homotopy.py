@@ -192,10 +192,14 @@ def write_homotopy_rows(homotopy: Homotopy) -> tuple[list[str], np.ndarray]:
 
 def node_velocity(frame: SRFrame, u: ControlSignal, traj: Trajectory,
                   m: int) -> np.ndarray:
-    """Velocity of the trajectory at grid node m.
+    """Velocity of the trajectory at grid node m, for the variation split.
 
-    Interior nodes average the adjacent cell controls, which is exact for
-    constant controls and second-order accurate for smooth sampled ones.
+    Interior nodes average the two adjacent cell controls; the end nodes use
+    their one cell.  The split compares b_0(t) with a multiple of the
+    velocity of the smooth curve the staircase control samples, and the
+    average is exact for constant controls and second-order accurate for
+    smooth sampled ones, where either one-sided cell is first order.  The
+    NSRE test uses the right cell instead (see extremals._node_controls).
     """
     if m == 0:
         u_node = u.samples[0]

@@ -50,10 +50,20 @@ def _number(v) -> bool:
     return _integer(v) or (isinstance(v, float) and math.isfinite(v))
 
 
+def _numbers(v) -> bool:
+    """A list, possibly nested, whose leaves are all numbers."""
+    return isinstance(v, list) and all(
+        _numbers(x) if isinstance(x, list) else _number(x) for x in v)
+
+
+_POSITIVE = (lambda v: _number(v) and v > 0, "a number > 0")
+_COUNT = (lambda v: _integer(v) and v >= 1, "an integer >= 1")
+
+
 # section -> key -> (predicate, description of the accepted values)
 SECTION_CHECKS = {
     "tolerances": {
-        "acb_bound": (lambda v: _number(v) and v > 0, "a number > 0"),
+        "acb_bound": _POSITIVE,
         "theta_min": (lambda v: _number(v) and v >= 0, "a number >= 0"),
         "sigma_tol": (lambda v: _number(v) and 0 < v < 1, "a number in (0, 1)"),
         "tau_range": (lambda v: v in TAU_RANGES, f"one of {TAU_RANGES}"),
@@ -66,16 +76,33 @@ SECTION_CHECKS = {
                           "a number in (0, 1)"),
         "T_prime": (lambda v: v is None or (_number(v) and v > 0),
                     "null or a number > 0"),
-        "n_trials": (lambda v: _integer(v) and v >= 1, "an integer >= 1"),
-        "N_s": (lambda v: _integer(v) and v >= 1, "an integer >= 1"),
+        "n_trials": _COUNT,
+        "N_s": _COUNT,
     },
     "integrator": {
-        "substeps": (lambda v: _integer(v) and v >= 1, "an integer >= 1"),
+        "substeps": _COUNT,
         "emit_tangent_flow": (lambda v: isinstance(v, bool), "true or false"),
     },
     "homotopy": {
-        "N_s": (lambda v: _integer(v) and v >= 1, "an integer >= 1"),
+        "N_s": _COUNT,
         "delta_u": (lambda v: isinstance(v, dict), "a control spec object"),
+    },
+    # control specs (the scenario control and homotopy.delta_u)
+    "control": {
+        "T": _POSITIVE,
+        "N_t": _COUNT,
+        "samples": (_numbers, "a matrix of numbers"),
+        "constant": (_numbers, "a list of numbers"),
+        "segments": (lambda v: isinstance(v, list), "a list of segments"),
+    },
+    "segment": {
+        "t_end": (_number, "a number"),
+        "value": (_numbers, "a list of numbers"),
+    },
+    "hamiltonian": {
+        "p0": (_numbers, "a list of numbers"),
+        "T": _POSITIVE,
+        "N_t": _COUNT,
     },
 }
 
@@ -89,29 +116,43 @@ def _require(cond: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
-def _section(data: dict, name: str, defaults: dict) -> dict:
-    """Section `name` of the scenario over its defaults, every given key checked."""
-    spec = data.get(name, {})
+def _checked(spec, name: str, kind: str | None = None) -> dict:
+    """spec itself once every key is known to SECTION_CHECKS[kind] and accepted."""
     _require(isinstance(spec, dict), f"{name} must be an object")
-    checks = SECTION_CHECKS[name]
+    checks = SECTION_CHECKS[kind or name]
     unknown = set(spec) - set(checks)
     _require(not unknown, f"unknown {name} keys: {sorted(unknown)}")
     for key, value in spec.items():
         accepts, what = checks[key]
         _require(accepts(value), f"{name}.{key} must be {what}, got {value!r}")
-    return {**defaults, **spec}
+    return spec
 
 
-def _control_from_spec(spec: dict, k: int, defaults: dict | None = None) -> ControlSignal:
+def _section(data: dict, name: str, defaults: dict) -> dict:
+    """Section `name` of the scenario over its defaults, every given key checked."""
+    return {**defaults, **_checked(data.get(name, {}), name)}
+
+
+def _array(value, shape: tuple[int, ...], message: str) -> np.ndarray:
+    """value as a float array of the given shape, else ScenarioError(message)."""
+    _require(_numbers(value), message)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except ValueError:               # ragged nesting
+        raise ScenarioError(message) from None
+    _require(arr.shape == shape, message)
+    return arr
+
+
+def _control_from_spec(spec: dict, k: int, defaults: dict | None = None,
+                       name: str = "control") -> ControlSignal:
     """Expand a control spec (samples | constant | segments) to cell samples."""
-    _require(isinstance(spec, dict), "control spec must be an object")
     merged = dict(defaults or {})
-    merged.update(spec)
+    merged.update(_checked(spec, name, "control"))
     _require("T" in merged and "N_t" in merged,
-             "control spec needs T and N_t (own or inherited)")
+             f"{name} needs T and N_t (own or inherited)")
     horizon = float(merged["T"])
-    n_cells = int(merged["N_t"])
-    _require(horizon > 0 and n_cells >= 1, "control needs T > 0 and N_t >= 1")
+    n_cells = merged["N_t"]
 
     forms = [f for f in ("samples", "constant", "segments")
              if merged.get(f) is not None]
@@ -119,19 +160,19 @@ def _control_from_spec(spec: dict, k: int, defaults: dict | None = None) -> Cont
              "control spec needs exactly one of samples/constant/segments")
 
     if merged.get("samples") is not None:
-        samples = np.asarray(merged["samples"], dtype=float)
-        _require(samples.ndim == 2 and samples.shape == (n_cells, k),
-                 f"samples must be an {n_cells} x {k} matrix")
+        samples = _array(merged["samples"], (n_cells, k),
+                         f"samples must be an {n_cells} x {k} matrix")
     elif merged.get("constant") is not None:
-        value = np.asarray(merged["constant"], dtype=float)
-        _require(value.shape == (k,), f"constant control must have length {k}")
+        value = _array(merged["constant"], (k,),
+                       f"constant control must have length {k}")
         samples = np.tile(value, (n_cells, 1))
     else:
         samples = np.empty((n_cells, k))
         start = 0
         t_prev = 0.0
         for seg in merged["segments"]:
-            _require(isinstance(seg, dict) and "t_end" in seg and "value" in seg,
+            _checked(seg, f"{name}.segments[]", "segment")
+            _require({"t_end", "value"} <= set(seg),
                      "each segment needs t_end and value")
             t_end = float(seg["t_end"])
             _require(t_end > t_prev, "segment times must increase")
@@ -139,8 +180,8 @@ def _control_from_spec(spec: dict, k: int, defaults: dict | None = None) -> Cont
             stop = int(round(node))
             _require(abs(node - stop) <= 1e-9 * n_cells,
                      f"segment t_end={t_end!r} is not a control grid node")
-            value = np.asarray(seg["value"], dtype=float)
-            _require(value.shape == (k,), f"segment value must have length {k}")
+            value = _array(seg["value"], (k,),
+                           f"segment value must have length {k}")
             samples[start:stop] = value
             start, t_prev = stop, t_end
         _require(start == n_cells and abs(t_prev - horizon) < 1e-12,
@@ -184,6 +225,9 @@ def parse_scenario(data: dict, sha256: str, name_hint: str = "scenario") -> Scen
     _require(not unknown, f"unknown scenario keys: {sorted(unknown)}")
     for key in ("frame", "domain", "q0"):
         _require(key in data, f"scenario is missing required key '{key}'")
+    _require(_integer(data.get("seed", 0)), "seed must be an integer")
+    _require(data.get("out_dir") is None or isinstance(data["out_dir"], str),
+             "out_dir must be a string")
 
     try:
         frame = SRFrame.from_json_dict(data["frame"])
@@ -195,9 +239,7 @@ def parse_scenario(data: dict, sha256: str, name_hint: str = "scenario") -> Scen
         raise ScenarioError(f"invalid domain: {err}") from err
     _require(domain.n == frame.n, "domain dimension must match the frame")
 
-    q0 = np.asarray(data["q0"], dtype=float)
-    _require(q0.shape == (frame.n,), f"q0 must have length {frame.n}")
-    _require(bool(np.all(np.isfinite(q0))), "q0 must be finite")
+    q0 = _array(data["q0"], (frame.n,), f"q0 must be a list of {frame.n} numbers")
     _require(domain.contains(q0), "q0 must lie in the domain interior")
 
     tolerances = _section(data, "tolerances", TOLERANCE_DEFAULTS)
@@ -214,20 +256,18 @@ def parse_scenario(data: dict, sha256: str, name_hint: str = "scenario") -> Scen
     if has_control:
         control = _control_from_spec(data["control"], frame.k)
     else:
-        ham = data["hamiltonian"]
-        _require(isinstance(ham, dict) and {"p0", "T", "N_t"} <= set(ham),
+        ham = _checked(data["hamiltonian"], "hamiltonian")
+        _require({"p0", "T", "N_t"} <= set(ham),
                  "hamiltonian spec needs p0, T and N_t")
-        p0 = np.asarray(ham["p0"], dtype=float)
-        _require(p0.shape == (frame.n,), f"p0 must have length {frame.n}")
-        hamiltonian = {"p0": p0, "T": float(ham["T"]), "N_t": int(ham["N_t"])}
-        _require(hamiltonian["T"] > 0 and hamiltonian["N_t"] >= 1,
-                 "hamiltonian spec needs T > 0 and N_t >= 1")
+        p0 = _array(ham["p0"], (frame.n,), f"p0 must have length {frame.n}")
+        hamiltonian = {"p0": p0, "T": float(ham["T"]), "N_t": ham["N_t"]}
 
     delta_u = None
     if hom["delta_u"] is not None:
         base = {"T": control.horizon, "N_t": control.n_cells} if control else \
             {"T": hamiltonian["T"], "N_t": hamiltonian["N_t"]}
-        delta_u = _control_from_spec(hom["delta_u"], frame.k, defaults=base)
+        delta_u = _control_from_spec(hom["delta_u"], frame.k, defaults=base,
+                                     name="homotopy.delta_u")
         _require(delta_u.n_cells == base["N_t"] and
                  abs(delta_u.horizon - base["T"]) < 1e-12,
                  "delta_u must share the control grid")
@@ -244,7 +284,7 @@ def parse_scenario(data: dict, sha256: str, name_hint: str = "scenario") -> Scen
         substeps=integrator["substeps"],
         emit_tangent_flow=integrator["emit_tangent_flow"],
         tolerances=tolerances, homotopy_n_s=hom["N_s"], delta_u=delta_u,
-        certify=certify, seed=int(data.get("seed", 0)),
+        certify=certify, seed=data.get("seed", 0),
         sha256=sha256, out_dir=data.get("out_dir"), raw=data)
 
 

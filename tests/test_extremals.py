@@ -7,7 +7,8 @@ from srx import (angle_to_subspace, build_f_perp, hamiltonian_extremal,
                  tangent_flow)
 from srx.extremals import NotNormalizedError
 
-from conftest import constant_control, sampled_control
+from conftest import (constant_control, make_euclidean_frame,
+                      make_heisenberg_frame, sampled_control)
 
 
 def _line_setup(heisenberg, n_cells=200):
@@ -187,11 +188,138 @@ def test_span_profile_node_subset(heisenberg):
         kwargs = {"tau_range": tau_range, "sample_stride": 3, "sigma_tol": 1e-3}
         full = list(span_profile(heisenberg, traj, tf, **kwargs))
         assert len(full) == 41
-        for m, span in zip([0, 17, 40], span_profile(heisenberg, traj, tf,
-                                                      [0, 17, 40], **kwargs)):
-            assert span.t == traj.grid[m]
-            assert np.array_equal(span.basis, full[m].basis)
-            assert np.array_equal(span.singular_values, full[m].singular_values)
+        for nodes in ([0, 17, 40], [40, 0, 17]):
+            subset = list(span_profile(heisenberg, traj, tf, nodes, **kwargs))
+            assert len(subset) == 3
+            for m, span in zip(nodes, subset):
+                assert span.t == traj.grid[m]
+                assert np.array_equal(span.basis, full[m].basis)
+                assert np.array_equal(span.singular_values,
+                                      full[m].singular_values)
+    assert list(span_profile(heisenberg, traj, tf, [])) == []
+    with pytest.raises(ValueError):
+        next(span_profile(heisenberg, traj, tf, [41]))
+
+
+def _stacked_span_reference(frame, traj, tf, *, tau_range, sample_stride,
+                            sigma_tol):
+    """Stack every sampled pulled-back column and SVD the stack at each node.
+
+    The O(N_t^2) construction the streaming square-root factor replaced,
+    kept here as the reference: (rank, basis, singular values) per node.
+    """
+    mats = frame.field_matrix_many(traj.states)
+    controls = np.vstack([traj.control.samples, traj.control.samples[-1:]])
+    perp = np.array([f @ orthogonal_control_complement(c)
+                     for f, c in zip(mats, controls)])
+    pulled = np.linalg.inv(tf.matrices) @ perp
+    n_nodes = traj.grid.shape[0]
+    for m in range(n_nodes):
+        last = n_nodes - 1 if tau_range == "0..T" else m
+        cols = np.concatenate(pulled[0:last + 1:sample_stride], axis=1)
+        u_svd, svals, _ = np.linalg.svd(tf.matrices[m] @ cols,
+                                        full_matrices=False)
+        r = int(np.count_nonzero(svals > sigma_tol * svals[0]))
+        yield r, u_svd[:, :r], svals
+
+
+def _arc_case():
+    frame = make_heisenberg_frame()
+    ext = hamiltonian_extremal(frame, [0.0, 0.0, 0.0], [1.0, 0.0, 2.0], 1.0, 60)
+    return frame, ext.trajectory, 1e-3
+
+
+def _k3_case():
+    # k = 3: every sampled node adds two orthogonal directions
+    frame = make_euclidean_frame(3)
+    u = sampled_control(lambda t: [np.cos(t), np.sin(t) * np.cos(2 * t),
+                                   np.sin(t) * np.sin(2 * t)], n_cells=60)
+    return frame, integrate_trajectory(frame, u, [0.0, 0.0, 0.0]), 1e-3
+
+
+@pytest.mark.parametrize("case", [_arc_case, _k3_case], ids=["arc", "k3"])
+@pytest.mark.parametrize("tau_range", ["0..t", "0..T"])
+@pytest.mark.parametrize("sample_stride", [1, 3])
+def test_streaming_span_matches_stacked_svd(case, tau_range, sample_stride):
+    frame, traj, sigma_tol = case()
+    tf = tangent_flow(frame, traj.control, traj)
+    kwargs = {"tau_range": tau_range, "sample_stride": sample_stride,
+              "sigma_tol": sigma_tol}
+    velocities = np.einsum("jnk,jk->jn", frame.field_matrix_many(traj.states),
+                           np.vstack([traj.control.samples,
+                                      traj.control.samples[-1:]]))
+    reference = _stacked_span_reference(frame, traj, tf, **kwargs)
+    for v, span, (r, basis, svals) in zip(
+            velocities, span_profile(frame, traj, tf, **kwargs), reference):
+        assert span.rank == r
+        ref_angle = np.arcsin(min(np.linalg.norm(v - basis @ (basis.T @ v))
+                                  / np.linalg.norm(v), 1.0))
+        assert abs(angle_to_subspace(v, span) - ref_angle) <= 1e-12
+        # always n singular values: the stack's, then exact zeros
+        assert span.singular_values.shape == (frame.n,)
+        assert np.allclose(span.singular_values[:svals.size], svals,
+                           rtol=0.0, atol=1e-12 * svals[0])
+        assert np.all(span.singular_values[svals.size:] == 0.0)
+
+
+def test_nsre_long_line_streams(heisenberg):
+    # 10^4 nodes: the stacked SVD would push ~10^8 columns through SVDs
+    u, traj, tf = _line_setup(heisenberg, n_cells=10_000)
+    report = nsre_check(heisenberg, u, traj, tf)
+    assert report.status == "certified"
+    assert np.all(report.span_ranks[1:] == 2) and report.span_ranks[0] == 1
+    assert np.allclose(report.angles, np.pi / 2, atol=1e-9)
+
+
+def test_nsre_report_span_diagnostics(heisenberg):
+    ext = hamiltonian_extremal(heisenberg, [0.0, 0.0, 0.0], [1.0, 0.0, 2.0], 1.0, 200)
+    tf = tangent_flow(heisenberg, ext.control, ext.trajectory)
+    report = nsre_check(heisenberg, ext.control, ext.trajectory, tf,
+                        sigma_tol=1e-3)
+    spans = list(span_profile(heisenberg, ext.trajectory, tf, sigma_tol=1e-3))
+    assert report.span_ranks.tolist() == [span.rank for span in spans]
+    assert report.min_angle_node == int(np.argmin(report.angles))
+    # the cut separates what it keeps from the O(dt) sliver it drops
+    assert report.dropped_ratio_max <= 1e-3 < report.kept_ratio_min
+    assert report.max_condition == tf.max_condition
+    data = report.to_json_dict()
+    assert data["span_rank"] == report.span_ranks.tolist()
+    assert data["min_angle_node"] == report.min_angle_node
+    assert data["rank_cut"] == {"sigma_tol": 1e-3,
+                                "kept_ratio_min": report.kept_ratio_min,
+                                "dropped_ratio_max": report.dropped_ratio_max}
+    assert data["tangent_flow"] == {"max_condition": tf.max_condition,
+                                    "ill_conditioned": tf.ill_conditioned}
+
+
+def test_node_velocity_conventions_on_jump_control():
+    # the bundled control jumps from [1, 0] to [0, 1] at node 500
+    from srx.homotopy import node_velocity
+    from srx.scenario import load_scenario
+    sc = load_scenario("jump_control")
+    u, frame = sc.control, sc.frame
+    traj = integrate_trajectory(frame, u, sc.q0, sc.domain)
+    tf = tangent_flow(frame, u, traj)
+    f = frame.field_matrix_many(traj.states)
+
+    # NSRE: the cell to the right of each node (the last node keeps the last
+    # cell), the same value its orthogonal directions come from
+    right = np.vstack([u.samples, u.samples[-1:]])
+    assert right[500].tolist() == [0.0, 1.0]
+    report = nsre_check(frame, u, traj, tf)
+    expected = [angle_to_subspace(fj @ uj, span) for fj, uj, span
+                in zip(f, right, span_profile(frame, traj, tf))]
+    assert np.array_equal(report.angles, expected)
+    # the two-cell average (X_1 + X_2) / 2 at the jump would have speed ~0.72
+    assert report.min_speed == pytest.approx(1.0, abs=1e-12)
+
+    # decomposition: the two-cell average inside, one-sided at the ends
+    assert np.allclose(node_velocity(frame, u, traj, 500), f[500] @ [0.5, 0.5],
+                       rtol=0.0, atol=1e-15)
+    assert np.array_equal(node_velocity(frame, u, traj, 499), f[499] @ [1.0, 0.0])
+    assert np.array_equal(node_velocity(frame, u, traj, 0), f[0] @ [1.0, 0.0])
+    assert np.array_equal(node_velocity(frame, u, traj, 1000),
+                          f[1000] @ [0.0, 1.0])
 
 
 def test_tau_range_variant(heisenberg):

@@ -165,6 +165,55 @@ def test_nested_section_errors_rejected(tmp_path, section, key, value):
     assert not (tmp_path / "nsre_report.json").exists()
 
 
+@pytest.mark.parametrize("scenario, section, key, value", [
+    ("heisenberg_arc", "hamiltonian", "T", "one"),
+    ("heisenberg_arc", "hamiltonian", "T", True),
+    ("heisenberg_arc", "hamiltonian", "N_t", "many"),
+    ("heisenberg_arc", "hamiltonian", "N_t", 400.0),
+    ("heisenberg_arc", "hamiltonian", "p0", ["1", 0.0, 2.0]),
+    ("heisenberg_arc", "hamiltonian", "q_0", [0.0, 0.0, 0.0]),
+    ("heisenberg_line", "control", "T", "one"),
+    ("heisenberg_line", "control", "N_t", "many"),
+    ("heisenberg_line", "control", "N_t", True),
+    ("heisenberg_line", "control", "constant", [1.0, False]),
+    ("heisenberg_line", "control", "constnt", [1.0, 0.0]),
+])
+def test_control_and_hamiltonian_errors_rejected(tmp_path, scenario, section,
+                                                 key, value):
+    # bare float()/int() conversions used to end in a ValueError traceback
+    # (exit 1) or accept a bool or a fractional count
+    data = _load_bundled_dict(scenario)
+    data[section][key] = value
+    path = _write_scenario(tmp_path, data)
+    with pytest.raises(ScenarioError, match=key):
+        load_scenario(path)
+    assert main(["nsre-check", "--config", path, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "nsre_report.json").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["frame"]["fields"][0].update(scale=2.0),
+    lambda d: d["frame"].update(dim=3),
+    lambda d: d["frame"].update(n=3.0),
+    lambda d: d["frame"]["fields"][0]["coeffs"]["0"].update({"0,0,0": "1.0"}),
+    lambda d: d["domain"].update(lowr=[-2.0, -2.0, -2.0]),
+    lambda d: d["control"]["segments"][0].update(valu=[1.0, 0.0]),
+    lambda d: d["control"]["segments"][0].update(value=["1.0", "0.0"]),
+    lambda d: d.update(q0=["0", 0.0, 0.0]),
+    lambda d: d.update(seed="7"),
+], ids=["field_key", "frame_key", "frame_n_float", "coef_string", "domain_key",
+        "segment_key", "segment_value_strings", "q0_strings", "seed_string"])
+def test_frame_and_top_level_errors_rejected(tmp_path, edit):
+    # a typo inside frame.fields (here "scale") used to run to exit 0
+    data = _load_bundled_dict("jump_control")
+    edit(data)
+    path = _write_scenario(tmp_path, data)
+    with pytest.raises(ScenarioError):
+        load_scenario(path)
+    assert main(["integrate", "--config", path, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_segment_off_grid_rejected(tmp_path):
     # an off-grid boundary used to be snapped to the nearest node
     data = _load_bundled_dict("jump_control")

@@ -25,6 +25,9 @@ EPSILON_REL_TOL = 1e-6
 # Memory budget of one verification batch: the RK4 state history of its
 # members and variations.  Batches hold whole trials, at least one.
 VERIFY_BATCH_BYTES = 1 << 18
+# Memory budget of one chunk of the constant-estimation grid: the Hessian
+# entries of its points (k n^3 each), the largest table evaluated.
+CONSTANTS_CHUNK_BYTES = 1 << 24
 
 
 class NotCertifiableError(SRXError):
@@ -59,31 +62,34 @@ class FrameConstants:
 
 def estimate_constants(frame: SRFrame, domain: Domain, grid_resolution: int = 21,
                        margin: float = 1.1) -> FrameConstants:
-    """Measure C0..C3 on an inclusive grid of the domain closure."""
+    """Measure C0..C3 on an inclusive grid of the domain closure.
+
+    The grid is evaluated in chunks of CONSTANTS_CHUNK_BYTES of Hessian
+    entries; the maxima over the chunks are the maxima over the grid.
+    """
     if margin < 1.0:
         raise ValueError("margin must be >= 1")
     pts = domain.grid(grid_resolution)
-    if pts.shape[0] == 0:
-        raise ValueError("empty constant-estimation grid")
+    chunk = max(1, CONSTANTS_CHUNK_BYTES // (8 * frame.k * frame.n ** 3))
+    maxima = np.max([_grid_maxima(frame, pts[start:start + chunk])
+                     for start in range(0, pts.shape[0], chunk)], axis=0)
+    c0, c1, c2, c3 = (margin * maxima).tolist()
+    return FrameConstants(c0, c1, c2, c3, grid_resolution, margin)
 
+
+def _grid_maxima(frame: SRFrame, pts: np.ndarray) -> list[float]:
+    """Unmargined C0..C3 over the points pts (P, n)."""
+    n = frame.n
     fvals = frame.field_matrix_many(pts)                      # (P, n, k)
-    c0 = float(np.linalg.norm(fvals, axis=1).max())
-
-    jacs = frame.jacobians_many(pts)                          # (P, k, n, n)
-    c1 = float(np.linalg.norm(jacs, axis=2).max())            # column norms
-    c2 = float(np.linalg.svd(
-        jacs.reshape(-1, frame.n, frame.n), compute_uv=False)[:, 0].max())
-
-    hess = frame.hessians_many(pts)                           # (P, k, a, b, c)
+    c0 = np.linalg.norm(fvals, axis=1).max()
+    jacs = frame.derivatives(1, pts)                          # (P, k, n, n)
+    c1 = np.linalg.norm(jacs, axis=2).max()                   # column norms
+    c2 = np.linalg.svd(jacs.reshape(-1, n, n), compute_uv=False)[:, 0].max()
+    hess = frame.derivatives(2, pts)                          # (P, k, a, b, c)
     # Lipschitz of the column map q -> dX_i/dq^b: slice over (a, c) per (i, b).
-    slices = np.swapaxes(hess, 2, 3).reshape(-1, frame.n, frame.n)
-    if slices.shape[0]:
-        c3 = float(np.linalg.svd(slices, compute_uv=False)[:, 0].max())
-    else:
-        c3 = 0.0
-
-    return FrameConstants(margin * c0, margin * c1, margin * c2, margin * c3,
-                          grid_resolution, margin)
+    slices = np.swapaxes(hess, 2, 3).reshape(-1, n, n)
+    c3 = np.linalg.svd(slices, compute_uv=False)[:, 0].max()
+    return [c0, c1, c2, c3]
 
 
 def _check_horizon(t: float) -> float:

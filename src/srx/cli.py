@@ -48,11 +48,12 @@ def _resolve_run(scenario: Scenario) -> tuple[ControlSignal, Trajectory]:
 def cmd_integrate(scenario: Scenario, out: Path) -> int:
     u, traj = _resolve_run(scenario)
     header, rows = write_trajectory_rows(traj)
-    write_csv(out / "trajectory.csv", header, rows, scenario.sha256, scenario.name)
+    write_csv(out / "trajectory.csv", header, rows.tolist(), scenario.sha256,
+              scenario.name)
     if scenario.emit_tangent_flow:
         tf = tangent_flow(scenario.frame, u, traj, substeps=scenario.substeps)
         header, rows = write_tangent_flow_rows(tf)
-        write_csv(out / "tangent_flow.csv", header, rows, scenario.sha256,
+        write_csv(out / "tangent_flow.csv", header, rows.tolist(), scenario.sha256,
                   scenario.name)
     if traj.left_domain:
         print(f"trajectory left the domain at t={traj.first_exit_time:.6g}",
@@ -90,9 +91,10 @@ def cmd_homotopy(scenario: Scenario, out: Path) -> int:
     sep = endpoint_separation(hom)
 
     header, rows = write_homotopy_rows(hom)
-    write_csv(out / "homotopy.csv", header, rows, scenario.sha256, scenario.name)
+    write_csv(out / "homotopy.csv", header, rows.tolist(), scenario.sha256,
+              scenario.name)
     write_csv(out / "endpoints.csv", ["s"] + header[2:2 + frame.n],
-              [[s, *e] for s, e in zip(hom.s_grid, sep.endpoints)],
+              [[s, *e] for s, e in zip(hom.s_grid.tolist(), sep.endpoints.tolist())],
               scenario.sha256, scenario.name)
 
     comparison = energy_comparison_check(u, du)

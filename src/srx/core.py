@@ -8,7 +8,7 @@ L2 quantity of a piecewise-constant control an exact finite sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,40 +48,18 @@ class _StackedPolys:
     """
 
     def __init__(self, tables: list[ExponentTable], n: int):
-        exps: list[tuple[int, ...]] = []
-        weights: list[tuple[int, float]] = []
-        for row, table in enumerate(tables):
-            for exp, coef in table.items():
-                exps.append(exp)
-                weights.append((row, coef))
-        self.n = n
-        self.rows = len(tables)
-        if exps:
-            self.exponents = np.asarray(exps, dtype=np.int64)
-            w = np.zeros((len(exps), self.rows))
-            for m, (row, coef) in enumerate(weights):
-                w[m, row] = coef
-            self.weights = w
-        else:
-            self.exponents = np.zeros((0, n), dtype=np.int64)
-            self.weights = np.zeros((0, self.rows))
+        rows = [row for row, table in enumerate(tables) for _ in table]
+        exps = [exp for table in tables for exp in table]
+        coefs = [coef for table in tables for coef in table.values()]
+        self.exponents = np.asarray(exps, dtype=np.int64).reshape(-1, n)
+        self.weights = np.zeros((len(rows), len(tables)))
+        self.weights[np.arange(len(rows)), rows] = coefs
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         """points: (..., n) -> values: (..., rows)."""
         pts = np.asarray(points, dtype=float)
-        if self.exponents.shape[0] == 0:
-            return np.zeros(pts.shape[:-1] + (self.rows,))
         monomials = (pts[..., None, :] ** self.exponents).prod(axis=-1)
         return monomials @ self.weights
-
-
-def _check_object(data, what: str, allowed: set[str] | None = None) -> None:
-    """Reject a non-object, or keys outside `allowed` (typos in JSON input)."""
-    if not isinstance(data, dict):
-        raise TypeError(f"{what} must be an object")
-    unknown = set(data) - allowed if allowed is not None else set()
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 def _validate_table(table: ExponentTable, n: int) -> ExponentTable:
@@ -100,7 +78,10 @@ def _validate_table(table: ExponentTable, n: int) -> ExponentTable:
 
 @dataclass(frozen=True, eq=False)
 class PolyVectorField:
-    """Polynomial vector field on R^n, one monomial table per output coordinate."""
+    """Polynomial vector field on R^n, one monomial table per output coordinate.
+
+    A validated coefficient record; SRFrame evaluates it.
+    """
 
     coeffs: tuple[ExponentTable, ...]
     dim_n: int
@@ -115,83 +96,6 @@ class PolyVectorField:
         object.__setattr__(self, "coeffs", tables)
         object.__setattr__(self, "dim_n", n)
 
-    def value(self, q: np.ndarray) -> np.ndarray:
-        return self._value_stack().eval(self._point(q))
-
-    def jacobian(self, q: np.ndarray) -> np.ndarray:
-        """Matrix J[a, b] = d(X)^a / d(q^b), evaluated exactly."""
-        n = self.dim_n
-        return self._jacobian_stack().eval(self._point(q)).reshape(n, n)
-
-    def hessian(self, q: np.ndarray) -> np.ndarray:
-        """Tensor H[a, b, c] = d^2(X)^a / (d q^b d q^c)."""
-        n = self.dim_n
-        return self._hessian_stack().eval(self._point(q)).reshape(n, n, n)
-
-    def _point(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if q.shape != (self.dim_n,):
-            raise ValueError(f"point must have shape ({self.dim_n},)")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("non-finite evaluation point")
-        return q
-
-    def _value_stack(self) -> _StackedPolys:
-        return self._cache("_values", lambda: _StackedPolys(list(self.coeffs), self.dim_n))
-
-    def _jacobian_stack(self) -> _StackedPolys:
-        def build():
-            tables = [
-                _differentiate(self.coeffs[a], b)
-                for a in range(self.dim_n)
-                for b in range(self.dim_n)
-            ]
-            return _StackedPolys(tables, self.dim_n)
-
-        return self._cache("_jac", build)
-
-    def _hessian_stack(self) -> _StackedPolys:
-        def build():
-            tables = [
-                _differentiate(_differentiate(self.coeffs[a], b), c)
-                for a in range(self.dim_n)
-                for b in range(self.dim_n)
-                for c in range(self.dim_n)
-            ]
-            return _StackedPolys(tables, self.dim_n)
-
-        return self._cache("_hess", build)
-
-    def _cache(self, name: str, build):
-        if not hasattr(self, name):
-            object.__setattr__(self, name, build())
-        return getattr(self, name)
-
-    def to_json_dict(self) -> dict:
-        coeffs = {}
-        for a, table in enumerate(self.coeffs):
-            if table:
-                coeffs[str(a)] = {",".join(map(str, e)): c for e, c in table.items()}
-        return {"coeffs": coeffs}
-
-    @classmethod
-    def from_json_dict(cls, data: dict, n: int) -> "PolyVectorField":
-        _check_object(data, "frame field", {"coeffs"})
-        raw = data.get("coeffs", {})
-        _check_object(raw, "coeffs")
-        tables: list[ExponentTable] = [dict() for _ in range(n)]
-        for key, table in raw.items():
-            a = int(key)
-            if not 0 <= a < n:
-                raise ValueError(f"output coordinate {a} out of range for n={n}")
-            _check_object(table, f"coeffs[{key!r}]")
-            for exp_str, coef in table.items():
-                if isinstance(coef, bool) or not isinstance(coef, (int, float)):
-                    raise TypeError(f"coefficient {coef!r} is not a number")
-                exp = tuple(int(s) for s in exp_str.split(","))
-                tables[a][exp] = float(coef)
-        return cls(tuple(tables), n)
-
 
 @dataclass(frozen=True, eq=False)
 class SRFrame:
@@ -204,6 +108,7 @@ class SRFrame:
     fields: tuple[PolyVectorField, ...]
     n: int
     k: int
+    _stacks: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fields", tuple(self.fields))
@@ -219,52 +124,45 @@ class SRFrame:
 
     # -- evaluation -------------------------------------------------------
 
-    def value(self, i: int, q) -> np.ndarray:
-        """Value of field i (0-based) at q."""
-        return self._field(i).value(q)
+    def derivatives(self, order: int, points) -> np.ndarray:
+        """(..., n) points -> (..., k, n, n, ...) derivatives of every field.
 
-    def jacobian(self, i: int, q) -> np.ndarray:
-        return self._field(i).jacobian(q)
+        Entry [..., i, a, b, c] of order 2 is d^2 X_i^a / (d q^b d q^c);
+        order 0 gives the values and order 1 the Jacobians.  The points are
+        not checked: blow-ups surface as non-finite values that the
+        integrators turn into IntegrationError.
+        """
+        pts = np.asarray(points, dtype=float)
+        shape = pts.shape[:-1] + (self.k,) + (self.n,) * (order + 1)
+        return self._stack(order).eval(pts).reshape(shape)
 
-    def hessian(self, i: int, q) -> np.ndarray:
-        return self._field(i).hessian(q)
+    def field_matrix_many(self, points) -> np.ndarray:
+        """(..., n) points -> (..., n, k) field matrices, columns X_1..X_k."""
+        return np.swapaxes(self.derivatives(0, points), -1, -2)
+
+    def control_jacobian(self, q, u) -> np.ndarray:
+        """State Jacobians of sum_i u^i X_i: (..., n), (..., k) -> (..., n, n)."""
+        return np.einsum("...i,...iab->...ab", u, self.derivatives(1, q))
 
     def field_matrix(self, q) -> np.ndarray:
         """n x k matrix whose columns are X_1(q), ..., X_k(q)."""
-        return self._field_matrix_fast(self._point(q))
-
-    def field_matrix_many(self, points: np.ndarray) -> np.ndarray:
-        """(P, n) points -> (P, n, k) stacked field matrices."""
-        return self._field_matrix_fast(np.asarray(points, dtype=float))
+        return self.field_matrix_many(self._point(q))
 
     def jacobians(self, q) -> np.ndarray:
         """(k, n, n) stack of field Jacobians at q."""
-        n, k = self.n, self.k
-        return self._jacobian_stack().eval(self._point(q)).reshape(k, n, n)
+        return self.derivatives(1, self._point(q))
 
-    def jacobians_many(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        n, k = self.n, self.k
-        return self._jacobian_stack().eval(pts).reshape(pts.shape[0], k, n, n)
+    def value(self, i: int, q) -> np.ndarray:
+        """Value of field i (0-based) at q."""
+        return self.derivatives(0, self._point(q))[self._index(i)]
 
-    def hessians_many(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        n, k = self.n, self.k
-        return self._hessian_stack().eval(pts).reshape(pts.shape[0], k, n, n, n)
+    def jacobian(self, i: int, q) -> np.ndarray:
+        """Matrix J[a, b] = d(X_i)^a / d(q^b), evaluated exactly."""
+        return self.derivatives(1, self._point(q))[self._index(i)]
 
-    # unchecked variants for integrator hot loops, batched over leading
-    # axes; blow-ups surface as non-finite values that the integrators turn
-    # into IntegrationError
-    def _field_matrix_fast(self, q: np.ndarray) -> np.ndarray:
-        """(..., n) points -> (..., n, k) field matrices."""
-        vals = self._value_stack().eval(q).reshape(q.shape[:-1] + (self.k, self.n))
-        return np.swapaxes(vals, -1, -2)
-
-    def _control_jacobian_fast(self, q: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """State Jacobians of sum_i u^i X_i: (..., n), (..., k) -> (..., n, n)."""
-        n = self.n
-        jac = self._jacobian_stack().eval(q).reshape(q.shape[:-1] + (self.k, n, n))
-        return np.einsum("...i,...iab->...ab", u, jac)
+    def hessian(self, i: int, q) -> np.ndarray:
+        """Tensor H[a, b, c] = d^2(X_i)^a / (d q^b d q^c)."""
+        return self.derivatives(2, self._point(q))[self._index(i)]
 
     def check_independence(self, domain: "Domain", resolution: int = 5,
                            sv_tol: float = 1e-10) -> float:
@@ -285,10 +183,10 @@ class SRFrame:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _field(self, i: int) -> PolyVectorField:
+    def _index(self, i: int) -> int:
         if not 0 <= i < self.k:
             raise IndexError(f"field index {i} out of range [0, {self.k})")
-        return self.fields[i]
+        return i
 
     def _point(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -298,54 +196,19 @@ class SRFrame:
             raise ValueError("non-finite evaluation point")
         return q
 
-    def _value_stack(self) -> _StackedPolys:
-        return self._cache("_vals", lambda: _StackedPolys(
-            [t for f in self.fields for t in f.coeffs], self.n))
+    def _stack(self, order: int) -> _StackedPolys:
+        """Every derivative table of the given order, built once per order.
 
-    def _jacobian_stack(self) -> _StackedPolys:
-        def build():
-            tables = [
-                _differentiate(f.coeffs[a], b)
-                for f in self.fields
-                for a in range(self.n)
-                for b in range(self.n)
-            ]
-            return _StackedPolys(tables, self.n)
-
-        return self._cache("_jacs", build)
-
-    def _hessian_stack(self) -> _StackedPolys:
-        def build():
-            tables = [
-                _differentiate(_differentiate(f.coeffs[a], b), c)
-                for f in self.fields
-                for a in range(self.n)
-                for b in range(self.n)
-                for c in range(self.n)
-            ]
-            return _StackedPolys(tables, self.n)
-
-        return self._cache("_hesss", build)
-
-    def _cache(self, name: str, build):
-        if not hasattr(self, name):
-            object.__setattr__(self, name, build())
-        return getattr(self, name)
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "k": self.k,
-                "fields": [f.to_json_dict() for f in self.fields]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SRFrame":
-        _check_object(data, "frame", {"n", "k", "fields"})
-        n, k = data["n"], data["k"]
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, k)):
-            raise TypeError("frame n and k must be integers")
-        if not isinstance(data["fields"], list):
-            raise TypeError("frame fields must be a list")
-        fields = tuple(PolyVectorField.from_json_dict(f, n) for f in data["fields"])
-        return cls(fields, n, k)
+        Rows run over the field, the output coordinate, then one index per
+        differentiation variable, matching the axes of `derivatives`.
+        """
+        if order not in self._stacks:
+            tables = [t for f in self.fields for t in f.coeffs]
+            for _ in range(order):
+                tables = [_differentiate(t, b) for t in tables
+                          for b in range(self.n)]
+            self._stacks[order] = _StackedPolys(tables, self.n)
+        return self._stacks[order]
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,21 +249,13 @@ class Domain:
         return self.boundary_distance(q) > 0.0
 
     def grid(self, resolution: int) -> np.ndarray:
-        """Inclusive uniform grid with `resolution` points per axis, shape (res^n, n)."""
+        """Inclusive uniform grid, `resolution` points per axis: (res^n, n)."""
         if resolution < 2:
             raise ValueError("grid resolution must be at least 2")
         axes = [np.linspace(self.lower[d], self.upper[d], resolution)
                 for d in range(self.n)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1).reshape(-1, self.n)
-
-    def to_json_dict(self) -> dict:
-        return {"lower": self.lower.tolist(), "upper": self.upper.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Domain":
-        _check_object(data, "domain", {"lower", "upper"})
-        return cls(np.asarray(data["lower"], float), np.asarray(data["upper"], float))
 
 
 NORMALIZED_TOL = 1e-12
@@ -473,14 +328,6 @@ class ControlSignal:
 
     def restrict(self, m: int) -> "ControlSignal":
         return self.window(0, m)
-
-    def to_json_dict(self) -> dict:
-        return {"T": self.horizon, "N_t": self.n_cells,
-                "samples": self.samples.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ControlSignal":
-        return cls(float(data["T"]), np.asarray(data["samples"], float))
 
 
 def require_same_grid(u: ControlSignal, v: ControlSignal) -> None:

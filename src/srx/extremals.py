@@ -336,9 +336,9 @@ def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
 
     def rhs(_, y):
         q, p = y[:, :n], y[:, n:]
-        f = frame._field_matrix_fast(q)
+        f = frame.field_matrix_many(q)
         u = np.einsum("xnk,xn->xk", f, p)
-        a = frame._control_jacobian_fast(q, u)
+        a = frame.control_jacobian(q, u)
         return np.concatenate([_apply(f, u), -np.einsum("xab,xa->xb", a, p)],
                               axis=1)
 
@@ -349,7 +349,7 @@ def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
               half, 2 * n_cells)[:, 0]
     states, costates = ys[::2, :n], ys[::2, n:]
     mids = ys[1::2]
-    raw = np.einsum("jnk,jn->jk", frame._field_matrix_fast(mids[:, :n]),
+    raw = np.einsum("jnk,jn->jk", frame.field_matrix_many(mids[:, :n]),
                     mids[:, n:])
 
     norms = np.linalg.norm(raw, axis=1)

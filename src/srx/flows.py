@@ -101,7 +101,7 @@ def integrate_trajectory(frame: SRFrame, u: ControlSignal, q0,
     """
     q0 = _checked_start(frame, q0, domain, substeps)
     cells = u.samples[:, None, :]
-    states = _rk4(lambda j, q: _apply(frame._field_matrix_fast(q), cells[j]),
+    states = _rk4(lambda j, q: _apply(frame.field_matrix_many(q), cells[j]),
                   q0[None], u.dt / substeps, substeps, u.n_cells)
     return _marked_trajectory(u.grid, states[:, 0], u, domain)
 
@@ -150,8 +150,8 @@ def tangent_flow(frame: SRFrame, u: ControlSignal, base: Trajectory,
 
     def rhs(j, y):
         q, m = y[:, :n], y[:, n:].reshape(-1, n, n)
-        a = frame._control_jacobian_fast(q, cells[j])
-        return np.concatenate([_apply(frame._field_matrix_fast(q), cells[j]),
+        a = frame.control_jacobian(q, cells[j])
+        return np.concatenate([_apply(frame.field_matrix_many(q), cells[j]),
                                (a @ m).reshape(-1, n * n)], axis=1)
 
     y0 = np.concatenate([base.q0, np.eye(n).ravel()])[None]

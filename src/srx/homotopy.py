@@ -79,8 +79,8 @@ def _members_and_variations(frame: SRFrame, controls: np.ndarray,
 
     def rhs(j, y):
         q, b = y[:, :n], y[:, n:]
-        f = frame._field_matrix_fast(q)
-        a = frame._control_jacobian_fast(q, cells[j])
+        f = frame.field_matrix_many(q)
+        a = frame.control_jacobian(q, cells[j])
         return np.concatenate([_apply(f, cells[j]),
                                _apply(f, incs[j]) + _apply(a, b)], axis=1)
 

@@ -41,16 +41,13 @@ def write_json(path: Path, payload: dict, scenario_hash: str, name: str) -> None
     path.write_text(json.dumps(body, indent=2) + "\n", encoding="utf-8")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
 def write_csv(path: Path, header: list[str], rows, scenario_hash: str,
               name: str) -> None:
-    lines = [f"# srx {__version__} scenario={name} sha256={scenario_hash}",
-             ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Rows of Python ints and floats (not numpy scalars), each written by repr.
+
+    Lines are streamed to the file, so no copy of the text is held whole.
+    """
+    with path.open("w", encoding="utf-8") as out:
+        out.write(f"# srx {__version__} scenario={name} sha256={scenario_hash}\n"
+                  f"{','.join(header)}\n")
+        out.writelines(",".join(map(repr, row)) + "\n" for row in rows)

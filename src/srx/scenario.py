@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ControlSignal, Domain, FrameRankError, SRFrame, SRXError
+from .core import (ControlSignal, Domain, FrameRankError, PolyVectorField,
+                   SRFrame, SRXError)
 from .extremals import TAU_RANGES
 
 BUNDLED = ("euclidean_line", "heisenberg_line", "heisenberg_arc", "jump_control")
@@ -62,6 +63,19 @@ _COUNT = (lambda v: _integer(v) and v >= 1, "an integer >= 1")
 
 # section -> key -> (predicate, description of the accepted values)
 SECTION_CHECKS = {
+    "frame": {
+        "n": _COUNT,
+        "k": _COUNT,
+        "fields": (lambda v: isinstance(v, list), "a list of fields"),
+    },
+    # coeffs maps an output coordinate "a" to a table {"e1,...,en": number}
+    "field": {
+        "coeffs": (lambda v: isinstance(v, dict), "an object of tables"),
+    },
+    "domain": {
+        "lower": (_numbers, "a list of numbers"),
+        "upper": (_numbers, "a list of numbers"),
+    },
     "tolerances": {
         "acb_bound": _POSITIVE,
         "theta_min": (lambda v: _number(v) and v >= 0, "a number >= 0"),
@@ -142,6 +156,44 @@ def _array(value, shape: tuple[int, ...], message: str) -> np.ndarray:
         raise ScenarioError(message) from None
     _require(arr.shape == shape, message)
     return arr
+
+
+def _frame_from_spec(spec) -> SRFrame:
+    """The frame section as an SRFrame, every table and coefficient checked."""
+    _checked(spec, "frame")
+    _require({"n", "k", "fields"} <= set(spec), "frame needs n, k and fields")
+    n = spec["n"]
+    fields = []
+    for raw in spec["fields"]:
+        coeffs = _checked(raw, "frame.fields[]", "field").get("coeffs", {})
+        tables: list[dict] = [{} for _ in range(n)]
+        for key, table in coeffs.items():
+            _require(key.isdecimal() and int(key) < n,
+                     f"coeffs key {key!r} must be an output coordinate 0..{n - 1}")
+            _require(isinstance(table, dict), f"coeffs[{key!r}] must be an object")
+            for exp, coef in table.items():
+                powers = exp.split(",")
+                _require(len(powers) == n and all(p.isdecimal() for p in powers),
+                         f"exponent {exp!r} must be {n} integers >= 0")
+                _require(_number(coef), f"coefficient {coef!r} must be a number")
+                tables[int(key)][tuple(map(int, powers))] = coef
+        fields.append(PolyVectorField(tuple(tables), n))
+    try:
+        return SRFrame(tuple(fields), n, spec["k"])
+    except ValueError as err:
+        raise ScenarioError(f"invalid frame: {err}") from err
+
+
+def _domain_from_spec(spec, n: int) -> Domain:
+    """The domain section as a box in R^n."""
+    _checked(spec, "domain")
+    _require({"lower", "upper"} <= set(spec), "domain needs lower and upper")
+    lower, upper = (_array(spec[key], (n,), f"domain.{key} must be {n} numbers")
+                    for key in ("lower", "upper"))
+    try:
+        return Domain(lower, upper)
+    except ValueError as err:
+        raise ScenarioError(f"invalid domain: {err}") from err
 
 
 def _control_from_spec(spec: dict, k: int, defaults: dict | None = None,
@@ -229,15 +281,12 @@ def parse_scenario(data: dict, sha256: str, name_hint: str = "scenario") -> Scen
     _require(data.get("out_dir") is None or isinstance(data["out_dir"], str),
              "out_dir must be a string")
 
-    try:
-        frame = SRFrame.from_json_dict(data["frame"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise ScenarioError(f"invalid frame: {err}") from err
-    try:
-        domain = Domain.from_json_dict(data["domain"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise ScenarioError(f"invalid domain: {err}") from err
-    _require(domain.n == frame.n, "domain dimension must match the frame")
+    name = data.get("name", name_hint)
+    _require(isinstance(name, str) and name.isprintable(),
+             f"name must be a string of printable characters, got {name!r}")
+
+    frame = _frame_from_spec(data["frame"])
+    domain = _domain_from_spec(data["domain"], frame.n)
 
     q0 = _array(data["q0"], (frame.n,), f"q0 must be a list of {frame.n} numbers")
     _require(domain.contains(q0), "q0 must lie in the domain interior")
@@ -278,7 +327,7 @@ def parse_scenario(data: dict, sha256: str, name_hint: str = "scenario") -> Scen
         raise ScenarioError(str(err)) from err
 
     return Scenario(
-        name=str(data.get("name", name_hint)),
+        name=name,
         frame=frame, domain=domain, q0=q0,
         control=control, hamiltonian=hamiltonian,
         substeps=integrator["substeps"],

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from srx import certify
 from srx.certify import FrameConstants
 
 from conftest import constant_control
+from test_core import _random_poly_frame
 
 
 # -- constants ------------------------------------------------------------------
@@ -18,6 +20,19 @@ def test_constants_euclidean(euclidean2, box2):
     c = estimate_constants(euclidean2, box2, grid_resolution=5, margin=1.0)
     assert c.C0 == pytest.approx(1.0, abs=1e-14)
     assert c.C1 == 0.0 and c.C2 == 0.0 and c.C3 == 0.0
+
+
+def test_constants_chunked_grid(monkeypatch):
+    # chunks of 7 grid points (the last one shorter) give the maxima of one
+    # whole-grid evaluation; BLAS may round a smaller product differently
+    frame = _random_poly_frame(np.random.default_rng(9))
+    box = Domain([-1.0, -0.5, -1.5], [1.0, 1.5, 0.5])
+    whole = estimate_constants(frame, box, grid_resolution=6)
+    monkeypatch.setattr(certify, "CONSTANTS_CHUNK_BYTES",
+                        7 * 8 * frame.k * frame.n ** 3)
+    chunked = estimate_constants(frame, box, grid_resolution=6)
+    assert dataclasses.astuple(chunked) == pytest.approx(
+        dataclasses.astuple(whole), rel=1e-13, abs=0.0)
 
 
 def test_constants_heisenberg(heisenberg, box3):

@@ -6,6 +6,7 @@ import pytest
 from srx import (ControlSignal, Domain, GridMismatchError, PolyVectorField,
                  SRFrame, control_inner)
 from srx.core import node_index
+from srx.scenario import load_scenario
 
 from conftest import constant_control, smooth_perturbation
 
@@ -90,12 +91,48 @@ def test_frame_independence_check(heisenberg, box3):
     assert smin > 0.9  # orthogonal-ish columns everywhere
 
 
-def test_frame_json_roundtrip(heisenberg):
-    data = heisenberg.to_json_dict()
-    again = SRFrame.from_json_dict(data)
+def _monomial_derivative(field, q, order):
+    """Loop reference: (n,) * (order + 1) derivative tensor of one field at q."""
+    n = q.shape[0]
+    out = np.zeros((n,) * (order + 1))
+    for a, table in enumerate(field.coeffs):
+        for exp, coef in table.items():
+            for axes in np.ndindex((n,) * order):
+                powers, c = list(exp), coef
+                for b in axes:
+                    c *= powers[b]
+                    powers[b] -= 1
+                if c:
+                    out[(a, *axes)] += c * math.prod(q ** np.array(powers))
+    return out
+
+
+def test_batched_derivatives_match_single_points():
+    # BLAS sums a batch product and a single-point product in different
+    # orders (up to ~1e-15 apart here), so equality holds to rounding only;
+    # the loop reference pins the row order: field, coordinate, variables
+    rng = np.random.default_rng(5)
+    frame = _random_poly_frame(rng)
+    pts = rng.uniform(-1.0, 1.0, size=(4, 6, 3))
+    single = (frame.value, frame.jacobian, frame.hessian)
+    for order, at_point in enumerate(single):
+        batch = frame.derivatives(order, pts)
+        assert batch.shape == (4, 6, 2) + (3,) * (order + 1)
+        for b, m in np.ndindex(4, 6):
+            for i, field in enumerate(frame.fields):
+                q = pts[b, m]
+                for expected in (at_point(i, q),
+                                 _monomial_derivative(field, q, order)):
+                    assert np.allclose(batch[b, m, i], expected,
+                                       rtol=0.0, atol=1e-13)
+
+
+def test_bundled_frame_matches_fixture(heisenberg):
+    parsed = load_scenario("heisenberg_line").frame
     q = np.array([0.3, -0.7, 1.1])
     for i in range(2):
-        assert np.array_equal(again.value(i, q), heisenberg.value(i, q))
+        assert np.array_equal(parsed.value(i, q), heisenberg.value(i, q))
+        assert np.array_equal(parsed.jacobian(i, q), heisenberg.jacobian(i, q))
 
 
 # -- domain -----------------------------------------------------------------
@@ -194,15 +231,12 @@ def test_control_validation():
         ControlSignal(1.0, np.ones(4))
 
 
-def test_control_window_and_json():
+def test_control_window():
     u = smooth_perturbation(np.random.default_rng(3), n_cells=40)
     w = u.window(10, 30)
     assert w.n_cells == 20
     assert w.horizon == pytest.approx(0.5)
     assert np.array_equal(w.samples, u.samples[10:30])
-    again = ControlSignal.from_json_dict(u.to_json_dict())
-    assert np.array_equal(again.samples, u.samples)
-    assert again.horizon == u.horizon
 
 
 def test_node_index_lookup():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import srx
 from srx.cli import main
 from srx.scenario import (ScenarioError, bundled_scenario_path, load_scenario,
                           parse_scenario)
@@ -201,8 +206,12 @@ def test_control_and_hamiltonian_errors_rejected(tmp_path, scenario, section,
     lambda d: d["control"]["segments"][0].update(value=["1.0", "0.0"]),
     lambda d: d.update(q0=["0", 0.0, 0.0]),
     lambda d: d.update(seed="7"),
+    lambda d: d["domain"].update(upper=[True, 2.0, 2.0]),
+    lambda d: d.update(name=7),
+    lambda d: d.update(name="line\nq1,q2"),
 ], ids=["field_key", "frame_key", "frame_n_float", "coef_string", "domain_key",
-        "segment_key", "segment_value_strings", "q0_strings", "seed_string"])
+        "segment_key", "segment_value_strings", "q0_strings", "seed_string",
+        "domain_bool", "name_number", "name_newline"])
 def test_frame_and_top_level_errors_rejected(tmp_path, edit):
     # a typo inside frame.fields (here "scale") used to run to exit 0
     data = _load_bundled_dict("jump_control")
@@ -222,6 +231,27 @@ def test_segment_off_grid_rejected(tmp_path):
     with pytest.raises(ScenarioError, match="grid node"):
         load_scenario(path)
     assert main(["integrate", "--config", path, "--out", str(tmp_path)]) == 2
+
+
+def test_cli_imports_only_stdlib_and_numpy(tmp_path):
+    # numpy is the only runtime dependency.  Site hooks may import more into
+    # any interpreter, so a bare one is the baseline, not a fixed list.
+    listing = "import sys; print(*sorted({m.split('.')[0] for m in sys.modules}))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(srx.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+
+    def top_level_modules(code):
+        return set(subprocess.run([sys.executable, "-c", f"{code}; {listing}"],
+                                  env=env, capture_output=True, text=True,
+                                  check=True).stdout.split())
+
+    bare = top_level_modules("pass")
+    run = top_level_modules(
+        "from srx.cli import main; main(['nsre-check', '--config', "
+        f"'heisenberg_arc', '--out', {str(tmp_path)!r}])")
+    assert (tmp_path / "nsre_report.json").exists()
+    assert "numpy" in run
+    assert run - bare - set(sys.stdlib_module_names) - {"srx", "numpy"} == set()
 
 
 def test_cli_malformed_config_exits_2(tmp_path):

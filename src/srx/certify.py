@@ -64,15 +64,16 @@ def estimate_constants(frame: SRFrame, domain: Domain, grid_resolution: int = 21
                        margin: float = 1.1) -> FrameConstants:
     """Measure C0..C3 on an inclusive grid of the domain closure.
 
-    The grid is evaluated in chunks of CONSTANTS_CHUNK_BYTES of Hessian
-    entries; the maxima over the chunks are the maxima over the grid.
+    The grid is generated and evaluated in chunks of CONSTANTS_CHUNK_BYTES
+    of Hessian entries; the maxima over the chunks are the maxima over the
+    grid.
     """
     if margin < 1.0:
         raise ValueError("margin must be >= 1")
-    pts = domain.grid(grid_resolution)
     chunk = max(1, CONSTANTS_CHUNK_BYTES // (8 * frame.k * frame.n ** 3))
-    maxima = np.max([_grid_maxima(frame, pts[start:start + chunk])
-                     for start in range(0, pts.shape[0], chunk)], axis=0)
+    maxima = np.max([_grid_maxima(frame, pts)
+                     for pts in domain.grid_chunks(grid_resolution, chunk)],
+                    axis=0)
     c0, c1, c2, c3 = (margin * maxima).tolist()
     return FrameConstants(c0, c1, c2, c3, grid_resolution, margin)
 

@@ -8,6 +8,7 @@ L2 quantity of a piecewise-constant control an exact finite sum.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,8 @@ class FrameRankError(SRXError):
 
 
 ExponentTable = dict[tuple[int, ...], float]
+
+FRAME_CHECK_CHUNK = 4096    # grid points per batch of the frame-independence check
 
 
 def _differentiate(table: ExponentTable, axis: int) -> ExponentTable:
@@ -136,13 +139,22 @@ class SRFrame:
         shape = pts.shape[:-1] + (self.k,) + (self.n,) * (order + 1)
         return self._stack(order).eval(pts).reshape(shape)
 
+    def jet(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """(..., n) points -> values (..., k, n) and Jacobians (..., k, n, n).
+
+        One evaluation of the cached stack whose rows are the order-0 rows
+        followed by the order-1 rows, so an RK4 stage that needs both pays
+        for a single polynomial evaluation.
+        """
+        pts = np.asarray(points, dtype=float)
+        lead, k, n = pts.shape[:-1], self.k, self.n
+        rows = self._stack("jet").eval(pts)
+        return (rows[..., :k * n].reshape(lead + (k, n)),
+                rows[..., k * n:].reshape(lead + (k, n, n)))
+
     def field_matrix_many(self, points) -> np.ndarray:
         """(..., n) points -> (..., n, k) field matrices, columns X_1..X_k."""
         return np.swapaxes(self.derivatives(0, points), -1, -2)
-
-    def control_jacobian(self, q, u) -> np.ndarray:
-        """State Jacobians of sum_i u^i X_i: (..., n), (..., k) -> (..., n, n)."""
-        return np.einsum("...i,...iab->...ab", u, self.derivatives(1, q))
 
     def field_matrix(self, q) -> np.ndarray:
         """n x k matrix whose columns are X_1(q), ..., X_k(q)."""
@@ -168,14 +180,18 @@ class SRFrame:
                            sv_tol: float = 1e-10) -> float:
         """Smallest singular value of the field matrix over a sampled grid.
 
-        Raises FrameRankError when it drops to sv_tol or below.
+        The grid is evaluated FRAME_CHECK_CHUNK points at a time.  Raises
+        FrameRankError when the value drops to sv_tol or below, naming the
+        first grid point that attains it.
         """
-        pts = domain.grid(resolution)
-        mats = self.field_matrix_many(pts)
-        svals = np.linalg.svd(mats, compute_uv=False)
-        smin = float(svals[:, -1].min())
+        smin, worst = math.inf, None
+        for pts in domain.grid_chunks(resolution, FRAME_CHECK_CHUNK):
+            svals = np.linalg.svd(self.field_matrix_many(pts),
+                                  compute_uv=False)[:, -1]
+            j = int(svals.argmin())
+            if svals[j] < smin:
+                smin, worst = float(svals[j]), pts[j]
         if smin <= sv_tol:
-            worst = pts[int(svals[:, -1].argmin())]
             raise FrameRankError(
                 f"frame fields nearly dependent at {worst.tolist()} "
                 f"(sigma_min={smin:.3e} <= {sv_tol:.1e})")
@@ -196,19 +212,28 @@ class SRFrame:
             raise ValueError("non-finite evaluation point")
         return q
 
-    def _stack(self, order: int) -> _StackedPolys:
-        """Every derivative table of the given order, built once per order.
+    def _tables(self, order: int) -> list[ExponentTable]:
+        """Every derivative table of the given order.
 
         Rows run over the field, the output coordinate, then one index per
         differentiation variable, matching the axes of `derivatives`.
         """
-        if order not in self._stacks:
-            tables = [t for f in self.fields for t in f.coeffs]
-            for _ in range(order):
-                tables = [_differentiate(t, b) for t in tables
-                          for b in range(self.n)]
-            self._stacks[order] = _StackedPolys(tables, self.n)
-        return self._stacks[order]
+        tables = [t for f in self.fields for t in f.coeffs]
+        for _ in range(order):
+            tables = [_differentiate(t, b) for t in tables
+                      for b in range(self.n)]
+        return tables
+
+    def _stack(self, key) -> _StackedPolys:
+        """The stack of one derivative order, or "jet" (orders 0 and 1).
+
+        Built once per key and cached.
+        """
+        if key not in self._stacks:
+            tables = (self._tables(0) + self._tables(1) if key == "jet"
+                      else self._tables(key))
+            self._stacks[key] = _StackedPolys(tables, self.n)
+        return self._stacks[key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,12 +275,23 @@ class Domain:
 
     def grid(self, resolution: int) -> np.ndarray:
         """Inclusive uniform grid, `resolution` points per axis: (res^n, n)."""
+        return next(self.grid_chunks(resolution, resolution ** self.n))
+
+    def grid_chunks(self, resolution: int, chunk: int) -> Iterator[np.ndarray]:
+        """The points of `grid` in its (row-major) order, `chunk` at a time.
+
+        Each chunk's indices go through np.unravel_index, so no more than
+        one chunk of the grid is ever held.
+        """
         if resolution < 2:
             raise ValueError("grid resolution must be at least 2")
         axes = [np.linspace(self.lower[d], self.upper[d], resolution)
                 for d in range(self.n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, self.n)
+        total = resolution ** self.n
+        for start in range(0, total, chunk):
+            index = np.unravel_index(np.arange(start, min(start + chunk, total)),
+                                     (resolution,) * self.n)
+            yield np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
 
 
 NORMALIZED_TOL = 1e-12

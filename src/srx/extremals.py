@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ControlSignal, Domain, SRFrame, SRXError, Trajectory
-from .flows import (DomainExitError, IntegrationError, TangentFlow, _apply,
+from .flows import (DomainExitError, IntegrationError, TangentFlow,
                     _marked_trajectory, _rk4, tangent_flow)
 
 SIGMA_TOL = 1e-8
@@ -332,15 +332,14 @@ def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
     if abs(level - 1.0) > level_tol:
         raise ValueError(f"initial covector is off the unit level: 2H = {level!r}")
 
-    n = frame.n
+    n, k = frame.n, frame.k
 
     def rhs(_, y):
-        q, p = y[:, :n], y[:, n:]
-        f = frame.field_matrix_many(q)
-        u = np.einsum("xnk,xn->xk", f, p)
-        a = frame.control_jacobian(q, u)
-        return np.concatenate([_apply(f, u), -np.einsum("xab,xa->xb", a, p)],
-                              axis=1)
+        q, p = y[0, :n], y[0, n:]                     # one row: no batch axis
+        f, jac = frame.jet(q)                         # (k, n), (k, n, n)
+        u = f @ p
+        a = (u @ jac.reshape(k, n * n)).reshape(n, n)
+        return np.concatenate([u @ f, -(p @ a)])[None]
 
     # two half cells per cell, so the cell-midpoint state that samples the
     # control is a cell end of the stepper

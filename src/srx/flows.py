@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ControlSignal, Domain, SRFrame, SRXError, Trajectory, node_index
+from .core import (ControlSignal, Domain, SRFrame, SRXError, Trajectory,
+                   node_index, require_same_grid)
 
 
 class IntegrationError(SRXError):
@@ -29,6 +30,7 @@ class SingularFlowError(SRXError):
 
 
 COND_LIMIT = 1e12
+FLOW_BATCH = 256           # cells per batch of propagators, bounds the temporaries
 
 
 def _rk4(rhs, y0: np.ndarray, h: float, substeps: int,
@@ -58,11 +60,6 @@ def _rk4(rhs, y0: np.ndarray, h: float, substeps: int,
         j = int(np.argmin(finite))
         raise IntegrationError(f"state became non-finite at t={j * substeps * h:.6g}")
     return ys
-
-
-def _apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Batched matrix-vector product: (B, a, b) x (B, b) -> (B, a)."""
-    return np.einsum("xab,xb->xa", mats, vecs)
 
 
 def _checked_start(frame: SRFrame, q0, domain: Domain | None,
@@ -100,8 +97,8 @@ def integrate_trajectory(frame: SRFrame, u: ControlSignal, q0,
     invalid.  A non-finite state raises IntegrationError.
     """
     q0 = _checked_start(frame, q0, domain, substeps)
-    cells = u.samples[:, None, :]
-    states = _rk4(lambda j, q: _apply(frame.field_matrix_many(q), cells[j]),
+    cells = u.samples[:, None, None, :]
+    states = _rk4(lambda j, q: (cells[j] @ frame.derivatives(0, q))[:, 0],
                   q0[None], u.dt / substeps, substeps, u.n_cells)
     return _marked_trajectory(u.grid, states[:, 0], u, domain)
 
@@ -111,9 +108,10 @@ class TangentFlow:
     """Tangent maps of the time-dependent flow along a base trajectory.
 
     matrices[j] is the tangent map from the anchor time `base_tau` to grid
-    node j.  Two-point maps are obtained by composition, which is exact for
-    the discrete flow because each RK4 step of the linear variational
-    equation is itself a linear map.
+    node j.  Each RK4 step of the linear variational equation is a linear
+    map, the cell propagator P_j of `tangent_flow`, so matrices[j + 1] =
+    P_j matrices[j] and two-point maps are exact compositions for the
+    discrete flow.
     """
 
     grid: np.ndarray          # (N_t + 1,)
@@ -132,31 +130,69 @@ class TangentFlow:
         return self._inverses
 
 
+def _cell_propagators(frame: SRFrame, q: np.ndarray, cells: np.ndarray,
+                      h: float, substeps: int) -> np.ndarray:
+    """Cell propagators P_j (see tangent_flow) of a batch of cells.
+
+    q is (B, n), the base states at the cell starts, and cells is (B, 1, k).
+    Row j of the RK4 batch is cell j's state together with its tangent map,
+    started from (q_j, I), so its `substeps` steps return P_j.
+    """
+    n, k = frame.n, frame.k
+
+    def rhs(_, y):
+        values, jacobians = frame.jet(y[:, :n])
+        a = (cells @ jacobians.reshape(-1, k, n * n)).reshape(-1, n, n)
+        return np.concatenate([(cells @ values)[:, 0],
+                               (a @ y[:, n:].reshape(-1, n, n)).reshape(-1, n * n)],
+                              axis=1)
+
+    y0 = np.concatenate([q, np.tile(np.eye(n).ravel(), (q.shape[0], 1))], axis=1)
+    return _rk4(rhs, y0, h, substeps, 1)[1, :, n:].reshape(-1, n, n)
+
+
 def tangent_flow(frame: SRFrame, u: ControlSignal, base: Trajectory,
                  base_tau: float = 0.0, substeps: int = 1,
                  cond_limit: float = COND_LIMIT) -> TangentFlow:
-    """Integrate the matrix variational equation dM/dt = Df_u(gamma(t)) M.
+    """RK4 solution of the matrix variational equation dM/dt = Df_u(gamma(t)) M.
 
-    The base state is integrated alongside with the same RK4 scheme and
-    step.  The maps are anchored first at t=0 and then re-based to
-    `base_tau` by composition.
+    gamma is the base trajectory, read from base.states: the RK4 stages of
+    cell j start from base.states[j], and no trajectory is integrated here.
+    For a control run these are the states integrate_trajectory computed.
+    For a Hamiltonian arc they are the oracle's states, so the flow
+    linearizes around the curve whose spans are tested, not around the
+    one the sampled control would give (the two differ by O(dt^2)).
+
+    One RK4 step with stage Jacobians A1..A4 maps M to P M, with
+    P = I + h/6 (A1 + 2 A2 B2 + 2 A3 B3 + A4 B4), B2 = I + h/2 A1,
+    B3 = I + h/2 A2 B2 and B4 = I + h A3 B3: the same linear map as
+    integrating M alongside the state.  The cell propagators P_j (the
+    products of a cell's substep maps) are evaluated FLOW_BATCH cells at a
+    time, and M_{j+1} = P_j M_j.  The maps are anchored first at t=0 and
+    then re-based to `base_tau` by composition.
     Condition numbers above cond_limit only set `ill_conditioned`; they do
     not abort, since the flag is advisory for downstream rank decisions.
     """
-    if u.n_cells != base.control.n_cells:
-        raise ValueError("control and base trajectory grids differ")
+    require_same_grid(u, base.control)
     n = frame.n
     cells = u.samples[:, None, :]
-
-    def rhs(j, y):
-        q, m = y[:, :n], y[:, n:].reshape(-1, n, n)
-        a = frame.control_jacobian(q, cells[j])
-        return np.concatenate([_apply(frame.field_matrix_many(q), cells[j]),
-                               (a @ m).reshape(-1, n * n)], axis=1)
-
-    y0 = np.concatenate([base.q0, np.eye(n).ravel()])[None]
-    ys = _rk4(rhs, y0, u.dt / substeps, substeps, u.n_cells)
-    mats = ys[:, 0, n:].reshape(-1, n, n)
+    mats = np.empty((u.n_cells + 1, n, n))
+    mats[0] = np.eye(n)
+    for lo in range(0, u.n_cells, FLOW_BATCH):
+        hi = min(lo + FLOW_BATCH, u.n_cells)
+        try:
+            props = _cell_propagators(frame, base.states[lo:hi], cells[lo:hi],
+                                      u.dt / substeps, substeps)
+        except IntegrationError:
+            raise IntegrationError("a cell propagator became non-finite after "
+                                   f"t={lo * u.dt:.6g}") from None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, prop in enumerate(props, start=lo):
+                mats[j + 1] = prop @ mats[j]
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise IntegrationError(f"tangent map became non-finite at t={j * u.dt:.6g}")
 
     conds = np.linalg.cond(mats)
     max_cond = float(np.max(conds))

@@ -19,8 +19,7 @@ from .core import (ControlSignal, Domain, InnerProduct, SRFrame, Trajectory,
 from .extremals import (ACB_BOUND, SIGMA_TOL, NotNormalizedError,
                         OrthoDistribution, build_f_perp,
                         max_velocity_derivative, span_profile)
-from .flows import (TangentFlow, _apply, _checked_start, _marked_trajectory,
-                    _rk4)
+from .flows import TangentFlow, _checked_start, _marked_trajectory, _rk4
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,16 +72,17 @@ def _members_and_variations(frame: SRFrame, controls: np.ndarray,
     own RK4 stage states.  controls and increments are (B, N_t, k); returns
     states and variations, each (B, N_t + 1, n).
     """
-    n = frame.n
-    cells = np.ascontiguousarray(controls.swapaxes(0, 1))      # (N_t, B, k)
-    incs = np.ascontiguousarray(increments.swapaxes(0, 1))
+    n, k = frame.n, frame.k
+    # (N_t, B, 1, k): row controls and increments as (1, k) matrices
+    cells = np.ascontiguousarray(controls.swapaxes(0, 1))[:, :, None]
+    incs = np.ascontiguousarray(increments.swapaxes(0, 1))[:, :, None]
 
     def rhs(j, y):
         q, b = y[:, :n], y[:, n:]
-        f = frame.field_matrix_many(q)
-        a = frame.control_jacobian(q, cells[j])
-        return np.concatenate([_apply(f, cells[j]),
-                               _apply(f, incs[j]) + _apply(a, b)], axis=1)
+        f, jac = frame.jet(q)                         # (B, k, n), (B, k, n, n)
+        a = (cells[j] @ jac.reshape(-1, k, n * n)).reshape(-1, n, n)
+        db = (incs[j] @ f)[:, 0] + (a @ b[:, :, None])[:, :, 0]
+        return np.concatenate([(cells[j] @ f)[:, 0], db], axis=1)
 
     y0 = np.tile(np.concatenate([q0, np.zeros(n)]), (controls.shape[0], 1))
     ys = _rk4(rhs, y0, dt / substeps, substeps, controls.shape[1]).swapaxes(0, 1)

@@ -19,7 +19,8 @@ from .core import (ControlSignal, Domain, FrameRankError, PolyVectorField,
                    SRFrame, SRXError)
 from .extremals import TAU_RANGES
 
-BUNDLED = ("euclidean_line", "heisenberg_line", "heisenberg_arc", "jump_control")
+BUNDLED = ("euclidean_line", "heisenberg_line", "heisenberg_arc", "jump_control",
+           "martinet_arc", "cartan_arc")
 
 TOLERANCE_DEFAULTS = {
     "acb_bound": 50.0,

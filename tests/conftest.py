@@ -34,6 +34,22 @@ def make_quartic_frame():
     return SRFrame((f,), 2, 1)
 
 
+def make_random_poly_frame(rng, n=3, k=2, degree=3):
+    # four random monomials of degree <= `degree` per coordinate: state-
+    # dependent Jacobians and Hessians
+    fields = []
+    for _ in range(k):
+        tables = []
+        for _ in range(n):
+            table = {}
+            for _ in range(4):
+                exp = tuple(int(e) for e in rng.integers(0, degree + 1, size=n))
+                table[exp] = float(rng.normal())
+            tables.append(table)
+        fields.append(PolyVectorField(tuple(tables), n))
+    return SRFrame(tuple(fields), n, k)
+
+
 def constant_control(value, horizon=1.0, n_cells=1000):
     value = np.asarray(value, dtype=float)
     return ControlSignal(horizon, np.tile(value, (n_cells, 1)))

@@ -10,8 +10,7 @@ from srx import (Domain, NotCertifiableError, build_certificate, compute_epsilon
 from srx import certify
 from srx.certify import FrameConstants
 
-from conftest import constant_control
-from test_core import _random_poly_frame
+from conftest import constant_control, make_random_poly_frame
 
 
 # -- constants ------------------------------------------------------------------
@@ -25,7 +24,7 @@ def test_constants_euclidean(euclidean2, box2):
 def test_constants_chunked_grid(monkeypatch):
     # chunks of 7 grid points (the last one shorter) give the maxima of one
     # whole-grid evaluation; BLAS may round a smaller product differently
-    frame = _random_poly_frame(np.random.default_rng(9))
+    frame = make_random_poly_frame(np.random.default_rng(9))
     box = Domain([-1.0, -0.5, -1.5], [1.0, 1.5, 0.5])
     whole = estimate_constants(frame, box, grid_resolution=6)
     monkeypatch.setattr(certify, "CONSTANTS_CHUNK_BYTES",

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from srx import (ControlSignal, Domain, GridMismatchError, PolyVectorField,
-                 SRFrame, control_inner)
+from srx import (ControlSignal, Domain, FrameRankError, GridMismatchError,
+                 PolyVectorField, SRFrame, control_inner)
+from srx import core
 from srx.core import node_index
 from srx.scenario import load_scenario
 
-from conftest import constant_control, smooth_perturbation
+from conftest import (constant_control, make_random_poly_frame,
+                      smooth_perturbation)
 
 
 # -- polynomial fields ------------------------------------------------------
@@ -54,23 +56,9 @@ def test_bad_exponent_tuple_rejected():
         PolyVectorField(({(0, -1): 1.0}, {}), 2)
 
 
-def _random_poly_frame(rng, n=3, k=2, degree=3):
-    fields = []
-    for _ in range(k):
-        tables = []
-        for _ in range(n):
-            table = {}
-            for _ in range(4):
-                exp = tuple(int(e) for e in rng.integers(0, degree + 1, size=n))
-                table[exp] = float(rng.normal())
-            tables.append(table)
-        fields.append(PolyVectorField(tuple(tables), n))
-    return SRFrame(tuple(fields), n, k)
-
-
 def test_derivatives_match_finite_differences():
     rng = np.random.default_rng(7)
-    frame = _random_poly_frame(rng)
+    frame = make_random_poly_frame(rng)
     h = 1e-5
     for _ in range(5):
         q = rng.uniform(-1.0, 1.0, size=3)
@@ -89,6 +77,36 @@ def test_derivatives_match_finite_differences():
 def test_frame_independence_check(heisenberg, box3):
     smin = heisenberg.check_independence(box3, resolution=4)
     assert smin > 0.9  # orthogonal-ish columns everywhere
+
+
+def test_frame_independence_check_chunks_change_nothing(monkeypatch, box3):
+    frame = make_random_poly_frame(np.random.default_rng(4))
+    # X2 = x d/dy is parallel to X1 = d/dx wherever x = 0: five grid points
+    # of the 5 x 5 grid, the first at flat index 10
+    degenerate = SRFrame((PolyVectorField(({(0, 0): 1.0}, {}), 2),
+                          PolyVectorField(({}, {(1, 0): 1.0}), 2)), 2, 2)
+    square = Domain([-1.0, -1.0], [1.0, 1.0])
+    results = []
+    for chunk in (10 ** 6, 7, 3):
+        monkeypatch.setattr(core, "FRAME_CHECK_CHUNK", chunk)
+        with pytest.raises(FrameRankError) as err:
+            degenerate.check_independence(square, resolution=5)
+        results.append((frame.check_independence(box3, resolution=6),
+                        str(err.value)))
+    assert results[0] == results[1] == results[2]
+    assert "[0.0, -1.0]" in results[0][1]
+
+
+def test_jet_blocks_match_derivatives():
+    rng = np.random.default_rng(6)
+    frame = make_random_poly_frame(rng)
+    pts = rng.uniform(-1.0, 1.0, size=(5, 4, 3))
+    values, jacobians = frame.jet(pts)
+    assert values.shape == (5, 4, 2, 3)
+    assert jacobians.shape == (5, 4, 2, 3, 3)
+    assert np.allclose(values, frame.derivatives(0, pts), rtol=0.0, atol=1e-13)
+    assert np.allclose(jacobians, frame.derivatives(1, pts), rtol=0.0,
+                       atol=1e-13)
 
 
 def _monomial_derivative(field, q, order):
@@ -112,7 +130,7 @@ def test_batched_derivatives_match_single_points():
     # orders (up to ~1e-15 apart here), so equality holds to rounding only;
     # the loop reference pins the row order: field, coordinate, variables
     rng = np.random.default_rng(5)
-    frame = _random_poly_frame(rng)
+    frame = make_random_poly_frame(rng)
     pts = rng.uniform(-1.0, 1.0, size=(4, 6, 3))
     single = (frame.value, frame.jacobian, frame.hessian)
     for order, at_point in enumerate(single):

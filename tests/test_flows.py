@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from srx import (Domain, DomainExitError, IntegrationError, integrate_trajectory,
-                 push_forward, tangent_flow)
+from srx import (Domain, DomainExitError, GridMismatchError, IntegrationError,
+                 integrate_trajectory, push_forward, tangent_flow)
 from srx.flows import write_tangent_flow_rows, write_trajectory_rows
 
-from conftest import (constant_control, make_quartic_frame, sampled_control)
+from conftest import (constant_control, make_quartic_frame,
+                      make_random_poly_frame, sampled_control)
 
 
 def test_euclidean_straight_line(euclidean2):
@@ -65,6 +66,62 @@ def test_tangent_flow_heisenberg_closed_form(heisenberg):
         expected = np.eye(3)
         expected[2, 1] = -(t - tau0) / 2.0
         assert np.allclose(tf.matrices[traj.node_index(t)], expected, atol=1e-12)
+
+
+def _joint_tangent_flow(frame, u, q0, substeps):
+    """Reference: RK4 of the state and its tangent map as one n + n^2 state."""
+    n, h = frame.n, u.dt / substeps
+
+    def rhs(j, y):
+        q, m = y[:n], y[n:].reshape(n, n)
+        a = np.einsum("i,iab->ab", u.samples[j], frame.jacobians(q))
+        return np.concatenate([frame.field_matrix(q) @ u.samples[j],
+                               (a @ m).ravel()])
+
+    y = np.concatenate([q0, np.eye(n).ravel()])
+    mats = [np.eye(n)]
+    for j in range(u.n_cells):
+        for _ in range(substeps):
+            k1 = rhs(j, y)
+            k2 = rhs(j, y + 0.5 * h * k1)
+            k3 = rhs(j, y + 0.5 * h * k2)
+            k4 = rhs(j, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        mats.append(y[n:].reshape(n, n))
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("substeps", [1, 2])
+def test_tangent_flow_matches_joint_integration(substeps):
+    # cubic frame: every stage Jacobian of the cell propagators is state
+    # dependent Jacobians, and the maps end about 0.65 away from I
+    frame = make_random_poly_frame(np.random.default_rng(0))
+    u = sampled_control(lambda t: [np.cos(3.0 * t), np.sin(3.0 * t)],
+                        n_cells=400)
+    q0 = np.array([0.5, -0.4, 0.3])
+    traj = integrate_trajectory(frame, u, q0, substeps=substeps)
+    reference = _joint_tangent_flow(frame, u, q0, substeps)
+    scale = np.abs(reference).max()
+
+    tf = tangent_flow(frame, u, traj, substeps=substeps)
+    assert np.abs(tf.matrices - reference).max() <= 1e-13 * scale
+
+    tau = 0.25
+    j0 = traj.node_index(tau)
+    rebased = tangent_flow(frame, u, traj, base_tau=tau, substeps=substeps)
+    expected = reference @ np.linalg.inv(reference[j0])
+    assert rebased.base_tau == tau
+    assert np.array_equal(rebased.matrices[j0], np.eye(3))
+    assert np.abs(rebased.matrices - expected).max() <= \
+        1e-13 * np.abs(expected).max()
+
+
+def test_tangent_flow_rejects_base_on_another_grid(heisenberg):
+    u = constant_control([1.0, 0.0], horizon=1.0, n_cells=20)
+    traj = integrate_trajectory(heisenberg, u, [0.0, 0.0, 0.0])
+    longer = constant_control([1.0, 0.0], horizon=2.0, n_cells=20)
+    with pytest.raises(GridMismatchError):
+        tangent_flow(heisenberg, longer, traj)
 
 
 def test_push_forward_examples(heisenberg):
@@ -157,6 +214,22 @@ def test_blow_up_raises():
     u = constant_control([1.0], horizon=2.0, n_cells=50)
     with pytest.raises(IntegrationError):
         integrate_trajectory(frame, u, [1.0])
+
+
+def test_tangent_flow_non_finite_raises():
+    from srx import PolyVectorField, SRFrame, Trajectory
+    u = constant_control([1.0], horizon=1.0, n_cells=1000)
+    # x = 0 is a rest point of dx/dt = 1000 x, so the base stays finite
+    # while M = exp(1000 t) overflows in the chain of propagators
+    linear = SRFrame((PolyVectorField(({(1,): 1000.0},), 1),), 1, 1)
+    traj = integrate_trajectory(linear, u, [0.0])
+    with pytest.raises(IntegrationError, match="tangent map"):
+        tangent_flow(linear, u, traj)
+    # a finite base whose first RK4 stage overflows inside the propagators
+    square = SRFrame((PolyVectorField(({(2,): 1.0},), 1),), 1, 1)
+    huge = Trajectory(u.grid, np.full((1001, 1), 1e160), u, [1e160])
+    with pytest.raises(IntegrationError, match="propagator"):
+        tangent_flow(square, u, huge)
 
 
 def test_tangent_flow_flags_ill_conditioning():

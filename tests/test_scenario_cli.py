@@ -27,7 +27,7 @@ def _write_scenario(tmp_path, data, name="case.json"):
 
 def test_bundled_scenarios_load():
     for name in ("euclidean_line", "heisenberg_line", "heisenberg_arc",
-                 "jump_control"):
+                 "jump_control", "martinet_arc", "cartan_arc"):
         scenario = load_scenario(name)
         assert scenario.name == name
         assert len(scenario.sha256) == 64

@@ -1,10 +1,10 @@
 """Certified constants, growth bounds, and the local-optimality radius.
 
-All constants are measured on a dense grid of exact polynomial derivatives
-and inflated by a documented safety margin; the growth functions are closed
-forms of those constants, so every certificate claim is auditable from the
-numbers stored in it.  Verification replays the whole chain on random
-energy-nonincreasing perturbations and records per-trial slacks.
+All constants are bounds over the domain from entrywise bounds of the exact
+polynomial derivatives, inflated by a documented safety margin; the growth
+functions are closed forms of those constants, so every certificate claim is
+auditable from the numbers stored in it.  Verification replays the chain on
+random energy-nonincreasing perturbations and records per-trial slacks.
 """
 from __future__ import annotations
 
@@ -25,9 +25,6 @@ EPSILON_REL_TOL = 1e-6
 # Memory budget of one verification batch: the RK4 state history of its
 # members and variations.  Batches hold whole trials, at least one.
 VERIFY_BATCH_BYTES = 1 << 18
-# Memory budget of one chunk of the constant-estimation grid: the Hessian
-# entries of its points (k n^3 each), the largest table evaluated.
-CONSTANTS_CHUNK_BYTES = 1 << 24
 
 
 class NotCertifiableError(SRXError):
@@ -43,9 +40,11 @@ class FrameConstants:
     """Margined sup/Lipschitz bounds of the frame fields over the domain.
 
     C0 bounds field norms, C1 bounds Jacobian columns, C2 is a Lipschitz
-    constant of the fields (largest Jacobian spectral norm on the convex
-    box), and C3 a Lipschitz constant of the Jacobian columns (largest
-    second-derivative slice spectral norm).  All four include the margin.
+    constant of the fields (a bound on the Jacobian spectral norm over the
+    convex box), and C3 a Lipschitz constant of the Jacobian columns (a bound
+    on the second-derivative slice spectral norms).  All four include the
+    margin.  grid_resolution is recorded for provenance only: no constant
+    depends on it.
     """
 
     C0: float
@@ -55,42 +54,30 @@ class FrameConstants:
     grid_resolution: int
     margin: float
 
-    def to_json_dict(self) -> dict:
-        return {"C0": self.C0, "C1": self.C1, "C2": self.C2, "C3": self.C3,
-                "grid_resolution": self.grid_resolution, "margin": self.margin}
-
 
 def estimate_constants(frame: SRFrame, domain: Domain, grid_resolution: int = 21,
                        margin: float = 1.1) -> FrameConstants:
-    """Measure C0..C3 on an inclusive grid of the domain closure.
+    """Bound C0..C3 over the domain closure from SRFrame.derivative_bounds.
 
-    The grid is generated and evaluated in chunks of CONSTANTS_CHUNK_BYTES
-    of Hessian entries; the maxima over the chunks are the maxima over the
-    grid.
+    The entrywise bounds B of the values, Jacobians and second derivatives
+    give C0 and C1 as vector norms and C2 and C3 as spectral norms of the
+    bound matrices, which is valid because ||A||_2 <= || |A| ||_2 <= ||B||_2
+    whenever |A| <= B entrywise.  grid_resolution is only recorded.
     """
-    if margin < 1.0:
-        raise ValueError("margin must be >= 1")
-    chunk = max(1, CONSTANTS_CHUNK_BYTES // (8 * frame.k * frame.n ** 3))
-    maxima = np.max([_grid_maxima(frame, pts)
-                     for pts in domain.grid_chunks(grid_resolution, chunk)],
-                    axis=0)
-    c0, c1, c2, c3 = (margin * maxima).tolist()
-    return FrameConstants(c0, c1, c2, c3, grid_resolution, margin)
-
-
-def _grid_maxima(frame: SRFrame, pts: np.ndarray) -> list[float]:
-    """Unmargined C0..C3 over the points pts (P, n)."""
+    if not (math.isfinite(margin) and margin >= 1.0):
+        raise ValueError("margin must be finite and >= 1")
     n = frame.n
-    fvals = frame.field_matrix_many(pts)                      # (P, n, k)
+    fvals = frame.derivative_bounds(0, domain)                # (k, n)
     c0 = np.linalg.norm(fvals, axis=1).max()
-    jacs = frame.derivatives(1, pts)                          # (P, k, n, n)
-    c1 = np.linalg.norm(jacs, axis=2).max()                   # column norms
-    c2 = np.linalg.svd(jacs.reshape(-1, n, n), compute_uv=False)[:, 0].max()
-    hess = frame.derivatives(2, pts)                          # (P, k, a, b, c)
+    jacs = frame.derivative_bounds(1, domain)                 # (k, n, n)
+    c1 = np.linalg.norm(jacs, axis=1).max()                   # column norms
+    c2 = np.linalg.svd(jacs, compute_uv=False)[:, 0].max()
+    hess = frame.derivative_bounds(2, domain)                 # (k, a, b, c)
     # Lipschitz of the column map q -> dX_i/dq^b: slice over (a, c) per (i, b).
-    slices = np.swapaxes(hess, 2, 3).reshape(-1, n, n)
+    slices = np.swapaxes(hess, 1, 2).reshape(-1, n, n)
     c3 = np.linalg.svd(slices, compute_uv=False)[:, 0].max()
-    return [c0, c1, c2, c3]
+    c0, c1, c2, c3 = (margin * np.array([c0, c1, c2, c3])).tolist()
+    return FrameConstants(c0, c1, c2, c3, grid_resolution, margin)
 
 
 def _check_horizon(t: float) -> float:
@@ -197,7 +184,7 @@ class EpsilonResult:
 
     @property
     def holds(self) -> bool:
-        """Both conditions hold and their left-hand sides were monotone."""
+        """Both conditions hold and their left-hand sides are monotone."""
         return self.domain_ok and self.angle_ok and self.monotone_ok
 
 
@@ -207,8 +194,8 @@ def compute_epsilon(constants: FrameConstants, c: float, eta: float, k: int,
                     rel_tol: float = EPSILON_REL_TOL) -> EpsilonResult:
     """Largest radius satisfying 4*eps*zeta(eps) < eta and eps*xi(eps) < c/2.
 
-    Both left-hand sides are products of nonnegative nondecreasing factors;
-    that monotonicity is asserted on a sampled grid, not assumed, and then a
+    With C0..C3 finite and nonnegative, which is checked, both left-hand
+    sides are sums and products of nonnegative nondecreasing terms, so a
     bisection on (0, t_max] locates the boundary to rel_tol.  The strict
     inequalities are enforced through the margin factor.
     """
@@ -220,21 +207,17 @@ def compute_epsilon(constants: FrameConstants, c: float, eta: float, k: int,
         raise ValueError("t_max must be positive")
     if not 0.0 < margin_factor < 1.0:
         raise ValueError("margin_factor must lie in (0, 1)")
+    mono = all(math.isfinite(v) and v >= 0.0 for v in
+               (constants.C0, constants.C1, constants.C2, constants.C3))
+    if not mono:
+        raise SRXError("condition left-hand sides are not monotone; "
+                       "constants are inconsistent")
 
     def domain_lhs(e: float) -> float:
         return 4.0 * e * zeta(e, constants, k)
 
     def angle_lhs(e: float) -> float:
         return e * xi(e, constants, k, n)
-
-    samples = np.linspace(0.0, t_max, 101)
-    mono = all(
-        domain_lhs(b) >= domain_lhs(a) - 1e-12 and
-        angle_lhs(b) >= angle_lhs(a) - 1e-12
-        for a, b in zip(samples[:-1], samples[1:]))
-    if not mono:
-        raise SRXError("condition left-hand sides are not monotone; "
-                       "constants are inconsistent")
 
     def feasible(e: float) -> bool:
         return (domain_lhs(e) <= margin_factor * eta

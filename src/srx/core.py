@@ -64,6 +64,10 @@ class _StackedPolys:
         monomials = (pts[..., None, :] ** self.exponents).prod(axis=-1)
         return monomials @ self.weights
 
+    def bound(self, radius: np.ndarray) -> np.ndarray:
+        """Entrywise bounds of |rows| on the box |q_b| <= radius_b: (rows,)."""
+        return (radius ** self.exponents).prod(axis=-1) @ np.abs(self.weights)
+
 
 def _validate_table(table: ExponentTable, n: int) -> ExponentTable:
     clean: ExponentTable = {}
@@ -138,6 +142,16 @@ class SRFrame:
         pts = np.asarray(points, dtype=float)
         shape = pts.shape[:-1] + (self.k,) + (self.n,) * (order + 1)
         return self._stack(order).eval(pts).reshape(shape)
+
+    def derivative_bounds(self, order: int, domain: "Domain") -> np.ndarray:
+        """(k, n, n, ...) bounds of |derivatives(order, q)| over the domain closure.
+
+        Each monomial is at most its absolute value at the box's farthest
+        corner, |q_b| = max(|lower_b|, |upper_b|).
+        """
+        radius = np.maximum(np.abs(domain.lower), np.abs(domain.upper))
+        shape = (self.k,) + (self.n,) * (order + 1)
+        return self._stack(order).bound(radius).reshape(shape)
 
     def jet(self, points) -> tuple[np.ndarray, np.ndarray]:
         """(..., n) points -> values (..., k, n) and Jacobians (..., k, n, n).
@@ -273,15 +287,11 @@ class Domain:
     def contains(self, q) -> bool:
         return self.boundary_distance(q) > 0.0
 
-    def grid(self, resolution: int) -> np.ndarray:
-        """Inclusive uniform grid, `resolution` points per axis: (res^n, n)."""
-        return next(self.grid_chunks(resolution, resolution ** self.n))
-
     def grid_chunks(self, resolution: int, chunk: int) -> Iterator[np.ndarray]:
-        """The points of `grid` in its (row-major) order, `chunk` at a time.
+        """The inclusive grid, `resolution` points per axis, `chunk` at a time.
 
-        Each chunk's indices go through np.unravel_index, so no more than
-        one chunk of the grid is ever held.
+        Points come in row-major order; each chunk's indices go through
+        np.unravel_index, so no more than one chunk is ever held.
         """
         if resolution < 2:
             raise ValueError("grid resolution must be at least 2")

@@ -1,14 +1,17 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from srx import (Domain, NotCertifiableError, build_certificate, compute_epsilon,
-                 compute_eta, estimate_constants, integrate_trajectory, psi,
+from srx import (Domain, NotCertifiableError, PolyVectorField, SRFrame, SRXError,
+                 build_certificate, compute_epsilon, compute_eta,
+                 estimate_constants, integrate_trajectory, psi,
                  sample_admissible_perturbation, verify_certificate, xi, zeta)
 from srx import certify
 from srx.certify import FrameConstants
+from srx.scenario import BUNDLED, load_scenario
 
 from conftest import constant_control, make_random_poly_frame
 
@@ -21,17 +24,69 @@ def test_constants_euclidean(euclidean2, box2):
     assert c.C1 == 0.0 and c.C2 == 0.0 and c.C3 == 0.0
 
 
-def test_constants_chunked_grid(monkeypatch):
-    # chunks of 7 grid points (the last one shorter) give the maxima of one
-    # whole-grid evaluation; BLAS may round a smaller product differently
-    frame = make_random_poly_frame(np.random.default_rng(9))
-    box = Domain([-1.0, -0.5, -1.5], [1.0, 1.5, 0.5])
-    whole = estimate_constants(frame, box, grid_resolution=6)
-    monkeypatch.setattr(certify, "CONSTANTS_CHUNK_BYTES",
-                        7 * 8 * frame.k * frame.n ** 3)
-    chunked = estimate_constants(frame, box, grid_resolution=6)
-    assert dataclasses.astuple(chunked) == pytest.approx(
-        dataclasses.astuple(whole), rel=1e-13, abs=0.0)
+def _grid_maxima(frame, domain, resolution):
+    """Unmargined C0..C3 as maxima over the inclusive grid: the sampled reference."""
+    n, maxima = frame.n, []
+    for pts in domain.grid_chunks(resolution, 4096):
+        fvals = frame.field_matrix_many(pts)                  # (P, n, k)
+        jacs = frame.derivatives(1, pts)                      # (P, k, n, n)
+        hess = frame.derivatives(2, pts)                      # (P, k, a, b, c)
+        slices = np.swapaxes(hess, 2, 3).reshape(-1, n, n)
+        maxima.append([
+            np.linalg.norm(fvals, axis=1).max(),
+            np.linalg.norm(jacs, axis=2).max(),
+            np.linalg.svd(jacs.reshape(-1, n, n), compute_uv=False)[:, 0].max(),
+            np.linalg.svd(slices, compute_uv=False)[:, 0].max()])
+    return np.max(maxima, axis=0)
+
+
+@pytest.mark.parametrize("seed", [3, 9])
+@pytest.mark.parametrize("box", [
+    Domain([-1.0, -0.5, -1.5], [1.0, 1.5, 0.5]),     # off-centre
+    Domain([0.5, 1.0, -2.0], [1.5, 2.0, -1.0]),      # excludes 0
+])
+def test_constants_enclose_grid_maxima(seed, box):
+    frame = make_random_poly_frame(np.random.default_rng(seed))
+    bounds = estimate_constants(frame, box, margin=1.0)
+    sampled = _grid_maxima(frame, box, 21)
+    assert np.all(np.array([bounds.C0, bounds.C1, bounds.C2, bounds.C3])
+                  >= sampled)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_constants_equal_grid_maxima_on_bundled_scenarios(name):
+    # their maxima lie at box vertices, where the monomials do not cancel
+    scenario = load_scenario(name)
+    res, margin = scenario.certify["grid_resolution"], scenario.certify["margin"]
+    c = estimate_constants(scenario.frame, scenario.domain, res, margin)
+    sampled = (margin * _grid_maxima(scenario.frame, scenario.domain, res)).tolist()
+    assert [c.C0, c.C1, c.C2, c.C3] == sampled
+
+
+def test_constants_are_loose_where_monomials_cancel():
+    # |x - x^3| <= 0.385 on [-1, 1], but the bound adds |x| + |x|^3
+    frame = SRFrame((PolyVectorField(({(1,): 1.0, (3,): -1.0},), 1),), 1, 1)
+    c = estimate_constants(frame, Domain([-1.0], [1.0]), margin=1.0)
+    assert (c.C0, c.C1, c.C2, c.C3) == (2.0, 4.0, 4.0, 6.0)
+
+
+def test_constants_memory_does_not_grow_with_the_grid():
+    # the sampled grid at n = 4, resolution 21 traced 170 MiB
+    frame = make_random_poly_frame(np.random.default_rng(4), n=4, degree=2)
+    box = Domain([-2.0] * 4, [2.0] * 4)
+    tracemalloc.start()
+    try:
+        estimate_constants(frame, box, grid_resolution=21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("margin", [math.nan, math.inf, 0.5])
+def test_constants_reject_bad_margin(heisenberg, box3, margin):
+    with pytest.raises(ValueError, match="margin"):
+        estimate_constants(heisenberg, box3, margin=margin)
 
 
 def test_constants_heisenberg(heisenberg, box3):
@@ -143,6 +198,14 @@ def test_epsilon_euclidean_closed_form():
     assert result.epsilon == pytest.approx(0.999 / (4.0 * math.sqrt(2.0)), abs=1e-6)
     assert result.domain_ok and result.angle_ok
     assert result.monotone_ok and not result.capped
+
+
+@pytest.mark.parametrize("bad", [-0.1, math.nan])
+def test_epsilon_rejects_negative_or_nan_constants(bad):
+    for name in ("C0", "C1", "C2", "C3"):
+        constants = dataclasses.replace(_euclid_constants(), **{name: bad})
+        with pytest.raises(SRXError, match="constants are inconsistent"):
+            compute_epsilon(constants, 1.0, 1.0, 2, 2, 1.0)
 
 
 def test_epsilon_rejects_nonpositive_inputs():

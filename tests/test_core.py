@@ -166,7 +166,7 @@ def test_domain_distances():
 
 def test_domain_grid_includes_corners():
     box = Domain([0.0, 0.0], [1.0, 2.0])
-    pts = box.grid(3)
+    pts = np.concatenate(list(box.grid_chunks(3, 4)))
     assert pts.shape == (9, 2)
     assert [0.0, 0.0] in pts.tolist()
     assert [1.0, 2.0] in pts.tolist()

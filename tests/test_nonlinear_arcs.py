@@ -91,12 +91,13 @@ def test_tangent_flow_linearizes_around_the_oracle_states():
     assert reports[0].c == pytest.approx(reports[1].c, rel=1e-6)
 
 
-def test_martinet_certify_is_byte_deterministic(tmp_path):
+@pytest.mark.parametrize("name", ["martinet_arc", "cartan_arc"])
+def test_arc_certify_is_byte_deterministic(tmp_path, name):
     outputs = []
     for run in range(2):
         out = tmp_path / f"run{run}"
-        assert main(["certify", "--config", "martinet_arc", "--out", str(out)]) == 0
-        outputs.append(tuple((out / name).read_bytes()
-                             for name in ("certificate.json", "verification.csv")))
+        assert main(["certify", "--config", name, "--out", str(out)]) == 0
+        outputs.append(tuple((out / file).read_bytes()
+                             for file in ("certificate.json", "verification.csv")))
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0][0])["certified"] is True

@@ -294,7 +294,7 @@ def build_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
                       ) -> tuple[Certificate, NSREReport]:
     """Run the full chain: constants, NSRE test, tube radius, radius search."""
     constants = estimate_constants(frame, domain, grid_resolution, margin)
-    tf = tangent_flow(frame, u, traj, 0.0, substeps=substeps)
+    tf = tangent_flow(frame, u, traj, substeps=substeps)
     report = nsre_check(frame, u, traj, tf, **(nsre_kwargs or {}))
     if report.status == "failed":
         raise NotCertifiableError("trajectory fails the NSRE regularity test",

@@ -7,7 +7,6 @@ directions through the tangent flow and rank-truncating an SVD.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,71 +30,77 @@ class NotNormalizedError(SRXError):
     """An operation requires a unit-speed (normalized) control."""
 
 
-def orthogonal_control_complement(u_cell) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of u_cell in R^k.
+def _dots(x: np.ndarray) -> np.ndarray:
+    """x . x over the last axis, rounded as np.dot rounds one vector."""
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
-    Returns a (k, k-1) matrix built from the Householder reflector that maps
-    u/|u| onto +-e1; the remaining reflector columns span the complement.
+
+def orthogonal_control_complement(u_cell) -> np.ndarray:
+    """Orthonormal bases of the orthogonal complements of controls in R^k.
+
+    u_cell is a (..., k) array of controls; returns the (..., k, k-1) stack
+    built from the Householder reflector that maps u/|u| onto +-e1, whose
+    remaining columns span the complement.
     """
     u = np.asarray(u_cell, dtype=float)
-    if u.ndim != 1:
-        raise ValueError("u_cell must be a vector")
-    nrm = np.linalg.norm(u)
-    if nrm == 0.0:
+    if u.ndim < 1:
+        raise ValueError("u_cell must have a trailing control axis")
+    nrm = np.sqrt(_dots(u))[..., None]
+    if np.any(nrm == 0.0):
         raise ValueError("zero control vector has no orthogonal complement")
-    k = u.shape[0]
-    v = u / nrm
-    w = v.copy()
-    w[0] += 1.0 if v[0] >= 0.0 else -1.0
-    h = np.eye(k) - 2.0 * np.outer(w, w) / np.dot(w, w)
-    return h[:, 1:]
+    w = u / nrm
+    w[..., 0] += np.where(w[..., 0] >= 0.0, 1.0, -1.0)
+    # columns 2..k of the reflector I - 2 w w^T / (w . w)
+    outer = w[..., :, None] * w[..., None, 1:]
+    return np.eye(u.shape[-1])[:, 1:] - 2.0 * outer / _dots(w)[..., None, None]
 
 
 @dataclass(frozen=True, eq=False)
 class OrthoDistribution:
-    """Numerical span of flow-pushed orthogonal directions at one time."""
+    """Numerical spans of flow-pushed orthogonal directions at grid nodes.
 
-    t: float
-    basis: np.ndarray            # (n, r), orthonormal columns
+    Leading axes index nodes (span_profile); build_f_perp returns one node
+    with no node axis.  basis always has n columns: the first `rank` are
+    orthonormal and span the distribution, the rest are zero, so
+    basis @ basis^T projects onto it at every node.
+    """
+
+    t: np.ndarray                # (...,) node times
+    basis: np.ndarray            # (..., n, n), zero-padded past the rank
     # full spectrum before truncation, always n entries in decreasing order;
     # trailing exact zeros mean exact rank deficiency (at early nodes fewer
     # than n directions have been sampled)
-    singular_values: np.ndarray
+    singular_values: np.ndarray  # (..., n)
+    rank: np.ndarray             # (...,) int
 
     @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def cut_ratios(self) -> tuple[float, float]:
+    def cut_ratios(self) -> tuple[np.ndarray, np.ndarray]:
         """sigma_r / sigma_1 (last kept) and sigma_{r+1} / sigma_1 (first dropped).
 
         A missing singular value counts as 0: rank n drops nothing, and
-        rank 0 means every sampled direction vanished.
+        rank 0 keeps nothing (every sampled direction vanished).
         """
-        s, r = self.singular_values, self.rank
-        if r == 0:
-            return 0.0, 0.0
-        dropped = s[r] / s[0] if r < s.shape[0] else 0.0
-        return float(s[r - 1] / s[0]), float(dropped)
+        s, r = self.singular_values, self.rank[..., None]
+        s1 = s[..., :1]
+        # the appended 0 is sigma_{n+1}, and index -1 reads it at rank 0
+        ratios = np.concatenate([s / np.where(s1 > 0.0, s1, 1.0),
+                                 np.zeros_like(s1)], axis=-1)
+        return (np.take_along_axis(ratios, r - 1, axis=-1)[..., 0],
+                np.take_along_axis(ratios, r, axis=-1)[..., 0])
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        if self.rank == 0:
-            return np.zeros_like(v)
-        return self.basis @ (self.basis.T @ v)
-
-    def residual(self, v: np.ndarray) -> float:
-        return float(np.linalg.norm(v - self.project(v)))
+    def residual(self, v: np.ndarray) -> np.ndarray:
+        """Norm of the part of v (..., n) outside the span, per node."""
+        coords = v[..., None, :] @ self.basis              # (..., 1, n)
+        return np.sqrt(_dots(v - (self.basis @ coords[..., 0, :, None])[..., 0]))
 
 
-def angle_to_subspace(v, dist: OrthoDistribution) -> float:
-    """Angle in [0, pi/2] between a nonzero vector and the span."""
+def angle_to_subspace(v, dist: OrthoDistribution) -> np.ndarray:
+    """Angles in [0, pi/2] between nonzero vectors (..., n) and the spans."""
     v = np.asarray(v, dtype=float)
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
+    nrm = np.sqrt(_dots(v))
+    if np.any(nrm == 0.0):
         raise ValueError("angle of the zero vector is undefined")
-    ratio = dist.residual(v) / nrm
-    return float(np.arcsin(min(max(ratio, 0.0), 1.0)))
+    return np.arcsin(np.clip(dist.residual(v) / nrm, 0.0, 1.0))
 
 
 def _node_controls(u: ControlSignal) -> np.ndarray:
@@ -113,17 +118,19 @@ def _node_controls(u: ControlSignal) -> np.ndarray:
 
 def span_profile(frame: SRFrame, traj: Trajectory, tf: TangentFlow,
                  nodes=None, *, tau_range: str = "0..t", sample_stride: int = 1,
-                 sigma_tol: float = SIGMA_TOL) -> Iterator[OrthoDistribution]:
-    """Numerical flow-invariant orthogonal span at each of `nodes`.
+                 sigma_tol: float = SIGMA_TOL) -> OrthoDistribution:
+    """Numerical flow-invariant orthogonal spans at the grid nodes `nodes`.
 
     Orthogonal directions are sampled at grid nodes tau (every sample_stride-th
     node from 0), pushed to the node through the tangent flow and
     rank-truncated at sigma_tol * sigma_max.  tau_range "0..t" samples tau up
     to the node itself (the range the variation decomposition consumes);
-    "0..T" samples the whole horizon.  nodes defaults to every grid node and
-    may come in any order.
+    "0..T" samples the whole horizon.  nodes is a node index or an array of
+    them in any order, every grid node by default; the returned
+    OrthoDistribution has the shape of nodes as its leading axes.
 
-    The directions are pulled back to the flow anchor once, and the stack C
+    The directions are pulled back to the flow anchor once, by one batched
+    solve with the tangent maps, and the stack C
     of pulled-back columns is never re-formed: an n x n square-root factor L
     with L L^T = C C^T stands in for it (Demmel, Grigori, Hoemmen & Langou,
     SIAM J. Sci. Comput. 2012).  For "0..t" the factor is updated at each
@@ -139,17 +146,12 @@ def span_profile(frame: SRFrame, traj: Trajectory, tf: TangentFlow,
     if frame.k < 2:
         raise DegenerateSpanError("rank-1 distributions have an empty orthogonal part")
     n_nodes = traj.grid.shape[0]
-    nodes = np.arange(n_nodes) if nodes is None else np.asarray(list(nodes), dtype=int)
-    if nodes.size == 0:
-        return
-    if nodes.min() < 0 or nodes.max() >= n_nodes:
+    nodes = np.arange(n_nodes) if nodes is None else np.asarray(nodes, dtype=int)
+    if np.any((nodes < 0) | (nodes >= n_nodes)):
         raise ValueError(f"nodes must lie in [0, {n_nodes - 1}]")
     n = frame.n
-    mats = frame.field_matrix_many(traj.states)          # (N+1, n, k)
-    perp = np.empty((n_nodes, n, frame.k - 1))
-    for j, u_node in enumerate(_node_controls(traj.control)):
-        perp[j] = mats[j] @ orthogonal_control_complement(u_node)
-    pulled = np.einsum("jab,jbc->jac", tf.inverses(), perp)
+    perp = orthogonal_control_complement(_node_controls(traj.control))
+    pulled = np.linalg.solve(tf.matrices, frame.field_matrix_many(traj.states) @ perp)
 
     # factors[j] is L at node j, zero-padded to n columns while C has fewer
     # than n columns; those columns give the trailing zero singular values
@@ -162,24 +164,29 @@ def span_profile(frame: SRFrame, traj: Trajectory, tf: TangentFlow,
     else:
         factors = np.zeros((n_nodes, n, n))
         r = np.empty((0, n))
-        for j in range(0, int(nodes.max()) + 1, sample_stride):
+        for j in range(0, int(nodes.max(initial=-1)) + 1, sample_stride):
             r = np.linalg.qr(np.vstack([r, pulled[j].T]), mode="r")
             factors[j:j + sample_stride, :, :r.shape[0]] = r.T
-    for start in range(0, nodes.size, SPAN_BATCH):
-        batch = nodes[start:start + SPAN_BATCH]
-        u_svd, svals, _ = np.linalg.svd(tf.matrices[batch] @ factors[batch])
-        ranks = np.count_nonzero(svals > sigma_tol * svals[:, :1], axis=1)
-        for m, basis, s, rank in zip(batch, u_svd, svals, ranks):
-            yield OrthoDistribution(float(tf.grid[m]), basis[:, :rank].copy(), s)
+    flat = nodes.ravel()
+    basis = np.empty((flat.size, n, n))
+    svals = np.empty((flat.size, n))
+    for start in range(0, flat.size, SPAN_BATCH):
+        batch = flat[start:start + SPAN_BATCH]
+        basis[start:start + SPAN_BATCH], svals[start:start + SPAN_BATCH], _ = \
+            np.linalg.svd(tf.matrices[batch] @ factors[batch])
+    ranks = np.count_nonzero(svals > sigma_tol * svals[:, :1], axis=1)
+    np.copyto(basis, 0.0, where=np.arange(n) >= ranks[:, None, None])
+    return OrthoDistribution(tf.grid[nodes], basis.reshape(nodes.shape + (n, n)),
+                             svals.reshape(nodes.shape + (n,)),
+                             ranks.reshape(nodes.shape))
 
 
 def build_f_perp(frame: SRFrame, traj: Trajectory, tf: TangentFlow, t: float,
                  sample_stride: int = 1, tau_range: str = "0..t",
                  sigma_tol: float = SIGMA_TOL) -> OrthoDistribution:
     """Numerical flow-invariant orthogonal span at time t (see span_profile)."""
-    return next(span_profile(frame, traj, tf, [traj.node_index(t)],
-                             tau_range=tau_range, sample_stride=sample_stride,
-                             sigma_tol=sigma_tol))
+    return span_profile(frame, traj, tf, traj.node_index(t), tau_range=tau_range,
+                        sample_stride=sample_stride, sigma_tol=sigma_tol)
 
 
 def max_velocity_derivative(frame: SRFrame, u: ControlSignal,
@@ -270,31 +277,25 @@ def nsre_check(frame: SRFrame, u: ControlSignal, traj: Trajectory,
     if not u.is_normalized():
         raise NotNormalizedError("nsre_check requires a normalized control")
     if tf is None:
-        tf = tangent_flow(frame, u, traj, 0.0, substeps=substeps)
+        tf = tangent_flow(frame, u, traj, substeps=substeps)
 
-    mats = frame.field_matrix_many(traj.states)           # (N+1, n, k)
-    node_velocities = np.einsum("jnk,jk->jn", mats, _node_controls(u))
+    node_velocities = np.einsum("jnk,jk->jn", frame.field_matrix_many(traj.states),
+                                _node_controls(u))
     min_speed = float(np.linalg.norm(node_velocities, axis=1).min())
     max_dv = max_velocity_derivative(frame, u, traj)
     regularity_ok = max_dv <= acb_bound
 
     spans = span_profile(frame, traj, tf, tau_range=tau_range,
                          sample_stride=sample_stride, sigma_tol=sigma_tol)
-    angles = np.empty(len(node_velocities))
-    ranks = np.empty(len(node_velocities), dtype=int)
-    cut_ratios = np.empty((len(node_velocities), 2))
-    for j, (v, span) in enumerate(zip(node_velocities, spans)):
-        angles[j] = angle_to_subspace(v, span)
-        ranks[j] = span.rank
-        cut_ratios[j] = span.cut_ratios
+    angles = angle_to_subspace(node_velocities, spans)
+    kept, dropped = spans.cut_ratios
 
     b2_ok = bool(angles.min() > theta_min)
     c = float(np.abs(np.sin(angles)).min() * min_speed) \
         if (regularity_ok and b2_ok) else 0.0
     return NSREReport(angles, c, regularity_ok, b2_ok, min_speed, max_dv,
-                      acb_bound, theta_min, tau_range, ranks, sigma_tol,
-                      float(cut_ratios[:, 0].min()),
-                      float(cut_ratios[:, 1].max()), tf.max_condition,
+                      acb_bound, theta_min, tau_range, spans.rank, sigma_tol,
+                      float(kept.min()), float(dropped.max()), tf.max_condition,
                       tf.ill_conditioned)
 
 
@@ -326,6 +327,8 @@ def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
         raise ValueError(f"q0 and p0 must have shape ({frame.n},)")
     if n_cells < 1:
         raise ValueError("n_cells must be >= 1")
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
 
     u0 = frame.field_matrix(q0).T @ p0
     level = float(np.dot(u0, u0))
@@ -343,9 +346,8 @@ def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
 
     # two half cells per cell, so the cell-midpoint state that samples the
     # control is a cell end of the stepper
-    half = max(1, substeps)
-    ys = _rk4(rhs, np.concatenate([q0, p0])[None], horizon / n_cells / (2 * half),
-              half, 2 * n_cells)[:, 0]
+    ys = _rk4(rhs, np.concatenate([q0, p0])[None],
+              horizon / n_cells / (2 * substeps), substeps, 2 * n_cells)[:, 0]
     states, costates = ys[::2, :n], ys[::2, n:]
     mids = ys[1::2]
     raw = np.einsum("jnk,jn->jk", frame.field_matrix_many(mids[:, :n]),

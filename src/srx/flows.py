@@ -107,16 +107,15 @@ def integrate_trajectory(frame: SRFrame, u: ControlSignal, q0,
 class TangentFlow:
     """Tangent maps of the time-dependent flow along a base trajectory.
 
-    matrices[j] is the tangent map from the anchor time `base_tau` to grid
-    node j.  Each RK4 step of the linear variational equation is a linear
-    map, the cell propagator P_j of `tangent_flow`, so matrices[j + 1] =
-    P_j matrices[j] and two-point maps are exact compositions for the
-    discrete flow.
+    matrices[j] is the tangent map from t = 0 to grid node j.  Each RK4
+    step of the linear variational equation is a linear map, the cell
+    propagator P_j of `tangent_flow`, so matrices[j + 1] = P_j matrices[j]
+    and every two-point map is an exact composition for the discrete flow
+    (push_forward).
     """
 
     grid: np.ndarray          # (N_t + 1,)
     matrices: np.ndarray      # (N_t + 1, n, n)
-    base_tau: float
     max_condition: float
     ill_conditioned: bool
     _inverses: np.ndarray | None = field(default=None, repr=False)
@@ -152,8 +151,7 @@ def _cell_propagators(frame: SRFrame, q: np.ndarray, cells: np.ndarray,
 
 
 def tangent_flow(frame: SRFrame, u: ControlSignal, base: Trajectory,
-                 base_tau: float = 0.0, substeps: int = 1,
-                 cond_limit: float = COND_LIMIT) -> TangentFlow:
+                 substeps: int = 1, cond_limit: float = COND_LIMIT) -> TangentFlow:
     """RK4 solution of the matrix variational equation dM/dt = Df_u(gamma(t)) M.
 
     gamma is the base trajectory, read from base.states: the RK4 stages of
@@ -168,12 +166,13 @@ def tangent_flow(frame: SRFrame, u: ControlSignal, base: Trajectory,
     B3 = I + h/2 A2 B2 and B4 = I + h A3 B3: the same linear map as
     integrating M alongside the state.  The cell propagators P_j (the
     products of a cell's substep maps) are evaluated FLOW_BATCH cells at a
-    time, and M_{j+1} = P_j M_j.  The maps are anchored first at t=0 and
-    then re-based to `base_tau` by composition.
+    time, and M_{j+1} = P_j M_j, anchored at t = 0.
     Condition numbers above cond_limit only set `ill_conditioned`; they do
     not abort, since the flag is advisory for downstream rank decisions.
     """
     require_same_grid(u, base.control)
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
     n = frame.n
     cells = u.samples[:, None, :]
     mats = np.empty((u.n_cells + 1, n, n))
@@ -196,16 +195,7 @@ def tangent_flow(frame: SRFrame, u: ControlSignal, base: Trajectory,
 
     conds = np.linalg.cond(mats)
     max_cond = float(np.max(conds))
-    flow = TangentFlow(base.grid, mats, 0.0, max_cond, max_cond > cond_limit)
-
-    j0 = node_index(base.grid, base_tau)
-    if j0 != 0:
-        inv0 = np.linalg.inv(mats[j0])
-        rebased = mats @ inv0
-        rebased[j0] = np.eye(n)
-        flow = TangentFlow(base.grid, rebased, float(base.grid[j0]),
-                           max_cond, max_cond > cond_limit)
-    return flow
+    return TangentFlow(base.grid, mats, max_cond, max_cond > cond_limit)
 
 
 def push_forward(tf: TangentFlow, tau: float, t: float, v) -> np.ndarray:

@@ -191,8 +191,8 @@ def write_homotopy_rows(homotopy: Homotopy) -> tuple[list[str], np.ndarray]:
 
 
 def node_velocity(frame: SRFrame, u: ControlSignal, traj: Trajectory,
-                  m: int) -> np.ndarray:
-    """Velocity of the trajectory at grid node m, for the variation split.
+                  m) -> np.ndarray:
+    """Velocity of the trajectory at grid node m (an index or an array of them).
 
     Interior nodes average the two adjacent cell controls; the end nodes use
     their one cell.  The split compares b_0(t) with a multiple of the
@@ -201,13 +201,12 @@ def node_velocity(frame: SRFrame, u: ControlSignal, traj: Trajectory,
     smooth sampled ones, where either one-sided cell is first order.  The
     NSRE test uses the right cell instead (see extremals._node_controls).
     """
-    if m == 0:
-        u_node = u.samples[0]
-    elif m == u.n_cells:
-        u_node = u.samples[-1]
-    else:
-        u_node = 0.5 * (u.samples[m - 1] + u.samples[m])
-    return frame.field_matrix(traj.states[m]) @ u_node
+    # cells[m] and cells[m + 1] are the cells left and right of node m; the
+    # end nodes see their one cell twice, and 0.5 * (x + x) == x exactly
+    cells = np.vstack([u.samples[:1], u.samples, u.samples[-1:]])
+    m = np.asarray(m)
+    u_node = 0.5 * (cells[m] + cells[m + 1])
+    return (frame.field_matrix_many(traj.states[m]) @ u_node[..., None])[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,7 +257,7 @@ def decompose_variation(frame: SRFrame, u: ControlSignal, du: ControlSignal,
     if b0_norm == 0.0:
         in_span, rel = True, 0.0
     else:
-        rel = f_perp.residual(residual) / b0_norm
+        rel = float(f_perp.residual(residual)) / b0_norm
         in_span = rel <= in_span_rtol
 
     hypothesis = max_velocity_derivative(frame, u, traj0) <= acb_bound
@@ -274,21 +273,20 @@ def decomposition_residual_profile(frame: SRFrame, u: ControlSignal,
                                    sample_stride: int = 1) -> np.ndarray:
     """Relative span residual of the decomposition at every grid node.
 
-    Same computation as decompose_variation, batched: the orthogonal
-    directions are pulled back once and re-spanned per node.  Nodes with a
-    zero variation report 0 (degenerate case counts as in-span).
+    Same computation as decompose_variation, batched over the nodes: one
+    span_profile call spans every node with a nonzero variation.  Nodes with
+    a zero variation report 0 (degenerate case counts as in-span).
     """
     b_field = variation_integral(frame, u, du, traj0, tf)
     phi_cum = control_inner(u, du).cumulative
-    norms = [float(np.linalg.norm(b0)) for b0 in b_field.vectors]
-    nodes = [m for m, norm in enumerate(norms) if norm != 0.0]
-    out = np.zeros(len(norms))
+    norms = np.linalg.norm(b_field.vectors, axis=1)
+    nodes = np.flatnonzero(norms)
     spans = span_profile(frame, traj0, tf, nodes, tau_range=tau_range,
                          sample_stride=sample_stride, sigma_tol=sigma_tol)
-    for m, span in zip(nodes, spans):
-        residual = b_field.vectors[m] - float(phi_cum[m]) * node_velocity(
-            frame, u, traj0, m)
-        out[m] = span.residual(residual) / norms[m]
+    residuals = b_field.vectors[nodes] - phi_cum[nodes, None] * node_velocity(
+        frame, u, traj0, nodes)
+    out = np.zeros(norms.shape[0])
+    out[nodes] = spans.residual(residuals) / norms[nodes]
     return out
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -262,7 +262,6 @@ class Scenario:
     seed: int
     sha256: str
     out_dir: str | None = None
-    raw: dict = field(repr=False, default_factory=dict)
 
     def nsre_kwargs(self) -> dict:
         t = self.tolerances
@@ -335,7 +334,7 @@ def parse_scenario(data: dict, sha256: str, name_hint: str = "scenario") -> Scen
         emit_tangent_flow=integrator["emit_tangent_flow"],
         tolerances=tolerances, homotopy_n_s=hom["N_s"], delta_u=delta_u,
         certify=certify, seed=data.get("seed", 0),
-        sha256=sha256, out_dir=data.get("out_dir"), raw=data)
+        sha256=sha256, out_dir=data.get("out_dir"))
 
 
 def bundled_scenario_path(name: str) -> Path:

@@ -5,7 +5,7 @@ from srx import (angle_to_subspace, build_f_perp, hamiltonian_extremal,
                  integrate_trajectory, nsre_check,
                  orthogonal_control_complement, push_forward, span_profile,
                  tangent_flow)
-from srx.extremals import NotNormalizedError
+from srx.extremals import NotNormalizedError, OrthoDistribution
 
 from conftest import (constant_control, make_euclidean_frame,
                       make_heisenberg_frame, sampled_control)
@@ -48,6 +48,24 @@ def test_complement_random_orthonormal():
 def test_complement_zero_rejected():
     with pytest.raises(ValueError):
         orthogonal_control_complement([0.0, 0.0])
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_complement_batched_matches_rows(k):
+    rng = np.random.default_rng(k)
+    u = rng.normal(size=(4, 6, k))
+    u[0, 0] = np.eye(k)[0]
+    u[1, 2] = -np.eye(k)[0]
+    w = orthogonal_control_complement(u)
+    assert w.shape == (4, 6, k, k - 1)
+    for idx in np.ndindex(4, 6):
+        assert np.allclose(w[idx], orthogonal_control_complement(u[idx]),
+                           rtol=0.0, atol=1e-15)
+    for row in (0, 13, 23):
+        bad = u.reshape(24, k).copy()
+        bad[row] = 0.0
+        with pytest.raises(ValueError):
+            orthogonal_control_complement(bad)
 
 
 # -- flow-pushed orthogonal span ----------------------------------------------
@@ -186,19 +204,58 @@ def test_span_profile_node_subset(heisenberg):
     tf = tangent_flow(heisenberg, ext.control, traj)
     for tau_range in ("0..t", "0..T"):
         kwargs = {"tau_range": tau_range, "sample_stride": 3, "sigma_tol": 1e-3}
-        full = list(span_profile(heisenberg, traj, tf, **kwargs))
-        assert len(full) == 41
-        for nodes in ([0, 17, 40], [40, 0, 17]):
-            subset = list(span_profile(heisenberg, traj, tf, nodes, **kwargs))
-            assert len(subset) == 3
-            for m, span in zip(nodes, subset):
-                assert span.t == traj.grid[m]
-                assert np.array_equal(span.basis, full[m].basis)
-                assert np.array_equal(span.singular_values,
-                                      full[m].singular_values)
-    assert list(span_profile(heisenberg, traj, tf, [])) == []
-    with pytest.raises(ValueError):
-        next(span_profile(heisenberg, traj, tf, [41]))
+        full = span_profile(heisenberg, traj, tf, **kwargs)
+        assert full.rank.shape == full.t.shape == (41,)
+        assert full.basis.shape == (41, 3, 3)
+        assert np.array_equal(full.t, traj.grid)
+        for nodes in ([0, 17, 40], [40, 0, 17], [[0, 17], [40, 17]]):
+            subset = span_profile(heisenberg, traj, tf, nodes, **kwargs)
+            assert subset.rank.shape == np.shape(nodes)
+            assert np.array_equal(subset.t, traj.grid[nodes])
+            assert np.array_equal(subset.rank, full.rank[nodes])
+            assert np.array_equal(subset.basis, full.basis[nodes])
+            assert np.array_equal(subset.singular_values,
+                                  full.singular_values[nodes])
+        one = span_profile(heisenberg, traj, tf, 17, **kwargs)
+        assert one.basis.shape == (3, 3) and one.rank.shape == ()
+        assert np.array_equal(one.basis, full.basis[17])
+    empty = span_profile(heisenberg, traj, tf, [])
+    assert empty.t.shape == empty.rank.shape == (0,)
+    assert empty.basis.shape == (0, 3, 3)
+    assert empty.singular_values.shape == (0, 3)
+    assert [a.shape for a in empty.cut_ratios] == [(0,), (0,)]
+    for off_grid in ([41], [0, -1]):
+        with pytest.raises(ValueError):
+            span_profile(heisenberg, traj, tf, off_grid)
+
+
+def test_rank_zero_cut_ratios():
+    # every direction vanished at the first node, and the last keeps all n
+    n = 3
+    svals = np.array([[0.0, 0.0, 0.0], [2.0, 1.0, 1e-9], [2.0, 1.0, 0.5]])
+    dist = OrthoDistribution(np.zeros(3), np.zeros((3, n, n)), svals,
+                             np.array([0, 2, 3]))
+    with np.errstate(all="raise"):
+        kept, dropped = dist.cut_ratios
+    assert kept.tolist() == [0.0, 0.5, 0.25]
+    assert dropped.tolist() == [0.0, 5e-10, 0.0]
+    single = OrthoDistribution(0.0, np.zeros((n, n)), np.zeros(n), np.array(0))
+    assert single.cut_ratios == (0.0, 0.0)
+
+
+def test_rank_zero_node_from_a_vanishing_field():
+    # X2 = x d/dy vanishes at the start, so node 0 samples one zero direction
+    from srx import PolyVectorField, SRFrame
+    frame = SRFrame((PolyVectorField(({(0, 0): 1.0}, {}), 2),
+                     PolyVectorField(({}, {(1, 0): 1.0}), 2)), 2, 2)
+    u = constant_control([1.0, 0.0], n_cells=20)
+    traj = integrate_trajectory(frame, u, [0.0, 0.0])
+    spans = span_profile(frame, traj, tangent_flow(frame, u, traj))
+    assert spans.rank[0] == 0 and np.all(spans.rank[1:] == 1)
+    assert np.all(spans.singular_values[0] == 0.0)
+    kept, dropped = spans.cut_ratios
+    assert (kept[0], dropped[0]) == (0.0, 0.0)
+    assert np.all(kept[1:] == 1.0)
 
 
 def _stacked_span_reference(frame, traj, tf, *, tau_range, sample_stride,
@@ -249,17 +306,22 @@ def test_streaming_span_matches_stacked_svd(case, tau_range, sample_stride):
                            np.vstack([traj.control.samples,
                                       traj.control.samples[-1:]]))
     reference = _stacked_span_reference(frame, traj, tf, **kwargs)
-    for v, span, (r, basis, svals) in zip(
-            velocities, span_profile(frame, traj, tf, **kwargs), reference):
-        assert span.rank == r
+    spans = span_profile(frame, traj, tf, **kwargs)
+    angles = angle_to_subspace(velocities, spans)
+    # always n singular values: the stack's, then exact zeros
+    assert spans.singular_values.shape == (traj.grid.size, frame.n)
+    for m, (v, (r, basis, svals)) in enumerate(zip(velocities, reference)):
+        assert spans.rank[m] == r
         ref_angle = np.arcsin(min(np.linalg.norm(v - basis @ (basis.T @ v))
                                   / np.linalg.norm(v), 1.0))
-        assert abs(angle_to_subspace(v, span) - ref_angle) <= 1e-12
-        # always n singular values: the stack's, then exact zeros
-        assert span.singular_values.shape == (frame.n,)
-        assert np.allclose(span.singular_values[:svals.size], svals,
+        assert abs(angles[m] - ref_angle) <= 1e-12
+        assert np.allclose(spans.singular_values[m, :svals.size], svals,
                            rtol=0.0, atol=1e-12 * svals[0])
-        assert np.all(span.singular_values[svals.size:] == 0.0)
+        assert np.all(spans.singular_values[m, svals.size:] == 0.0)
+        # the kept columns span the reference; the padding is zero
+        assert np.allclose(spans.basis[m, :, :r] @ spans.basis[m, :, :r].T,
+                           basis @ basis.T, rtol=0.0, atol=1e-9)
+        assert np.all(spans.basis[m, :, r:] == 0.0)
 
 
 def test_nsre_long_line_streams(heisenberg):
@@ -276,8 +338,11 @@ def test_nsre_report_span_diagnostics(heisenberg):
     tf = tangent_flow(heisenberg, ext.control, ext.trajectory)
     report = nsre_check(heisenberg, ext.control, ext.trajectory, tf,
                         sigma_tol=1e-3)
-    spans = list(span_profile(heisenberg, ext.trajectory, tf, sigma_tol=1e-3))
-    assert report.span_ranks.tolist() == [span.rank for span in spans]
+    spans = span_profile(heisenberg, ext.trajectory, tf, sigma_tol=1e-3)
+    assert np.array_equal(report.span_ranks, spans.rank)
+    kept, dropped = spans.cut_ratios
+    assert report.kept_ratio_min == kept.min()
+    assert report.dropped_ratio_max == dropped.max()
     assert report.min_angle_node == int(np.argmin(report.angles))
     # the cut separates what it keeps from the O(dt) sliver it drops
     assert report.dropped_ratio_max <= 1e-3 < report.kept_ratio_min
@@ -307,9 +372,14 @@ def test_node_velocity_conventions_on_jump_control():
     right = np.vstack([u.samples, u.samples[-1:]])
     assert right[500].tolist() == [0.0, 1.0]
     report = nsre_check(frame, u, traj, tf)
-    expected = [angle_to_subspace(fj @ uj, span) for fj, uj, span
-                in zip(f, right, span_profile(frame, traj, tf))]
-    assert np.array_equal(report.angles, expected)
+    spans = span_profile(frame, traj, tf)
+    assert np.array_equal(report.angles,
+                          angle_to_subspace((f @ right[:, :, None])[:, :, 0],
+                                            spans))
+    # and node by node, through the single-node span and velocity
+    for m in (0, 499, 500, 1000):
+        one = angle_to_subspace(f[m] @ right[m], span_profile(frame, traj, tf, m))
+        assert abs(one - report.angles[m]) <= 1e-15
     # the two-cell average (X_1 + X_2) / 2 at the jump would have speed ~0.72
     assert report.min_speed == pytest.approx(1.0, abs=1e-12)
 
@@ -413,8 +483,11 @@ def test_f_perp_rejects_vanishing_control(heisenberg):
 def test_f_perp_basis_is_orthonormal(heisenberg):
     u, traj, tf = _line_setup(heisenberg)
     span = build_f_perp(heisenberg, traj, tf, 0.7)
+    # the first rank columns are orthonormal, the zero padding is zero
     gram = span.basis.T @ span.basis
-    assert np.max(np.abs(gram - np.eye(span.rank))) < 1e-10
+    expected = np.diag((np.arange(heisenberg.n) < span.rank).astype(float))
+    assert span.rank == 2
+    assert np.max(np.abs(gram - expected)) < 1e-10
 
 
 def test_oracle_extremal_passes_nsre(heisenberg):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from srx import (Domain, DomainExitError, GridMismatchError, IntegrationError,
-                 integrate_trajectory, push_forward, tangent_flow)
+                 hamiltonian_extremal, integrate_trajectory, push_forward,
+                 tangent_flow)
 from srx.flows import write_tangent_flow_rows, write_trajectory_rows
 
 from conftest import (constant_control, make_quartic_frame,
@@ -59,12 +60,11 @@ def test_tangent_flow_euclidean_identity(euclidean2):
 def test_tangent_flow_heisenberg_closed_form(heisenberg):
     u = constant_control([1.0, 0.0], n_cells=100)
     traj = integrate_trajectory(heisenberg, u, [0.0, 0.0, 0.0])
-    tau0 = 0.25
-    tf = tangent_flow(heisenberg, u, traj, base_tau=tau0)
-    assert np.allclose(tf.matrices[traj.node_index(tau0)], np.eye(3), atol=1e-15)
-    for t in (0.0, 0.5, 1.0):
+    tf = tangent_flow(heisenberg, u, traj)
+    assert np.array_equal(tf.matrices[0], np.eye(3))
+    for t in (0.25, 0.5, 1.0):
         expected = np.eye(3)
-        expected[2, 1] = -(t - tau0) / 2.0
+        expected[2, 1] = -t / 2.0
         assert np.allclose(tf.matrices[traj.node_index(t)], expected, atol=1e-12)
 
 
@@ -106,15 +106,6 @@ def test_tangent_flow_matches_joint_integration(substeps):
     tf = tangent_flow(frame, u, traj, substeps=substeps)
     assert np.abs(tf.matrices - reference).max() <= 1e-13 * scale
 
-    tau = 0.25
-    j0 = traj.node_index(tau)
-    rebased = tangent_flow(frame, u, traj, base_tau=tau, substeps=substeps)
-    expected = reference @ np.linalg.inv(reference[j0])
-    assert rebased.base_tau == tau
-    assert np.array_equal(rebased.matrices[j0], np.eye(3))
-    assert np.abs(rebased.matrices - expected).max() <= \
-        1e-13 * np.abs(expected).max()
-
 
 def test_tangent_flow_rejects_base_on_another_grid(heisenberg):
     u = constant_control([1.0, 0.0], horizon=1.0, n_cells=20)
@@ -122,6 +113,27 @@ def test_tangent_flow_rejects_base_on_another_grid(heisenberg):
     longer = constant_control([1.0, 0.0], horizon=2.0, n_cells=20)
     with pytest.raises(GridMismatchError):
         tangent_flow(heisenberg, longer, traj)
+
+
+def _tangent_flow_with(frame, substeps):
+    u = constant_control([1.0, 0.0], n_cells=10)
+    traj = integrate_trajectory(frame, u, [0.0, 0.0, 0.0])
+    return tangent_flow(frame, u, traj, substeps=substeps)
+
+
+def _hamiltonian_with(frame, substeps):
+    return hamiltonian_extremal(frame, [0.0, 0.0, 0.0], [1.0, 0.0, 2.0], 1.0,
+                                10, substeps=substeps)
+
+
+@pytest.mark.parametrize("run", [_tangent_flow_with, _hamiltonian_with],
+                         ids=["tangent_flow", "hamiltonian_extremal"])
+@pytest.mark.parametrize("substeps", [0, -1])
+def test_nonpositive_substeps_rejected(heisenberg, run, substeps):
+    # tangent_flow used to return identity maps for -1 and divide by zero
+    # for 0; the Hamiltonian oracle clamped both to 1
+    with pytest.raises(ValueError, match="substeps must be >= 1"):
+        run(heisenberg, substeps)
 
 
 def test_push_forward_examples(heisenberg):
@@ -248,7 +260,7 @@ def test_push_forward_singular_matrix_raises():
     import srx
     grid = np.array([0.0, 1.0])
     mats = np.stack([np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]])])
-    tf = srx.TangentFlow(grid, mats, 0.0, np.inf, True)
+    tf = srx.TangentFlow(grid, mats, np.inf, True)
     with pytest.raises(srx.SingularFlowError):
         push_forward(tf, 1.0, 0.0, [1.0, 1.0])
 

@@ -5,7 +5,8 @@ from srx import (ControlSignal, GridMismatchError, decompose_variation,
                  endpoint_separation, energy_comparison_check,
                  integrate_trajectory, natural_homotopy, tangent_flow,
                  variation_direct, variation_fields, variation_integral)
-from srx.homotopy import drift_matrix, spread_matrix
+from srx.homotopy import (decomposition_residual_profile, drift_matrix,
+                          node_velocity, spread_matrix)
 
 from conftest import (constant_control, make_quartic_frame, sampled_control,
                       smooth_perturbation)
@@ -208,6 +209,30 @@ def test_decompose_flags_unverified_regularity(heisenberg):
     du = constant_control([0.0, 0.1], n_cells=n_cells)
     split = decompose_variation(heisenberg, u, du, traj, tf, 1.0)
     assert not split.hypothesis_verified
+
+
+def test_residual_profile_matches_the_per_node_split():
+    # Martinet arc: state-dependent spans, and a control that turns, so
+    # the two-cell node average differs from either cell
+    from srx.cli import _resolve_run
+    from srx.scenario import load_scenario
+    sc = load_scenario("martinet_arc")
+    u, traj = _resolve_run(sc)
+    frame = sc.frame
+    tf = tangent_flow(frame, u, traj)
+    du = smooth_perturbation(np.random.default_rng(5), n_cells=u.n_cells,
+                             amplitude=0.3)
+    profile = decomposition_residual_profile(frame, u, du, traj, tf,
+                                             sigma_tol=1e-3)
+    velocities = node_velocity(frame, u, traj, np.arange(traj.grid.size))
+    assert profile[0] == 0.0
+    for m in (0, 1, 137, 500, 999, 1000):
+        assert np.allclose(velocities[m], node_velocity(frame, u, traj, m),
+                           rtol=0.0, atol=1e-15)
+        split = decompose_variation(frame, u, du, traj, tf, traj.grid[m],
+                                    sigma_tol=1e-3)
+        assert profile[m] == pytest.approx(split.relative_residual,
+                                           rel=1e-12)
 
 
 def test_variation_direct_rejects_off_grid_s(euclidean2):

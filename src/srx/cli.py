@@ -12,7 +12,7 @@ from pathlib import Path
 from .certify import (NotCertifiableError, bound_slacks, build_certificate,
                       estimate_constants, verify_certificate)
 from .core import ControlSignal, SRXError, Trajectory
-from .extremals import hamiltonian_extremal, nsre_check
+from .extremals import _CONSERVATION_TOL, hamiltonian_extremal, nsre_check
 from .flows import (DomainExitError, IntegrationError, SingularFlowError,
                     integrate_trajectory, tangent_flow, write_tangent_flow_rows,
                     write_trajectory_rows)
@@ -28,25 +28,31 @@ EXIT_INCONCLUSIVE = 4
 EXIT_NUMERIC = 5
 
 
-def _resolve_run(scenario: Scenario) -> tuple[ControlSignal, Trajectory]:
-    """Control + trajectory for the scenario, generating the extremal if asked."""
+def _resolve_run(scenario: Scenario) -> tuple[ControlSignal, Trajectory, dict]:
+    """Control + trajectory for the scenario, generating the extremal if asked.
+
+    The third item holds the keys the reports add: the Hamiltonian oracle's
+    level record, or none for a control-driven scenario.
+    """
     if scenario.control is not None:
         u = scenario.control
         traj = integrate_trajectory(scenario.frame, u, scenario.q0,
                                     scenario.domain, scenario.substeps)
-        return u, traj
+        return u, traj, {}
     ham = scenario.hamiltonian
     try:
         ext = hamiltonian_extremal(scenario.frame, scenario.q0, ham["p0"],
                                    ham["T"], ham["N_t"], scenario.substeps,
-                                   domain=scenario.domain)
+                                   domain=scenario.domain,
+                                   conservation_tol=_CONSERVATION_TOL)
     except ValueError as err:
         raise ScenarioError(str(err)) from err
-    return ext.control, ext.trajectory
+    record = {"norm_drift": ext.norm_drift, "conservation_tol": _CONSERVATION_TOL}
+    return ext.control, ext.trajectory, {"hamiltonian": record}
 
 
 def cmd_integrate(scenario: Scenario, out: Path) -> int:
-    u, traj = _resolve_run(scenario)
+    u, traj, _ = _resolve_run(scenario)
     header, rows = write_trajectory_rows(traj)
     write_csv(out / "trajectory.csv", header, rows.tolist(), scenario.sha256,
               scenario.name)
@@ -63,11 +69,11 @@ def cmd_integrate(scenario: Scenario, out: Path) -> int:
 
 
 def cmd_nsre_check(scenario: Scenario, out: Path) -> int:
-    u, traj = _resolve_run(scenario)
+    u, traj, extra = _resolve_run(scenario)
     report = nsre_check(scenario.frame, u, traj, substeps=scenario.substeps,
                         **scenario.nsre_kwargs())
-    write_json(out / "nsre_report.json", report.to_json_dict(), scenario.sha256,
-               scenario.name)
+    write_json(out / "nsre_report.json", {**report.to_json_dict(), **extra},
+               scenario.sha256, scenario.name)
     if traj.left_domain or report.status == "failed":
         return EXIT_FAILED
     if report.status == "inconclusive":
@@ -83,7 +89,7 @@ def _bound_entry(value: float, limit: float, applicable: bool) -> dict:
 def cmd_homotopy(scenario: Scenario, out: Path) -> int:
     if scenario.delta_u is None:
         raise ScenarioError("homotopy command needs homotopy.delta_u")
-    u, traj = _resolve_run(scenario)
+    u, traj, _ = _resolve_run(scenario)
     frame, domain = scenario.frame, scenario.domain
     du = scenario.delta_u
     hom = natural_homotopy(frame, u, du, scenario.q0, scenario.homotopy_n_s,
@@ -134,8 +140,21 @@ def cmd_homotopy(scenario: Scenario, out: Path) -> int:
     return EXIT_FAILED if failed else EXIT_OK
 
 
+def _not_certifiable(scenario: Scenario, out: Path, err: NotCertifiableError,
+                     payload: dict, report) -> int:
+    """Write certificate.json for a run that cannot be certified."""
+    print(f"not certifiable: {err}", file=sys.stderr)
+    payload = {"certified": False, "reason": str(err), **payload}
+    if report is not None:
+        payload["nsre"] = report.to_json_dict()
+    write_json(out / "certificate.json", payload, scenario.sha256, scenario.name)
+    if report is not None and report.status == "inconclusive":
+        return EXIT_INCONCLUSIVE
+    return EXIT_FAILED
+
+
 def cmd_certify(scenario: Scenario, out: Path) -> int:
-    u, traj = _resolve_run(scenario)
+    u, traj, extra = _resolve_run(scenario)
     if traj.left_domain:
         print("trajectory leaves the domain; nothing to certify", file=sys.stderr)
         return EXIT_FAILED
@@ -149,24 +168,20 @@ def cmd_certify(scenario: Scenario, out: Path) -> int:
             seed=scenario.seed, substeps=scenario.substeps,
             nsre_kwargs=scenario.nsre_kwargs())
     except NotCertifiableError as err:
-        print(f"not certifiable: {err}", file=sys.stderr)
-        payload = {"certified": False, "reason": str(err)}
-        if err.report is not None:
-            payload["nsre"] = err.report.to_json_dict()
-        write_json(out / "certificate.json", payload, scenario.sha256,
-                   scenario.name)
-        if err.report is not None and err.report.status == "inconclusive":
-            return EXIT_INCONCLUSIVE
-        return EXIT_FAILED
-
-    verification = verify_certificate(
-        scenario.frame, scenario.domain, u, traj, cert,
-        n_trials=cfg["n_trials"], base_seed=0, t_prime=cfg["T_prime"],
-        n_s=cfg["N_s"], substeps=scenario.substeps)
+        return _not_certifiable(scenario, out, err, extra, err.report)
+    try:
+        verification = verify_certificate(
+            scenario.frame, scenario.domain, u, traj, cert,
+            n_trials=cfg["n_trials"], base_seed=0, t_prime=cfg["T_prime"],
+            n_s=cfg["N_s"], substeps=scenario.substeps)
+    except NotCertifiableError as err:
+        return _not_certifiable(scenario, out, err,
+                                {**cert.to_json_dict(), **extra}, report)
 
     payload = {"certified": verification.ok and cert.conditions.holds}
     payload.update(cert.to_json_dict())
     payload["verification"] = verification.to_json_dict()
+    payload.update(extra)
     write_json(out / "certificate.json", payload, scenario.sha256, scenario.name)
     header, rows = verification.csv_rows()
     write_csv(out / "verification.csv", header, rows, scenario.sha256,

@@ -6,6 +6,7 @@ from srx import (angle_to_subspace, build_f_perp, hamiltonian_extremal,
                  orthogonal_control_complement, push_forward, span_profile,
                  tangent_flow)
 from srx.extremals import NotNormalizedError, OrthoDistribution
+from srx.scenario import load_scenario
 
 from conftest import (constant_control, make_euclidean_frame,
                       make_heisenberg_frame, sampled_control)
@@ -128,6 +129,16 @@ def test_angle_examples(heisenberg):
     assert angle_to_subspace([1.0, 0.0, 0.0], span) == pytest.approx(np.pi / 2, abs=1e-7)
     with pytest.raises(ValueError):
         angle_to_subspace([0.0, 0.0, 0.0], span)
+
+
+def test_angle_is_exact_near_a_right_angle():
+    # arcsin(|residual| / |v|) was off by 1.0e-8 rad here: the ratio rounds
+    # next to 1, where arcsin amplifies the error by 1 / cos(theta)
+    theta = np.pi / 2 - 1e-8
+    span = OrthoDistribution(np.array(0.0), np.diag([1.0, 0.0, 0.0]),
+                             np.array([1.0, 0.0, 0.0]), np.array(1))
+    angle = angle_to_subspace([np.cos(theta), np.sin(theta), 0.0], span)
+    assert abs(angle - theta) <= 1e-15
 
 
 # -- NSRE test ----------------------------------------------------------------
@@ -428,6 +439,82 @@ def test_hamiltonian_heisenberg_arc_closed_form(heisenberg):
     mids = (np.arange(400) + 0.5) * ext.trajectory.control.dt
     expected_u = np.column_stack([np.cos(lam * mids), np.sin(lam * mids)])
     assert np.max(np.abs(ext.control.samples - expected_u)) < 1e-8
+
+
+def _heisenberg_arc_errors(frame, n_cells, lam=2.0):
+    ext = hamiltonian_extremal(frame, [0.0, 0.0, 0.0], [1.0, 0.0, lam], 1.0,
+                               n_cells)
+    t = ext.trajectory.grid
+    states = np.column_stack([np.sin(lam * t) / lam,
+                              (1.0 - np.cos(lam * t)) / lam,
+                              (t - np.sin(lam * t) / lam) / (2.0 * lam)])
+    mids = (np.arange(n_cells) + 0.5) / n_cells
+    controls = np.column_stack([np.cos(lam * mids), np.sin(lam * mids)])
+    return (np.abs(ext.control.samples - controls).max(),
+            np.abs(ext.trajectory.states - states).max())
+
+
+def test_hamiltonian_oracle_is_fourth_order(heisenberg):
+    # one RK4 step per cell and Hermite midpoints: both errors fall by about
+    # 16 per doubling of N_t
+    errs = np.array([_heisenberg_arc_errors(heisenberg, n) for n in (50, 100, 200)])
+    assert np.all(errs[:-1] / errs[1:] >= 12.0)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _oracle_rhs(monkeypatch, frame, q0, p0):
+    """The right-hand side the oracle hands to the RK4 stepper."""
+    import srx.extremals as extremals
+
+    def capture(rhs, *args):
+        raise _Captured(rhs)
+
+    monkeypatch.setattr(extremals, "_rk4", capture)
+    with pytest.raises(_Captured) as caught:
+        hamiltonian_extremal(frame, q0, p0, 1.0, 10)
+    return caught.value.args[0]
+
+
+def test_hamiltonian_batched_rhs_matches_rows(monkeypatch):
+    scenario = load_scenario("martinet_arc")
+    frame, n, k = scenario.frame, scenario.frame.n, scenario.frame.k
+    rhs = _oracle_rhs(monkeypatch, frame, scenario.q0, scenario.hamiltonian["p0"])
+    rows = np.random.default_rng(4).uniform(-1.5, 1.5, size=(7, 2 * n))
+    batched = rhs(0, rows)
+    assert batched.shape == rows.shape
+    for y, out in zip(rows, batched):
+        # dq = sum u^i X_i, dp = -sum u^i (dX_i/dq)^T p, one row at a time
+        q, p = y[:n], y[n:]
+        f, jac = frame.jet(q)
+        u = f @ p
+        a = (u @ jac.reshape(k, n * n)).reshape(n, n)
+        expected = np.concatenate([u @ f, -(p @ a)])
+        assert np.abs(out - expected).max() <= 1e-15 * np.abs(expected).max()
+        assert np.abs(rhs(0, y[None])[0] - out).max() <= 1e-15 * np.abs(out).max()
+
+
+@pytest.mark.parametrize("n_cells, substeps", [(300, 1), (100, 2)])
+def test_hamiltonian_jet_calls(heisenberg, monkeypatch, n_cells, substeps):
+    # four stages per RK4 step, `substeps` steps per cell, plus the node
+    # slopes in batches of FLOW_BATCH; two half steps per cell took
+    # 8 N_t substeps
+    from srx import SRFrame
+    from srx.flows import FLOW_BATCH
+    calls = []
+    real_jet = SRFrame.jet
+
+    def counting_jet(self, points):
+        calls.append(points)
+        return real_jet(self, points)
+
+    monkeypatch.setattr(SRFrame, "jet", counting_jet)
+    hamiltonian_extremal(heisenberg, [0.0, 0.0, 0.0], [1.0, 0.0, 2.0], 1.0,
+                         n_cells, substeps=substeps)
+    batches = -(-(n_cells + 1) // FLOW_BATCH)
+    assert len(calls) <= 4 * n_cells * substeps + batches
 
 
 def test_hamiltonian_level_conservation(heisenberg):

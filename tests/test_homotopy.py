@@ -217,7 +217,7 @@ def test_residual_profile_matches_the_per_node_split():
     from srx.cli import _resolve_run
     from srx.scenario import load_scenario
     sc = load_scenario("martinet_arc")
-    u, traj = _resolve_run(sc)
+    u, traj, _ = _resolve_run(sc)
     frame = sc.frame
     tf = tangent_flow(frame, u, traj)
     du = smooth_perturbation(np.random.default_rng(5), n_cells=u.n_cells,

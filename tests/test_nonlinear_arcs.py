@@ -13,7 +13,7 @@ from srx import (estimate_constants, hamiltonian_extremal, integrate_trajectory,
                  natural_homotopy, nsre_check, tangent_flow, variation_direct,
                  variation_integral)
 from srx.cli import main
-from srx.scenario import load_scenario
+from srx.scenario import bundled_scenario_path, load_scenario
 
 from conftest import smooth_perturbation
 
@@ -101,3 +101,76 @@ def test_arc_certify_is_byte_deterministic(tmp_path, name):
                              for file in ("certificate.json", "verification.csv")))
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0][0])["certified"] is True
+
+
+def _half_cell_controls(frame, q0, p0, horizon, n_cells):
+    """Reference route: two RK4 half steps per cell, one row at a time.
+
+    Each cell midpoint is then a step end, and the control is sampled
+    there and scaled to unit norm.
+    """
+    n, k = frame.n, frame.k
+
+    def rhs(y):
+        q, p = y[:n], y[n:]
+        f, jac = frame.jet(q)
+        u = f @ p
+        a = (u @ jac.reshape(k, n * n)).reshape(n, n)
+        return np.concatenate([u @ f, -(p @ a)])
+
+    h = horizon / n_cells / 2.0
+    y = np.concatenate([q0, p0])
+    mids = []
+    for step in range(2 * n_cells):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if step % 2 == 0:
+            mids.append(y)
+    mids = np.array(mids)
+    raw = np.einsum("jnk,jn->jk", frame.field_matrix_many(mids[:, :n]),
+                    mids[:, n:])
+    return raw / np.linalg.norm(raw, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("name", ["martinet_arc", "cartan_arc"])
+def test_arc_control_matches_half_cell_route(name):
+    # one step per cell with Hermite midpoints against two half steps per
+    # cell: both O(dt^4), and far below that at N_t = 1000
+    scenario, ext = _arc(name)
+    ham = scenario.hamiltonian
+    reference = _half_cell_controls(scenario.frame, scenario.q0,
+                                    np.asarray(ham["p0"]), ham["T"], ham["N_t"])
+    assert np.abs(ext.control.samples - reference).max() <= 1e-12
+
+
+def test_arc_reports_record_the_hamiltonian_level(tmp_path):
+    assert main(["nsre-check", "--config", "martinet_arc",
+                 "--out", str(tmp_path / "arc")]) == 0
+    record = json.loads((tmp_path / "arc" / "nsre_report.json").read_text())
+    assert record["hamiltonian"]["conservation_tol"] == 1e-6
+    assert 0.0 <= record["hamiltonian"]["norm_drift"] < 1e-12
+    # control-driven scenarios have no oracle and no record
+    assert main(["nsre-check", "--config", "heisenberg_line",
+                 "--out", str(tmp_path / "line")]) == 0
+    line = json.loads((tmp_path / "line" / "nsre_report.json").read_text())
+    assert "hamiltonian" not in line
+
+
+def test_certify_radius_below_one_cell_writes_certificate(tmp_path):
+    # at N_t = 200 the certified radius (about 1.2e-3) is below dt = 5e-3,
+    # so verification cannot run; the CLI used to exit 3 with no file
+    data = json.loads(bundled_scenario_path("cartan_arc").read_text())
+    data["hamiltonian"]["N_t"] = 200
+    path = tmp_path / "cartan_200.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["certify", "--config", str(path), "--out", str(out)]) == 3
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["certified"] is False
+    assert "below one control cell" in cert["reason"]
+    assert 0.0 < cert["epsilon"] < 5e-3
+    assert cert["nsre"]["status"] == "certified"
+    assert cert["hamiltonian"]["norm_drift"] < cert["hamiltonian"]["conservation_tol"]

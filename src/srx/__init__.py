@@ -10,11 +10,10 @@ from .extremals import (HamiltonianExtremal, NSREReport, NotNormalizedError,
                         OrthoDistribution, angle_to_subspace, build_f_perp,
                         hamiltonian_extremal, nsre_check,
                         orthogonal_control_complement, span_profile)
-from .homotopy import (EnergyComparison, Homotopy, Separation, VariationField,
-                       VariationSplit, decompose_variation, endpoint_separation,
+from .homotopy import (EnergyComparison, Homotopy, VariationField,
+                       VariationSplit, decompose_variation,
                        energy_comparison_check, natural_homotopies,
-                       natural_homotopy, variation_direct, variation_fields,
-                       variation_integral)
+                       natural_homotopy, variation_direct, variation_integral)
 from .certify import (Certificate, EpsilonResult, FrameConstants,
                       NotCertifiableError, TrialRecord, VerificationReport,
                       build_certificate, compute_epsilon, compute_eta,
@@ -33,10 +32,9 @@ __all__ = [
     "OrthoDistribution", "angle_to_subspace", "build_f_perp",
     "hamiltonian_extremal", "nsre_check", "orthogonal_control_complement",
     "span_profile",
-    "EnergyComparison", "Homotopy", "Separation", "VariationField",
-    "VariationSplit", "decompose_variation", "endpoint_separation",
-    "energy_comparison_check", "natural_homotopies", "natural_homotopy",
-    "variation_direct", "variation_fields", "variation_integral",
+    "EnergyComparison", "Homotopy", "VariationField", "VariationSplit",
+    "decompose_variation", "energy_comparison_check", "natural_homotopies",
+    "natural_homotopy", "variation_direct", "variation_integral",
     "Certificate", "EpsilonResult", "FrameConstants", "NotCertifiableError",
     "TrialRecord", "VerificationReport", "build_certificate",
     "compute_epsilon", "compute_eta", "estimate_constants", "psi",

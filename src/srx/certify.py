@@ -16,9 +16,7 @@ import numpy as np
 from .core import ControlSignal, Domain, SRFrame, SRXError, Trajectory, control_inner
 from .extremals import NSREReport, nsre_check
 from .flows import tangent_flow
-from .homotopy import (Homotopy, drift_matrix, endpoint_separation,
-                       energy_comparison_check, natural_homotopies, spread_matrix,
-                       variation_fields)
+from .homotopy import Homotopy, energy_comparison_check, natural_homotopies
 
 MARGIN_FACTOR = 0.999
 EPSILON_REL_TOL = 1e-6
@@ -123,19 +121,19 @@ def bound_slacks(hom: Homotopy, u: ControlSignal, constants: FrameConstants,
     lower bound |b_0(t)| >= c |integral_0^t phi|.
     """
     du = hom.delta_u
-    k, n = u.k, hom.base.n
-    fields = variation_fields(hom)
+    k, n = u.k, hom.trajectories.shape[2]
+    members, fields = hom.trajectories, hom.variations
     du_l2 = du.l2_norm()
     root_t = math.sqrt(horizon)
     bounds = {
-        "spread": (float(spread_matrix(hom).max()),
+        "spread": (float(np.linalg.norm(members - members[0], axis=-1).max()),
                    root_t * zeta(horizon, constants, k) * du_l2),
-        "variation": (float(max(f.max_norm() for f in fields)),
+        "variation": (float(np.linalg.norm(fields, axis=-1).max()),
                       root_t * psi(horizon, constants, k, n) * du_l2),
-        "drift": (float(drift_matrix(fields).max()),
+        "drift": (float(np.linalg.norm(fields - fields[0], axis=-1).max()),
                   horizon * xi(horizon, constants, k, n) * du.l2_norm_sq()),
     }
-    b0_norms = np.linalg.norm(fields[0].vectors, axis=1)
+    b0_norms = np.linalg.norm(fields[0], axis=1)
     phi_cum = np.abs(control_inner(u, du).cumulative)
     return bounds, float((b0_norms - c * phi_cum).min())
 
@@ -446,9 +444,8 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
 
     def trial_record(i: int, du: ControlSignal, rejected: int,
                      hom: Homotopy) -> TrialRecord:
-        sep = endpoint_separation(hom)
         bound = bound_coef * du.l2_norm_sq()
-        slack = sep.separation - bound
+        slack = hom.separation - bound
         bounds, b0_slack = bound_slacks(hom, u_r, cert.constants, cert.c, tp)
 
         violations: list[str] = []
@@ -456,7 +453,7 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
             violations.append("homotopy_left_domain")
         if slack < -slack_tol:
             violations.append("separation_bound")
-        if sep.separation <= 0.0:
+        if hom.separation <= 0.0:
             violations.append("separation_zero")
         violations += [f"{name}_bound" for name, (value, limit) in bounds.items()
                        if limit - value < -slack_tol]
@@ -467,7 +464,7 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
             violations.append("energy_comparison")
 
         return TrialRecord(i, cert.seed + base_seed + i, du.l2_norm(),
-                           sep.separation, bound, slack, tuple(violations),
+                           hom.separation, bound, slack, tuple(violations),
                            rejected)
 
     batch = _trials_per_batch(n_s + 1, m, frame.n)

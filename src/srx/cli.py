@@ -9,6 +9,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .certify import (NotCertifiableError, bound_slacks, build_certificate,
                       estimate_constants, verify_certificate)
 from .core import ControlSignal, SRXError, Trajectory
@@ -16,8 +18,8 @@ from .extremals import _CONSERVATION_TOL, hamiltonian_extremal, nsre_check
 from .flows import (DomainExitError, IntegrationError, SingularFlowError,
                     integrate_trajectory, tangent_flow, write_tangent_flow_rows,
                     write_trajectory_rows)
-from .homotopy import (endpoint_separation, energy_comparison_check,
-                       natural_homotopy, write_homotopy_rows)
+from .homotopy import (energy_comparison_check, natural_homotopy,
+                       write_homotopy_rows)
 from .io import write_csv, write_json
 from .scenario import Scenario, ScenarioError, load_scenario
 
@@ -54,13 +56,13 @@ def _resolve_run(scenario: Scenario) -> tuple[ControlSignal, Trajectory, dict]:
 def cmd_integrate(scenario: Scenario, out: Path) -> int:
     u, traj, _ = _resolve_run(scenario)
     header, rows = write_trajectory_rows(traj)
-    write_csv(out / "trajectory.csv", header, rows.tolist(), scenario.sha256,
-              scenario.name)
+    write_csv(out / "trajectory.csv", header, map(np.ndarray.tolist, rows),
+              scenario.sha256, scenario.name)
     if scenario.emit_tangent_flow:
         tf = tangent_flow(scenario.frame, u, traj, substeps=scenario.substeps)
         header, rows = write_tangent_flow_rows(tf)
-        write_csv(out / "tangent_flow.csv", header, rows.tolist(), scenario.sha256,
-                  scenario.name)
+        write_csv(out / "tangent_flow.csv", header, map(np.ndarray.tolist, rows),
+                  scenario.sha256, scenario.name)
     if traj.left_domain:
         print(f"trajectory left the domain at t={traj.first_exit_time:.6g}",
               file=sys.stderr)
@@ -94,13 +96,12 @@ def cmd_homotopy(scenario: Scenario, out: Path) -> int:
     du = scenario.delta_u
     hom = natural_homotopy(frame, u, du, scenario.q0, scenario.homotopy_n_s,
                            domain, scenario.substeps)
-    sep = endpoint_separation(hom)
 
     header, rows = write_homotopy_rows(hom)
-    write_csv(out / "homotopy.csv", header, rows.tolist(), scenario.sha256,
-              scenario.name)
+    write_csv(out / "homotopy.csv", header, map(np.ndarray.tolist, rows),
+              scenario.sha256, scenario.name)
     write_csv(out / "endpoints.csv", ["s"] + header[2:2 + frame.n],
-              [[s, *e] for s, e in zip(hom.s_grid.tolist(), sep.endpoints.tolist())],
+              [[s, *e] for s, e in zip(hom.s_grid.tolist(), hom.endpoints.tolist())],
               scenario.sha256, scenario.name)
 
     comparison = energy_comparison_check(u, du)
@@ -121,7 +122,7 @@ def cmd_homotopy(scenario: Scenario, out: Path) -> int:
                           "applicable": report is not None and
                           report.status == "certified"}
     payload = {
-        "separation": sep.separation,
+        "separation": hom.separation,
         "in_domain": in_domain,
         "nsre_status": report.status if report is not None else "not_normalized",
         "energy_comparison": {

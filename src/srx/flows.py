@@ -9,7 +9,7 @@ through the one batched stepper `_rk4`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,7 +103,7 @@ def integrate_trajectory(frame: SRFrame, u: ControlSignal, q0,
     return _marked_trajectory(u.grid, states[:, 0], u, domain)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TangentFlow:
     """Tangent maps of the time-dependent flow along a base trajectory.
 
@@ -118,15 +118,9 @@ class TangentFlow:
     matrices: np.ndarray      # (N_t + 1, n, n)
     max_condition: float
     ill_conditioned: bool
-    _inverses: np.ndarray | None = field(default=None, repr=False)
 
     def node_index(self, t: float) -> int:
         return node_index(self.grid, t)
-
-    def inverses(self) -> np.ndarray:
-        if self._inverses is None:
-            self._inverses = np.linalg.inv(self.matrices)
-        return self._inverses
 
 
 def _cell_propagators(frame: SRFrame, q: np.ndarray, cells: np.ndarray,

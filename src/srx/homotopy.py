@@ -14,34 +14,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ControlSignal, Domain, InnerProduct, SRFrame, Trajectory,
-                   control_inner, require_same_grid)
+from .core import (ControlSignal, Domain, SRFrame, Trajectory, control_inner,
+                   require_same_grid)
 from .extremals import (ACB_BOUND, SIGMA_TOL, NotNormalizedError,
                         OrthoDistribution, build_f_perp,
                         max_velocity_derivative, span_profile)
-from .flows import TangentFlow, _checked_start, _marked_trajectory, _rk4
+from .flows import TangentFlow, _checked_start, _rk4
 
 
 @dataclass(frozen=True, eq=False)
 class Homotopy:
     """Family of trajectories gamma_s driven by u + s*du, s on a uniform grid.
 
-    variations[i] is the variation field b_s of member i, integrated together
-    with the members (see variation_direct for the ODE).
+    trajectories[i] holds the states of member i and variations[i] its
+    variation field b_s, integrated together with it (see variation_direct
+    for the ODE).  in_domain is False if any member state leaves the domain.
     """
 
-    s_grid: np.ndarray
-    trajectories: tuple[Trajectory, ...]
+    s_grid: np.ndarray        # (n_s + 1,)
+    grid: np.ndarray          # (N_t + 1,)
+    trajectories: np.ndarray  # (n_s + 1, N_t + 1, n)
+    variations: np.ndarray    # (n_s + 1, N_t + 1, n)
     delta_u: ControlSignal
-    variations: np.ndarray  # (n_s + 1, N_t + 1, n)
+    in_domain: bool
 
     @property
-    def base(self) -> Trajectory:
-        return self.trajectories[0]
+    def endpoints(self) -> np.ndarray:
+        """(n_s + 1, n) member endpoints, the endpoint curve s -> gamma_s(T)."""
+        return self.trajectories[:, -1]
 
     @property
-    def in_domain(self) -> bool:
-        return not any(t.left_domain for t in self.trajectories)
+    def separation(self) -> float:
+        """Endpoint gap |gamma_1(T) - gamma_0(T)|."""
+        return float(np.linalg.norm(self.endpoints[-1] - self.endpoints[0]))
 
     def s_index(self, s: float) -> int:
         idx = int(np.argmin(np.abs(self.s_grid - s)))
@@ -57,9 +62,6 @@ class VariationField:
     s: float
     grid: np.ndarray
     vectors: np.ndarray  # (N_t + 1, n)
-
-    def max_norm(self) -> float:
-        return float(np.linalg.norm(self.vectors, axis=1).max())
 
 
 def _members_and_variations(frame: SRFrame, controls: np.ndarray,
@@ -109,12 +111,12 @@ def natural_homotopies(frame: SRFrame, u: ControlSignal,
     controls = u.samples + np.tile(s_grid, len(deltas))[:, None, None] * incs
     states, variations = _members_and_variations(frame, controls, incs, q0,
                                                  u.dt, substeps)
-    members = [_marked_trajectory(u.grid, x, ControlSignal(u.horizon, c), domain)
-               for x, c in zip(states, controls)]
-    return tuple(
-        Homotopy(s_grid, tuple(members[lo:lo + n_members]), du,
-                 variations[lo:lo + n_members])
-        for lo, du in zip(range(0, len(members), n_members), deltas))
+    shape = (len(deltas), n_members) + states.shape[1:]
+    states, variations = states.reshape(shape), variations.reshape(shape)
+    in_domain = ([True] * len(deltas) if domain is None else
+                 (domain.boundary_distances(states) > 0.0).all(axis=(1, 2)).tolist())
+    return tuple(Homotopy(s_grid, u.grid, x, b, du, inside) for x, b, du, inside
+                 in zip(states, variations, deltas, in_domain))
 
 
 def natural_homotopy(frame: SRFrame, u: ControlSignal, du: ControlSignal, q0,
@@ -138,8 +140,9 @@ def variation_direct(frame: SRFrame, u: ControlSignal, du: ControlSignal,
     s_val = float(homotopy.s_grid[idx])
     controls = u.perturbed(du, s_val).samples[None]
     _, variations = _members_and_variations(frame, controls, du.samples[None],
-                                            homotopy.base.q0, u.dt, substeps)
-    return VariationField(s_val, homotopy.base.grid, variations[0])
+                                            homotopy.trajectories[0, 0], u.dt,
+                                            substeps)
+    return VariationField(s_val, homotopy.grid, variations[0])
 
 
 def variation_integral(frame: SRFrame, u: ControlSignal, du: ControlSignal,
@@ -153,41 +156,31 @@ def variation_integral(frame: SRFrame, u: ControlSignal, du: ControlSignal,
     """
     require_same_grid(u, du)
     mats = frame.field_matrix_many(traj0.states)            # (N+1, n, k)
-    inv = tf.inverses()
-    n_cells = u.n_cells
+    # f_du at node j from the cell right of it (column 0, zero at the last
+    # node) and from the cell left of it (column 1, zero at the first node)
+    zero = np.zeros((1, u.k))
+    cells = np.stack([np.vstack([du.samples, zero]),
+                      np.vstack([zero, du.samples])], axis=2)  # (N+1, k, 2)
+    # pulled back to t = 0 by one solve per node
+    y = np.linalg.solve(tf.matrices, mats @ cells)           # (N+1, n, 2)
 
-    f_left = np.einsum("jnk,jk->jn", mats[:-1], du.samples)
-    f_right = np.einsum("jnk,jk->jn", mats[1:], du.samples)
-    y_left = np.einsum("jab,jb->ja", inv[:-1], f_left)
-    y_right = np.einsum("jab,jb->ja", inv[1:], f_right)
-
-    increments = 0.5 * u.dt * (y_left + y_right)
-    pulled = np.zeros((n_cells + 1, frame.n))
+    increments = 0.5 * u.dt * (y[:-1, :, 0] + y[1:, :, 1])
+    pulled = np.zeros((u.n_cells + 1, frame.n))
     np.cumsum(increments, axis=0, out=pulled[1:])
     vectors = np.einsum("jab,jb->ja", tf.matrices, pulled)
     return VariationField(0.0, traj0.grid, vectors)
 
 
-def variation_fields(homotopy: Homotopy) -> tuple[VariationField, ...]:
-    """Variation fields at every node of the homotopy's s-grid.
-
-    They were integrated with the members, so this integrates nothing.
-    """
-    return tuple(VariationField(float(s), homotopy.base.grid, vectors)
-                 for s, vectors in zip(homotopy.s_grid, homotopy.variations))
-
-
 def write_homotopy_rows(homotopy: Homotopy) -> tuple[list[str], np.ndarray]:
     """Header and row data for the homotopy CSV layout s,t,q1..qn,b1..bn."""
-    n = homotopy.base.n
+    members, nodes, n = homotopy.trajectories.shape
     header = ["s", "t"] + [f"q{a + 1}" for a in range(n)] + \
              [f"b{a + 1}" for a in range(n)]
-    data = np.vstack([
-        np.column_stack([np.full(member.grid.shape, s), member.grid,
-                         member.states, b])
-        for s, member, b in zip(homotopy.s_grid, homotopy.trajectories,
-                                homotopy.variations)])
-    return header, data
+    s = np.broadcast_to(homotopy.s_grid[:, None, None], (members, nodes, 1))
+    t = np.broadcast_to(homotopy.grid[None, :, None], (members, nodes, 1))
+    data = np.concatenate([s, t, homotopy.trajectories, homotopy.variations],
+                          axis=2)
+    return header, data.reshape(members * nodes, 2 + 2 * n)
 
 
 def node_velocity(frame: SRFrame, u: ControlSignal, traj: Trajectory,
@@ -309,7 +302,6 @@ class EnergyComparison:
     du_l2_limit: float
     bound2: bool
     bound2_slack: float
-    phi: InnerProduct
 
 
 def energy_comparison_check(u: ControlSignal, du: ControlSignal,
@@ -326,33 +318,4 @@ def energy_comparison_check(u: ControlSignal, du: ControlSignal,
     limit = 2.0 * math.sqrt(u.horizon)
     return EnergyComparison(applicable, lhs, rhs, slack,
                             slack >= -slack_tol, du_l2, limit,
-                            du_l2 <= limit + slack_tol, limit - du_l2, phi)
-
-
-@dataclass(frozen=True, eq=False)
-class Separation:
-    """Endpoint gap of a homotopy and the endpoint curve behind it."""
-
-    separation: float
-    endpoints: np.ndarray  # (n_s + 1, n)
-
-
-def endpoint_separation(homotopy: Homotopy) -> Separation:
-    endpoints = np.vstack([t.endpoint for t in homotopy.trajectories])
-    sep = float(np.linalg.norm(endpoints[-1] - endpoints[0]))
-    return Separation(sep, endpoints)
-
-
-def spread_matrix(homotopy: Homotopy) -> np.ndarray:
-    """Norms |gamma_s(t) - gamma_0(t)| over the full (s, t) grid."""
-    base = homotopy.base.states
-    return np.stack([
-        np.linalg.norm(member.states - base, axis=1)
-        for member in homotopy.trajectories])
-
-
-def drift_matrix(fields: tuple[VariationField, ...]) -> np.ndarray:
-    """Norms |b_s(t) - b_0(t)| over the full (s, t) grid."""
-    base = fields[0].vectors
-    return np.stack([
-        np.linalg.norm(f.vectors - base, axis=1) for f in fields])
+                            du_l2 <= limit + slack_tol, limit - du_l2)

@@ -7,8 +7,9 @@ import pytest
 
 from srx import (Domain, NotCertifiableError, PolyVectorField, SRFrame, SRXError,
                  build_certificate, compute_epsilon, compute_eta,
-                 estimate_constants, integrate_trajectory, psi,
-                 sample_admissible_perturbation, verify_certificate, xi, zeta)
+                 estimate_constants, integrate_trajectory, natural_homotopy,
+                 psi, sample_admissible_perturbation, verify_certificate, xi,
+                 zeta)
 from srx import certify
 from srx.certify import FrameConstants
 from srx.scenario import BUNDLED, load_scenario
@@ -344,6 +345,27 @@ def test_verification_catches_inflated_constant(heisenberg, line_certificate):
                                 n_trials=10, base_seed=0)
     assert not report.ok
     assert report.failing_seeds  # reproducing seeds are reported
+
+
+def test_verification_records_members_leaving_the_domain(heisenberg,
+                                                          line_certificate):
+    # the base line runs along y = 0, just below the face y = 1e-9 of a thin
+    # box; the perturbed members of a trial leave it when one crosses y = 1e-9
+    box, u, traj, cert, _ = line_certificate
+    thin = Domain([-1.0, -1.0, -1.0], [1.0, 1e-9, 1.0])
+    report = verify_certificate(heisenberg, thin, u, traj, cert, n_trials=10,
+                                base_seed=0)
+    u_r = u.restrict(round(report.t_prime / u.dt))
+    expected = []
+    for trial in report.trials:
+        du, _ = sample_admissible_perturbation(np.random.default_rng(trial.seed),
+                                               u_r)
+        hom = natural_homotopy(heisenberg, u_r, du, traj.q0, report.n_s)
+        expected.append(bool((thin.boundary_distances(hom.trajectories)
+                              <= 0.0).any()))
+    recorded = ["homotopy_left_domain" in t.violations for t in report.trials]
+    assert recorded == expected
+    assert any(recorded) and not report.ok
 
 
 def test_certificate_refuses_jump_control(heisenberg, box3):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from srx import (ControlSignal, GridMismatchError, decompose_variation,
-                 endpoint_separation, energy_comparison_check,
-                 integrate_trajectory, natural_homotopy, tangent_flow,
-                 variation_direct, variation_fields, variation_integral)
-from srx.homotopy import (decomposition_residual_profile, drift_matrix,
-                          node_velocity, spread_matrix)
+from srx import (ControlSignal, Domain, GridMismatchError, decompose_variation,
+                 energy_comparison_check, estimate_constants,
+                 integrate_trajectory, natural_homotopies, natural_homotopy,
+                 tangent_flow, variation_direct, variation_integral)
+from srx.certify import bound_slacks
+from srx.homotopy import decomposition_residual_profile, node_velocity
 
 from conftest import (constant_control, make_quartic_frame, sampled_control,
                       smooth_perturbation)
@@ -26,18 +26,17 @@ def test_homotopy_zero_perturbation(euclidean2):
     du = constant_control([0.0, 0.0], n_cells=50)
     hom = natural_homotopy(euclidean2, u, du, [0.0, 0.0], n_s=4)
     for member in hom.trajectories:
-        assert np.array_equal(member.states, hom.base.states)
-    assert endpoint_separation(hom).separation == 0.0
+        assert np.array_equal(member, hom.trajectories[0])
+    assert hom.separation == 0.0
 
 
 def test_homotopy_euclidean_endpoints(euclidean2):
     u = constant_control([1.0, 0.0], n_cells=50)
     du = constant_control([0.0, 1.0], n_cells=50)
     hom = natural_homotopy(euclidean2, u, du, [0.0, 0.0], n_s=8)
-    sep = endpoint_separation(hom)
     expected = np.column_stack([np.ones(9), hom.s_grid])
-    assert np.allclose(sep.endpoints, expected, atol=1e-12)
-    assert sep.separation == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(hom.endpoints, expected, atol=1e-12)
+    assert hom.separation == pytest.approx(1.0, abs=1e-12)
 
 
 def test_homotopy_endpoint_expansion(heisenberg):
@@ -49,7 +48,7 @@ def test_homotopy_endpoint_expansion(heisenberg):
     b0 = variation_integral(heisenberg, u, du, traj, tf)
     for idx, s in enumerate(hom.s_grid):
         predicted = traj.endpoint + s * b0.vectors[-1]
-        actual = hom.trajectories[idx].endpoint
+        actual = hom.endpoints[idx]
         assert np.linalg.norm(actual - predicted) < 2.0 * s ** 2 * 0.05 ** 2 + 1e-12
 
 
@@ -91,16 +90,15 @@ def test_batched_members_match_per_member_loop():
                          horizon=0.5, n_cells=40)
     q0 = np.array([0.3, -0.1])
     hom = natural_homotopy(frame, u, du, q0, n_s=5, substeps=2)
-    fields = variation_fields(hom)
     for idx, s in enumerate(hom.s_grid):
         us = u.perturbed(du, s)
         states, variations = _member_loop(frame, us.samples, du.samples, q0,
                                           u.dt, 2)
         lone = integrate_trajectory(frame, us, q0, substeps=2)
         direct = variation_direct(frame, u, du, hom, s, substeps=2)
-        for got in (hom.trajectories[idx].states, lone.states):
+        for got in (hom.trajectories[idx], lone.states):
             assert np.abs(got - states).max() <= 1e-13 * np.abs(states).max()
-        for got in (fields[idx].vectors, direct.vectors):
+        for got in (hom.variations[idx], direct.vectors):
             assert np.abs(got - variations).max() <= \
                 1e-13 * np.abs(variations).max()
 
@@ -284,18 +282,48 @@ def test_energy_comparison_random_admissible(heisenberg):
         assert result.bound2
 
 
-# -- bound matrices ----------------------------------------------------------------
+# -- bound arrays -------------------------------------------------------------------
 
-def test_spread_and_drift_matrices(heisenberg):
+def test_spread_and_drift_matrices(heisenberg, box3):
     u, traj, tf = _heisenberg_line(heisenberg, n_cells=100)
     rng = np.random.default_rng(23)
     du = smooth_perturbation(rng, n_cells=100, amplitude=0.3)
     hom = natural_homotopy(heisenberg, u, du, [0.0, 0.0, 0.0], n_s=4)
-    spread = spread_matrix(hom)
+    spread = np.linalg.norm(hom.trajectories - hom.trajectories[0], axis=-1)
     assert spread.shape == (5, 101)
     assert np.all(spread[0] == 0.0)
-    fields = variation_fields(hom)
-    drift = drift_matrix(fields)
+    drift = np.linalg.norm(hom.variations - hom.variations[0], axis=-1)
     assert drift.shape == (5, 101)
     assert np.all(drift[0] == 0.0)
     assert np.all(spread[:, 0] == 0.0) and np.all(drift[:, 0] == 0.0)
+    # bound_slacks reports the maxima of these arrays
+    constants = estimate_constants(heisenberg, box3, 5)
+    bounds, _ = bound_slacks(hom, u, constants, 1.0, u.horizon)
+    assert bounds["spread"][0] == spread.max()
+    assert bounds["drift"][0] == drift.max()
+    assert bounds["variation"][0] == np.linalg.norm(hom.variations, axis=-1).max()
+
+
+# -- domain exit of homotopy members -------------------------------------------------
+
+def test_homotopies_mark_domain_exit_per_family(heisenberg):
+    # the base line stays at y = 0; members of the second family reach y = 1
+    box = Domain([-2.0, -0.5, -2.0], [2.0, 0.5, 2.0])
+    u = constant_control([1.0, 0.0], n_cells=80)
+    rng = np.random.default_rng(4)
+    inside = smooth_perturbation(rng, n_cells=80, amplitude=0.05)
+    leaving = constant_control([0.0, 1.0], n_cells=80)
+    homs = natural_homotopies(heisenberg, u, [inside, leaving], [0.0, 0.0, 0.0],
+                              n_s=4, domain=box)
+    assert [hom.in_domain for hom in homs] == [True, False]
+    for hom, du in zip(homs, (inside, leaving)):
+        alone = natural_homotopy(heisenberg, u, du, [0.0, 0.0, 0.0], n_s=4,
+                                 domain=box)
+        assert alone.in_domain == hom.in_domain
+        assert np.array_equal(alone.s_grid, hom.s_grid)
+        assert np.array_equal(alone.grid, hom.grid)
+        assert np.array_equal(alone.trajectories, hom.trajectories)
+        assert np.array_equal(alone.variations, hom.variations)
+    # without a domain every family counts as inside
+    assert all(hom.in_domain for hom in natural_homotopies(
+        heisenberg, u, [inside, leaving], [0.0, 0.0, 0.0], n_s=4))

@@ -292,6 +292,20 @@ def test_cli_homotopy_euclidean(tmp_path):
     assert not slacks["bounds"]["drift"]["applicable"]
 
 
+def test_cli_homotopy_members_leave_the_domain(tmp_path):
+    # the endpoint curve s -> (1, s) crosses the face y = 0.5 at s = 1/2,
+    # while the base member stays on y = 0
+    data = _load_bundled_dict("euclidean_line")
+    data["domain"]["upper"] = [2.0, 0.5]
+    main(["homotopy", "--config", _write_scenario(tmp_path, data),
+          "--out", str(tmp_path)])
+    slacks = json.loads((tmp_path / "lemma_slacks.json").read_text())
+    assert slacks["in_domain"] is False
+    assert not slacks["bounds"]["spread"]["applicable"]
+    rows = (tmp_path / "homotopy.csv").read_text().splitlines()[2:]
+    assert len(rows) == 17 * 1001
+
+
 def test_cli_homotopy_zero_du(tmp_path):
     data = _load_bundled_dict("heisenberg_line")
     data["homotopy"]["delta_u"] = {"constant": [0.0, 0.0]}

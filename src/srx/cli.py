@@ -135,8 +135,11 @@ def cmd_homotopy(scenario: Scenario, out: Path) -> int:
     }
     write_json(out / "lemma_slacks.json", payload, scenario.sha256, scenario.name)
 
-    failed = any(b["applicable"] and b.get("slack", b.get("min_slack")) < -1e-9
-                 for b in bounds.values())
+    if not in_domain:
+        print("homotopy members left the domain", file=sys.stderr)
+    failed = not in_domain or any(
+        b["applicable"] and b.get("slack", b.get("min_slack")) < -1e-9
+        for b in bounds.values())
     failed = failed or (comparison.applicable and not comparison.holds)
     return EXIT_FAILED if failed else EXIT_OK
 

@@ -166,6 +166,15 @@ class SRFrame:
         return (rows[..., :k * n].reshape(lead + (k, n)),
                 rows[..., k * n:].reshape(lead + (k, n, n)))
 
+    def hamiltonian_field(self, states) -> np.ndarray:
+        """(..., 2n) rows (q, p) -> (..., 2n) rows (dH/dp, -dH/dq).
+
+        H(q, p) = 1/2 sum_i <p, X_i(q)>^2 is a polynomial in the 2n
+        variables, so the right-hand side of the normal Hamiltonian system
+        is one evaluation of the cached stack of its 2n partials.
+        """
+        return self._stack("hamiltonian").eval(states)
+
     def field_matrix_many(self, points) -> np.ndarray:
         """(..., n) points -> (..., n, k) field matrices, columns X_1..X_k."""
         return np.swapaxes(self.derivatives(0, points), -1, -2)
@@ -238,15 +247,40 @@ class SRFrame:
                       for b in range(self.n)]
         return tables
 
+    def _hamiltonian_tables(self) -> list[ExponentTable]:
+        """Tables of dH/dp then -dH/dq over the 2n variables (q, p).
+
+        u_i = <p, X_i(q)> shifts each monomial of X_i^a by p_a; H is half
+        the sum of the products of u_i's monomials with themselves.
+        """
+        n, h = self.n, {}
+        for f in self.fields:
+            u = [(exp + tuple(int(b == a) for b in range(n)), coef)
+                 for a, table in enumerate(f.coeffs)
+                 for exp, coef in table.items()]
+            for e1, c1 in u:
+                for e2, c2 in u:
+                    exp = tuple(x + y for x, y in zip(e1, e2))
+                    h[exp] = h.get(exp, 0.0) + 0.5 * c1 * c2
+        h = {exp: coef for exp, coef in h.items() if coef != 0.0}
+        grad = [_differentiate(h, b) for b in range(2 * n)]
+        return grad[n:] + [{exp: -coef for exp, coef in t.items()}
+                           for t in grad[:n]]
+
     def _stack(self, key) -> _StackedPolys:
-        """The stack of one derivative order, or "jet" (orders 0 and 1).
+        """The stack of one derivative order, "jet" (orders 0 and 1) or
+        "hamiltonian" (the partials of H, over 2n variables).
 
         Built once per key and cached.
         """
         if key not in self._stacks:
-            tables = (self._tables(0) + self._tables(1) if key == "jet"
-                      else self._tables(key))
-            self._stacks[key] = _StackedPolys(tables, self.n)
+            if key == "hamiltonian":
+                tables, dim = self._hamiltonian_tables(), 2 * self.n
+            elif key == "jet":
+                tables, dim = self._tables(0) + self._tables(1), self.n
+            else:
+                tables, dim = self._tables(key), self.n
+            self._stacks[key] = _StackedPolys(tables, dim)
         return self._stacks[key]
 
 

@@ -125,6 +125,29 @@ def _node_controls(u: ControlSignal) -> np.ndarray:
     return np.vstack([u.samples, u.samples[-1:]])
 
 
+def _prefix_factors(rows: np.ndarray) -> np.ndarray:
+    """Running QR factors of a stack of (m, n, n) row blocks, in place.
+
+    Entry i becomes an upper-triangular R with R^T R = sum_{l <= i}
+    rows_l^T rows_l.  Each block of SPAN_BATCH entries is scanned by
+    Hillis-Steele rounds, entry i taking the QR of [entry i - d; entry i]
+    for d = 1, 2, 4, ... (Hillis & Steele, CACM 1986), after its first
+    entry has absorbed the previous block's last factor, so the batched
+    QRs' temporaries are bounded by SPAN_BATCH whatever m is.
+    """
+    for lo in range(0, rows.shape[0], SPAN_BATCH):
+        block = rows[lo:lo + SPAN_BATCH]
+        if lo:
+            block[0] = np.linalg.qr(np.concatenate([rows[lo - 1], block[0]]),
+                                    mode="r")
+        d = 1
+        while d < block.shape[0]:
+            block[d:] = np.linalg.qr(np.concatenate([block[:-d], block[d:]],
+                                                    axis=1), mode="r")
+            d *= 2
+    return rows
+
+
 def span_profile(frame: SRFrame, traj: Trajectory, tf: TangentFlow,
                  nodes=None, *, tau_range: str = "0..t", sample_stride: int = 1,
                  sigma_tol: float = SIGMA_TOL) -> OrthoDistribution:
@@ -142,9 +165,11 @@ def span_profile(frame: SRFrame, traj: Trajectory, tf: TangentFlow,
     solve with the tangent maps, and the stack C
     of pulled-back columns is never re-formed: an n x n square-root factor L
     with L L^T = C C^T stands in for it (Demmel, Grigori, Hoemmen & Langou,
-    SIAM J. Sci. Comput. 2012).  For "0..t" the factor is updated at each
-    sampled node by a QR of [L^T; new columns^T]; for "0..T" one QR of the
-    whole stack gives it.  M L and M C share their singular values and left
+    SIAM J. Sci. Comput. 2012).  For "0..t" the factors of every sampled
+    node come from one blocked prefix scan of batched QRs over the
+    sampled nodes' columns (_prefix_factors), except while C has at most n
+    columns, where C itself is the factor; for "0..T" one QR of the whole
+    stack gives it.  M L and M C share their singular values and left
     singular vectors, so each node costs one n x n SVD, taken in batches of
     SPAN_BATCH nodes.
     """
@@ -162,27 +187,34 @@ def span_profile(frame: SRFrame, traj: Trajectory, tf: TangentFlow,
     perp = orthogonal_control_complement(_node_controls(traj.control))
     pulled = np.linalg.solve(tf.matrices, frame.field_matrix_many(traj.states) @ perp)
 
-    # factors[j] is L at node j, zero-padded to n columns while C has fewer
-    # than n columns; those columns give the trailing zero singular values
+    # factors[slot[i]] is L at node flat[i], zero-padded to n columns while
+    # C has fewer than n columns; those give the trailing zero singular values
+    flat = nodes.ravel()
     if tau_range == "0..T":
         r = np.linalg.qr(np.concatenate(pulled[::sample_stride], axis=1).T,
                          mode="r")
-        factor = np.zeros((n, n))
-        factor[:, :r.shape[0]] = r.T
-        factors = np.broadcast_to(factor, (n_nodes, n, n))
+        factors = np.zeros((1, n, n))
+        factors[0, :, :r.shape[0]] = r.T
+        slot = np.zeros_like(flat)
     else:
-        factors = np.zeros((n_nodes, n, n))
-        r = np.empty((0, n))
-        for j in range(0, int(nodes.max(initial=-1)) + 1, sample_stride):
-            r = np.linalg.qr(np.vstack([r, pulled[j].T]), mode="r")
-            factors[j:j + sample_stride, :, :r.shape[0]] = r.T
-    flat = nodes.ravel()
+        sampled = pulled[:int(nodes.max(initial=-1)) + 1:sample_stride]
+        width = frame.k - 1
+        rows = np.zeros((sampled.shape[0], n, n))
+        rows[:, :width] = sampled.swapaxes(1, 2)
+        factors = _prefix_factors(rows).swapaxes(1, 2)
+        # while C has at most n columns it is its own factor: a padded QR
+        # would leave rounding where the exact zero columns belong
+        for i in range(min(n // width, sampled.shape[0])):
+            factors[i] = 0.0
+            factors[i, :, :(i + 1) * width] = np.concatenate(sampled[:i + 1],
+                                                             axis=1)
+        slot = flat // sample_stride
     basis = np.empty((flat.size, n, n))
     svals = np.empty((flat.size, n))
     for start in range(0, flat.size, SPAN_BATCH):
-        batch = flat[start:start + SPAN_BATCH]
-        basis[start:start + SPAN_BATCH], svals[start:start + SPAN_BATCH], _ = \
-            np.linalg.svd(tf.matrices[batch] @ factors[batch])
+        batch = slice(start, start + SPAN_BATCH)
+        basis[batch], svals[batch], _ = np.linalg.svd(
+            tf.matrices[flat[batch]] @ factors[slot[batch]])
     ranks = np.count_nonzero(svals > sigma_tol * svals[:, :1], axis=1)
     np.copyto(basis, 0.0, where=np.arange(n) >= ranks[:, None, None])
     return OrthoDistribution(tf.grid[nodes], basis.reshape(nodes.shape + (n, n)),
@@ -327,6 +359,8 @@ def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
 
     Solves dq/dt = sum u^i X_i(q), dp/dt = -sum u^i (dX_i/dq)^T p with
     u^i = <p, X_i(q)>, starting on the unit level sum_i <p0, X_i(q0)>^2 = 1.
+    That right-hand side is (dH/dp, -dH/dq) for the polynomial
+    H = 1/2 sum_i <p, X_i(q)>^2, evaluated by SRFrame.hamiltonian_field.
     Each control cell of width h = horizon / n_cells takes `substeps` RK4
     steps, as in integrate_trajectory and tangent_flow.  The control is
     sampled at cell midpoints, read from the cubic Hermite interpolant of
@@ -353,19 +387,12 @@ def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
     if abs(level - 1.0) > level_tol:
         raise ValueError(f"initial covector is off the unit level: 2H = {level!r}")
 
-    n, k = frame.n, frame.k
-
-    def rhs(_, y):
-        f, jac = frame.jet(y[:, :n])                  # (B, k, n), (B, k, n, n)
-        p = y[:, None, n:]                            # (B, 1, n) costate rows
-        u = p @ f.swapaxes(1, 2)                      # (B, 1, k) controls
-        a = (u @ jac.reshape(-1, k, n * n)).reshape(-1, n, n)
-        return np.concatenate([u @ f, -(p @ a)], axis=2)[:, 0]
-
+    n = frame.n
     h = horizon / n_cells
-    ys = _rk4(rhs, np.concatenate([q0, p0])[None], h / substeps, substeps,
+    ys = _rk4(lambda _, y: frame.hamiltonian_field(y),
+              np.concatenate([q0, p0])[None], h / substeps, substeps,
               n_cells)[:, 0]
-    slopes = np.concatenate([rhs(None, ys[lo:lo + FLOW_BATCH])
+    slopes = np.concatenate([frame.hamiltonian_field(ys[lo:lo + FLOW_BATCH])
                              for lo in range(0, n_cells + 1, FLOW_BATCH)])
     mids = 0.5 * (ys[:-1] + ys[1:]) + (h / 8.0) * (slopes[:-1] - slopes[1:])
     states, costates = ys[:, :n], ys[:, n:]

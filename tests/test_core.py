@@ -109,6 +109,32 @@ def test_jet_blocks_match_derivatives():
                        atol=1e-13)
 
 
+@pytest.mark.parametrize("name", ["euclidean_line", "heisenberg_arc",
+                                  "martinet_arc", "cartan_arc"])
+@pytest.mark.parametrize("n_rows", [1, 300])
+def test_hamiltonian_field_matches_jet_rhs(monkeypatch, name, n_rows):
+    frame = load_scenario(name).frame
+    n, k = frame.n, frame.k
+    builds = []
+    build = SRFrame._hamiltonian_tables
+    monkeypatch.setattr(SRFrame, "_hamiltonian_tables",
+                        lambda self: builds.append(self) or build(self))
+    rng = np.random.default_rng(n_rows)
+    rows = rng.uniform(-1.5, 1.5, size=(n_rows, 2 * n))
+    # dq = sum u^i X_i, dp = -sum u^i (dX_i/dq)^T p from the values and
+    # Jacobians of the fields
+    f, jac = frame.jet(rows[:, :n])
+    p = rows[:, None, n:]
+    u = p @ f.swapaxes(1, 2)
+    a = (u @ jac.reshape(-1, k, n * n)).reshape(-1, n, n)
+    expected = np.concatenate([u @ f, -(p @ a)], axis=2)[:, 0]
+    for _ in range(3):
+        out = frame.hamiltonian_field(rows)
+        assert out.shape == rows.shape
+        assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert builds == [frame]
+
+
 def _monomial_derivative(field, q, order):
     """Loop reference: (n,) * (order + 1) derivative tensor of one field at q."""
     n = q.shape[0]

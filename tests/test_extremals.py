@@ -305,10 +305,7 @@ def _k3_case():
     return frame, integrate_trajectory(frame, u, [0.0, 0.0, 0.0]), 1e-3
 
 
-@pytest.mark.parametrize("case", [_arc_case, _k3_case], ids=["arc", "k3"])
-@pytest.mark.parametrize("tau_range", ["0..t", "0..T"])
-@pytest.mark.parametrize("sample_stride", [1, 3])
-def test_streaming_span_matches_stacked_svd(case, tau_range, sample_stride):
+def _check_span_against_stacked_svd(case, tau_range, sample_stride):
     frame, traj, sigma_tol = case()
     tf = tangent_flow(frame, traj.control, traj)
     kwargs = {"tau_range": tau_range, "sample_stride": sample_stride,
@@ -333,6 +330,24 @@ def test_streaming_span_matches_stacked_svd(case, tau_range, sample_stride):
         assert np.allclose(spans.basis[m, :, :r] @ spans.basis[m, :, :r].T,
                            basis @ basis.T, rtol=0.0, atol=1e-9)
         assert np.all(spans.basis[m, :, r:] == 0.0)
+
+
+@pytest.mark.parametrize("case", [_arc_case, _k3_case], ids=["arc", "k3"])
+@pytest.mark.parametrize("tau_range", ["0..t", "0..T"])
+@pytest.mark.parametrize("sample_stride", [1, 3])
+def test_streaming_span_matches_stacked_svd(case, tau_range, sample_stride):
+    _check_span_against_stacked_svd(case, tau_range, sample_stride)
+
+
+@pytest.mark.parametrize("case", [_arc_case, _k3_case], ids=["arc", "k3"])
+@pytest.mark.parametrize("sample_stride", [1, 3])
+def test_span_scan_blocks_match_stacked_svd(monkeypatch, case, sample_stride):
+    # 61 nodes in scan blocks of 7 sampled nodes: every block after the
+    # first starts from the carried factor, and with stride 3 a block ends
+    # inside the stride of its last sampled node
+    import srx.extremals as extremals
+    monkeypatch.setattr(extremals, "SPAN_BATCH", 7)
+    _check_span_against_stacked_svd(case, "0..t", sample_stride)
 
 
 def test_nsre_long_line_streams(heisenberg):
@@ -497,24 +512,24 @@ def test_hamiltonian_batched_rhs_matches_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("n_cells, substeps", [(300, 1), (100, 2)])
-def test_hamiltonian_jet_calls(heisenberg, monkeypatch, n_cells, substeps):
+def test_hamiltonian_field_calls(heisenberg, monkeypatch, n_cells, substeps):
     # four stages per RK4 step, `substeps` steps per cell, plus the node
     # slopes in batches of FLOW_BATCH; two half steps per cell took
     # 8 N_t substeps
     from srx import SRFrame
     from srx.flows import FLOW_BATCH
     calls = []
-    real_jet = SRFrame.jet
+    real_field = SRFrame.hamiltonian_field
 
-    def counting_jet(self, points):
-        calls.append(points)
-        return real_jet(self, points)
+    def counting_field(self, states):
+        calls.append(states)
+        return real_field(self, states)
 
-    monkeypatch.setattr(SRFrame, "jet", counting_jet)
+    monkeypatch.setattr(SRFrame, "hamiltonian_field", counting_field)
     hamiltonian_extremal(heisenberg, [0.0, 0.0, 0.0], [1.0, 0.0, 2.0], 1.0,
                          n_cells, substeps=substeps)
     batches = -(-(n_cells + 1) // FLOW_BATCH)
-    assert len(calls) <= 4 * n_cells * substeps + batches
+    assert len(calls) == 4 * n_cells * substeps + batches
 
 
 def test_hamiltonian_level_conservation(heisenberg):

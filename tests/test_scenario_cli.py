@@ -297,8 +297,9 @@ def test_cli_homotopy_members_leave_the_domain(tmp_path):
     # while the base member stays on y = 0
     data = _load_bundled_dict("euclidean_line")
     data["domain"]["upper"] = [2.0, 0.5]
-    main(["homotopy", "--config", _write_scenario(tmp_path, data),
-          "--out", str(tmp_path)])
+    code = main(["homotopy", "--config", _write_scenario(tmp_path, data),
+                 "--out", str(tmp_path)])
+    assert code == 3
     slacks = json.loads((tmp_path / "lemma_slacks.json").read_text())
     assert slacks["in_domain"] is False
     assert not slacks["bounds"]["spread"]["applicable"]

@@ -46,27 +46,52 @@ def _differentiate(table: ExponentTable, axis: int) -> ExponentTable:
 class _StackedPolys:
     """Evaluates a flat list of monomial tables at (batches of) points.
 
-    All tables are merged into one exponent matrix so a single vectorized
-    power/product/matmul evaluates every row at once.
+    Identical monomials of all tables are merged: `weights[j, row]` is the
+    coefficient of distinct monomial j in that row.  `factors[c][j]` is the
+    c-th factor of monomial j as an index into the row [1, x_1, ..., x_n]
+    (ascending variables, padded with 0, the 1), so evaluation multiplies
+    one factor of every monomial at a time and ends with one matmul: no
+    `pow`, and no temporary larger than the (points, distinct) products.
     """
 
     def __init__(self, tables: list[ExponentTable], n: int):
-        rows = [row for row, table in enumerate(tables) for _ in table]
-        exps = [exp for table in tables for exp in table]
-        coefs = [coef for table in tables for coef in table.values()]
-        self.exponents = np.asarray(exps, dtype=np.int64).reshape(-1, n)
-        self.weights = np.zeros((len(rows), len(tables)))
-        self.weights[np.arange(len(rows)), rows] = coefs
+        monomials: dict[tuple[int, ...], int] = {}
+        for table in tables:
+            for exp in table:
+                monomials.setdefault(exp, len(monomials))
+        self.n = n
+        self.weights = np.zeros((len(monomials), len(tables)))
+        for row, table in enumerate(tables):
+            for exp, coef in table.items():
+                self.weights[monomials[exp], row] = coef
+        degree = max(map(sum, monomials), default=0)
+        factors = np.zeros((max(degree, 1), len(monomials)), dtype=np.intp)
+        for j, exp in enumerate(monomials):
+            index = [b + 1 for b, e in enumerate(exp) for _ in range(e)]
+            factors[:len(index), j] = index
+        self.factors = list(factors)
+
+    def _monomials(self, points: np.ndarray) -> np.ndarray:
+        """(P, n) points -> (P, distinct) monomial values, by products only."""
+        row = np.empty((self.n + 1, points.shape[0]))
+        row[0] = 1.0
+        row[1:] = points.T
+        first, *rest = self.factors
+        values = row.take(first, axis=0)
+        for index in rest:
+            values *= row.take(index, axis=0)
+        return values.T
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         """points: (..., n) -> values: (..., rows)."""
         pts = np.asarray(points, dtype=float)
-        monomials = (pts[..., None, :] ** self.exponents).prod(axis=-1)
-        return monomials @ self.weights
+        values = self._monomials(pts.reshape(-1, self.n)) @ self.weights
+        return values.reshape(pts.shape[:-1] + self.weights.shape[1:])
 
     def bound(self, radius: np.ndarray) -> np.ndarray:
         """Entrywise bounds of |rows| on the box |q_b| <= radius_b: (rows,)."""
-        return (radius ** self.exponents).prod(axis=-1) @ np.abs(self.weights)
+        return (self._monomials(radius.reshape(1, self.n))
+                @ np.abs(self.weights))[0]
 
 
 def _validate_table(table: ExponentTable, n: int) -> ExponentTable:

@@ -15,19 +15,16 @@ from . import __version__
 
 
 def _native(obj):
-    if isinstance(obj, dict):
-        return {k: _native(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_native(v) for v in obj]
+    """json.dumps hook for the numpy values a payload may hold."""
     if isinstance(obj, np.ndarray):
-        return _native(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+        return obj.tolist()
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.bool_,)):
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def meta_block(scenario_hash: str, name: str) -> dict:
@@ -37,8 +34,9 @@ def meta_block(scenario_hash: str, name: str) -> dict:
 
 def write_json(path: Path, payload: dict, scenario_hash: str, name: str) -> None:
     body = {"meta": meta_block(scenario_hash, name)}
-    body.update(_native(payload))
-    path.write_text(json.dumps(body, indent=2) + "\n", encoding="utf-8")
+    body.update(payload)
+    path.write_text(json.dumps(body, indent=2, default=_native) + "\n",
+                    encoding="utf-8")
 
 
 def write_csv(path: Path, header: list[str], rows, scenario_hash: str,

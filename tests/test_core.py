@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from srx import (ControlSignal, Domain, FrameRankError, GridMismatchError,
                  PolyVectorField, SRFrame, control_inner)
 from srx import core
 from srx.core import node_index
-from srx.scenario import load_scenario
+from srx.scenario import BUNDLED, load_scenario
 
-from conftest import (constant_control, make_random_poly_frame,
-                      smooth_perturbation)
+from conftest import (constant_control, make_quartic_frame,
+                      make_random_poly_frame, smooth_perturbation)
 
 
 # -- polynomial fields ------------------------------------------------------
@@ -177,6 +178,136 @@ def test_bundled_frame_matches_fixture(heisenberg):
     for i in range(2):
         assert np.array_equal(parsed.value(i, q), heisenberg.value(i, q))
         assert np.array_equal(parsed.jacobian(i, q), heisenberg.jacobian(i, q))
+
+
+# -- the stacked evaluator --------------------------------------------------
+
+def _stack_tables(frame, key):
+    """The tables SRFrame._stack(key) is built from, and their variable count."""
+    if key == "hamiltonian":
+        return frame._hamiltonian_tables(), 2 * frame.n
+    if key == "jet":
+        return frame._tables(0) + frame._tables(1), frame.n
+    return frame._tables(key), frame.n
+
+
+def _pow_reference(tables, n, points):
+    """The evaluator the stack replaced, and the sum of |terms| per entry.
+
+    One `pow` per point, term and variable, with one column per term of
+    every table (no merging); points are taken 64 rows at a time.
+    """
+    exps = np.array([exp for t in tables for exp in t],
+                    dtype=np.int64).reshape(-1, n)
+    rows = [r for r, t in enumerate(tables) for _ in t]
+    weights = np.zeros((len(rows), len(tables)))
+    weights[np.arange(len(rows)), rows] = [c for t in tables
+                                           for c in t.values()]
+    pts = np.asarray(points, dtype=float)
+    flat = pts.reshape(-1, n)
+    values, scale = [], []
+    for start in range(0, max(flat.shape[0], 1), 64):
+        monomials = (flat[start:start + 64, None, :] ** exps).prod(axis=-1)
+        values.append(monomials @ weights)
+        scale.append(np.abs(monomials) @ np.abs(weights))
+    shape = pts.shape[:-1] + (len(tables),)
+    return (np.concatenate(values).reshape(shape),
+            np.concatenate(scale).reshape(shape))
+
+
+def _test_points(rng, shape, n):
+    """Points in [-1.5, 1.5]^n with exact zeros: every third coordinate and,
+    when there is one, the whole first point."""
+    pts = rng.uniform(-1.5, 1.5, size=shape + (n,))
+    pts.reshape(-1)[::3] = 0.0
+    pts.reshape(-1, n)[:1] = 0.0
+    return pts
+
+
+@pytest.mark.parametrize("frame", [
+    make_random_poly_frame(np.random.default_rng(21), n=3),
+    make_random_poly_frame(np.random.default_rng(22), n=4),
+    make_quartic_frame(),
+], ids=["random_n3", "random_n4", "quartic"])
+@pytest.mark.parametrize("key", [0, 1, 2, "jet", "hamiltonian"])
+@pytest.mark.parametrize("shape", [(0,), (1,), (17,), (1088,), (4, 6), ()])
+def test_stack_matches_the_pow_evaluator(frame, key, shape):
+    # x*x*x and pow(x, 3) round differently, and merged monomials are
+    # summed in another order: agreement to rounding, relative to the sum
+    # of the terms' absolute values
+    tables, n = _stack_tables(frame, key)
+    pts = _test_points(np.random.default_rng(len(shape) + sum(shape)), shape, n)
+    out = frame._stack(key).eval(pts)
+    expected, scale = _pow_reference(tables, n, pts)
+    assert out.shape == shape + (len(tables),)
+    assert np.all(np.abs(out - expected) <= 1e-14 * scale)
+
+
+def test_degree_one_stack_equals_the_pow_evaluator(heisenberg):
+    tables, n = _stack_tables(heisenberg, "jet")
+    pts = _test_points(np.random.default_rng(3), (1088,), n)
+    assert np.array_equal(heisenberg._stack("jet").eval(pts),
+                          _pow_reference(tables, n, pts)[0])
+
+
+@pytest.mark.parametrize("name, terms, distinct", [("heisenberg_line", 6, 3),
+                                                   ("cartan_arc", 9, 5)])
+def test_jet_merges_identical_monomials(name, terms, distinct):
+    weights = load_scenario(name).frame._stack("jet").weights
+    assert np.count_nonzero(weights) == terms
+    assert weights.shape[0] == distinct
+
+
+@pytest.mark.parametrize("shape", [(0,), (5,), (4, 6)])
+def test_zero_term_stacks_return_zeros(heisenberg, euclidean2, shape):
+    for frame, order in ((heisenberg, 2), (euclidean2, 1)):
+        assert frame._stack(order).weights.shape[0] == 0
+        out = frame.derivatives(order, np.ones(shape + (frame.n,)))
+        assert out.shape == shape + (frame.k,) + (frame.n,) * (order + 1)
+        assert not out.any()
+
+
+@pytest.mark.parametrize("key", (0, 1, 2, "jet"))
+def test_stack_memory_stays_below_the_power_array(key):
+    # the pow evaluator held a (points x terms x n) float array; products
+    # taken one factor at a time hold two (points x distinct) arrays
+    frame = make_random_poly_frame(np.random.default_rng(4), n=4, degree=3)
+    stack = frame._stack(key)
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(4096, 4))
+    tracemalloc.start()
+    try:
+        stack.eval(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096 * np.count_nonzero(stack.weights) * 4 * 8
+
+
+def _pow_bounds(frame, order, domain):
+    """The bounds the pow evaluator gave: each term at the farthest corner."""
+    radius = np.maximum(np.abs(domain.lower), np.abs(domain.upper))
+    tables, n = _stack_tables(frame, order)
+    return _pow_reference(tables, n, radius)[1].reshape(
+        (frame.k,) + (frame.n,) * (order + 1))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_derivative_bounds_equal_the_pow_bounds(name):
+    scenario = load_scenario(name)
+    for order in range(4):
+        assert np.array_equal(
+            scenario.frame.derivative_bounds(order, scenario.domain),
+            _pow_bounds(scenario.frame, order, scenario.domain))
+
+
+@pytest.mark.parametrize("seed, n", [(7, 3), (8, 4)])
+def test_derivative_bounds_match_the_pow_bounds(seed, n):
+    frame = make_random_poly_frame(np.random.default_rng(seed), n=n)
+    box = Domain(np.linspace(-1.5, 0.5, n), np.linspace(0.5, 1.75, n))
+    for order in range(4):
+        assert np.allclose(frame.derivative_bounds(order, box),
+                           _pow_bounds(frame, order, box),
+                           rtol=1e-14, atol=0.0)
 
 
 # -- domain -----------------------------------------------------------------

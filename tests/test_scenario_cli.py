@@ -9,6 +9,7 @@ import pytest
 
 import srx
 from srx.cli import main
+from srx.io import write_json
 from srx.scenario import (ScenarioError, bundled_scenario_path, load_scenario,
                           parse_scenario)
 
@@ -422,6 +423,35 @@ def test_cli_output_header_carries_version_and_hash(tmp_path):
     first = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
     assert srx.__version__ in first
     assert scenario.sha256 in first
+
+
+def test_write_json_writes_numpy_values_as_python_ones(tmp_path):
+    numpy_payload = {
+        "floats": [np.float64(0.1), np.float32(0.1), np.float64(-0.0)],
+        "specials": np.array([np.inf, -np.inf, np.nan]),
+        "ints": (np.int64(-3), np.int32(7), np.uint8(255)),
+        "flags": [np.bool_(True), np.bool_(False)],
+        "matrix": np.arange(6.0).reshape(2, 3) / 3.0,
+        "counts": np.arange(3),
+        "scalar": np.array(0.25),
+        "nested": {"pair": (np.float64(1e-300), (np.int64(2),))},
+    }
+    python_payload = {
+        "floats": [0.1, float(np.float32(0.1)), -0.0],
+        "specials": [float("inf"), float("-inf"), float("nan")],
+        "ints": [-3, 7, 255],
+        "flags": [True, False],
+        "matrix": (np.arange(6.0).reshape(2, 3) / 3.0).tolist(),
+        "counts": [0, 1, 2],
+        "scalar": 0.25,
+        "nested": {"pair": [1e-300, [2]]},
+    }
+    paths = tmp_path / "numpy.json", tmp_path / "python.json"
+    for path, payload in zip(paths, (numpy_payload, python_payload)):
+        write_json(path, payload, "0" * 64, "case")
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    with pytest.raises(TypeError, match="object"):
+        write_json(tmp_path / "bad.json", {"x": object()}, "0" * 64, "case")
 
 
 def test_cli_seed_override_changes_provenance(tmp_path):

@@ -1,6 +1,7 @@
 """Command-line front end: integrate, nsre-check, homotopy, certify.
 
-Exit codes: 0 ok, 2 bad input, 3 failed check (including domain exit and
+Exit codes: 0 ok, 2 bad input (including a control that is not unit speed
+where the NSRE test needs one), 3 failed check (including domain exit and
 not-certifiable runs), 4 inconclusive, 5 numerical failure.
 """
 from __future__ import annotations
@@ -14,7 +15,8 @@ import numpy as np
 from .certify import (NotCertifiableError, bound_slacks, build_certificate,
                       estimate_constants, verify_certificate)
 from .core import ControlSignal, SRXError, Trajectory
-from .extremals import _CONSERVATION_TOL, hamiltonian_extremal, nsre_check
+from .extremals import (_CONSERVATION_TOL, NotNormalizedError,
+                        hamiltonian_extremal, nsre_check)
 from .flows import (DomainExitError, IntegrationError, SingularFlowError,
                     integrate_trajectory, tangent_flow, write_tangent_flow_rows,
                     write_trajectory_rows)
@@ -185,6 +187,7 @@ def cmd_certify(scenario: Scenario, out: Path) -> int:
     payload = {"certified": verification.ok and cert.conditions.holds}
     payload.update(cert.to_json_dict())
     payload["verification"] = verification.to_json_dict()
+    payload["nsre"] = report.to_json_dict(per_node=False)
     payload.update(extra)
     write_json(out / "certificate.json", payload, scenario.sha256, scenario.name)
     header, rows = verification.csv_rows()
@@ -243,6 +246,9 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_certify(scenario, out)
     except ScenarioError as err:
         print(f"scenario error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except NotNormalizedError as err:
+        print(f"unusable control: {err}", file=sys.stderr)
         return EXIT_INPUT
     except (IntegrationError, SingularFlowError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)

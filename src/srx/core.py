@@ -200,6 +200,15 @@ class SRFrame:
         """
         return self._stack("hamiltonian").eval(states)
 
+    def variation_field(self, rows) -> np.ndarray:
+        """(..., 2n + 2k) rows (q, b, u, du) -> (..., 2n) rows (dq/dt, db/dt).
+
+        The right-hand side of a member dq/dt = f_u(q) with its variation
+        db/dt = f_du(q) + Df_u(q) b is a polynomial in all 2n + 2k
+        variables, so it is one evaluation of the cached stack of its rows.
+        """
+        return self._stack("variation").eval(rows)
+
     def field_matrix_many(self, points) -> np.ndarray:
         """(..., n) points -> (..., n, k) field matrices, columns X_1..X_k."""
         return np.swapaxes(self.derivatives(0, points), -1, -2)
@@ -292,15 +301,43 @@ class SRFrame:
         return grad[n:] + [{exp: -coef for exp, coef in t.items()}
                            for t in grad[:n]]
 
+    def _variation_tables(self) -> list[ExponentTable]:
+        """Tables of dq/dt then db/dt over the 2n + 2k variables (q, b, u, du).
+
+        dq/dt = sum_i u_i X_i(q) and db/dt = sum_i du_i X_i(q) +
+        sum_{i,c} u_i b_c dX_i/dq_c(q): each monomial of X_i^a, or of its
+        q_c-partial, is shifted by its u_i, du_i or u_i * b_c factor.  That
+        factor differs between any two terms of a row, so no two collide.
+        """
+        n, k = self.n, self.k
+        dim = 2 * (n + k)
+
+        def times(table: ExponentTable, *axes: int) -> ExponentTable:
+            tail = tuple(int(v in axes) for v in range(n, dim))
+            return {exp + tail: coef for exp, coef in table.items()}
+
+        dq, db = [{} for _ in range(n)], [{} for _ in range(n)]
+        for i, f in enumerate(self.fields):
+            u, du = 2 * n + i, 2 * n + k + i
+            for a, table in enumerate(f.coeffs):
+                dq[a].update(times(table, u))
+                db[a].update(times(table, du))
+                for c in range(n):
+                    db[a].update(times(_differentiate(table, c), u, n + c))
+        return dq + db
+
     def _stack(self, key) -> _StackedPolys:
-        """The stack of one derivative order, "jet" (orders 0 and 1) or
-        "hamiltonian" (the partials of H, over 2n variables).
+        """The stack of one derivative order, "jet" (orders 0 and 1),
+        "hamiltonian" (the partials of H, over 2n variables) or "variation"
+        (the member and variation right-hand side, over 2n + 2k variables).
 
         Built once per key and cached.
         """
         if key not in self._stacks:
             if key == "hamiltonian":
                 tables, dim = self._hamiltonian_tables(), 2 * self.n
+            elif key == "variation":
+                tables, dim = self._variation_tables(), 2 * (self.n + self.k)
             elif key == "jet":
                 tables, dim = self._tables(0) + self._tables(1), self.n
             else:
@@ -418,8 +455,12 @@ class ControlSignal:
         """0.5 * squared L2 norm over [0, horizon]."""
         return 0.5 * self.l2_norm_sq()
 
+    def speed_deviation(self) -> float:
+        """Worst | |u_j| - 1 | over the cells; 0 for a unit-speed control."""
+        return float(np.max(np.abs(self.cell_norms() - 1.0)))
+
     def is_normalized(self, tol: float = NORMALIZED_TOL) -> bool:
-        return bool(np.max(np.abs(self.cell_norms() - 1.0)) <= tol)
+        return self.speed_deviation() <= tol
 
     def perturbed(self, delta: "ControlSignal", scale: float = 1.0) -> "ControlSignal":
         require_same_grid(self, delta)

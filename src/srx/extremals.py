@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ControlSignal, Domain, SRFrame, SRXError, Trajectory
+from .core import (NORMALIZED_TOL, ControlSignal, Domain, SRFrame, SRXError,
+                   Trajectory)
 from .flows import (FLOW_BATCH, DomainExitError, IntegrationError, TangentFlow,
                     _marked_trajectory, _rk4, tangent_flow)
 
@@ -29,6 +30,14 @@ class DegenerateSpanError(SRXError):
 
 class NotNormalizedError(SRXError):
     """An operation requires a unit-speed (normalized) control."""
+
+
+def require_normalized(u: ControlSignal, what: str) -> None:
+    """Raise NotNormalizedError, naming the worst | |u| - 1 |, unless u is unit speed."""
+    if not u.is_normalized():
+        raise NotNormalizedError(
+            f"{what} requires a unit-speed control; its worst | |u| - 1 | is "
+            f"{u.speed_deviation():.3e} (tolerance {NORMALIZED_TOL:.0e})")
 
 
 def _dots(x: np.ndarray) -> np.ndarray:
@@ -272,8 +281,10 @@ class NSREReport:
             return "inconclusive"
         return "certified"
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json_dict(self, per_node: bool = True) -> dict:
+        """The report as JSON; per_node=False leaves out the per-node
+        `angles` and `span_rank` arrays and keeps every summary field."""
+        payload = {
             "angles": self.angles.tolist(),
             "c": self.c,
             "regularity_ok": self.regularity_ok,
@@ -296,6 +307,9 @@ class NSREReport:
                 "ill_conditioned": self.ill_conditioned,
             },
         }
+        if not per_node:
+            del payload["angles"], payload["span_rank"]
+        return payload
 
 
 def nsre_check(frame: SRFrame, u: ControlSignal, traj: Trajectory,
@@ -315,8 +329,7 @@ def nsre_check(frame: SRFrame, u: ControlSignal, traj: Trajectory,
     The report also records the span rank at each node, the singular-value
     gap around the sigma_tol cut and the tangent flow's conditioning.
     """
-    if not u.is_normalized():
-        raise NotNormalizedError("nsre_check requires a normalized control")
+    require_normalized(u, "nsre_check")
     if tf is None:
         tf = tangent_flow(frame, u, traj, substeps=substeps)
 

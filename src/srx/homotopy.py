@@ -16,9 +16,9 @@ import numpy as np
 
 from .core import (ControlSignal, Domain, SRFrame, Trajectory, control_inner,
                    require_same_grid)
-from .extremals import (ACB_BOUND, SIGMA_TOL, NotNormalizedError,
-                        OrthoDistribution, build_f_perp,
-                        max_velocity_derivative, span_profile)
+from .extremals import (ACB_BOUND, SIGMA_TOL, OrthoDistribution, build_f_perp,
+                        max_velocity_derivative, require_normalized,
+                        span_profile)
 from .flows import TangentFlow, _checked_start, _rk4
 
 
@@ -71,20 +71,17 @@ def _members_and_variations(frame: SRFrame, controls: np.ndarray,
 
     Integrates the member dq/dt = f_u(q) jointly with its variation
     db/dt = f_du(q) + Df_u(q) b, b(0) = 0, so the b stages use the member's
-    own RK4 stage states.  controls and increments are (B, N_t, k); returns
-    states and variations, each (B, N_t + 1, n).
+    own RK4 stage states.  That right-hand side is one polynomial in
+    (q, b, u, du), so each RK4 stage is one SRFrame.variation_field call.
+    controls and increments are (B, N_t, k); returns states and variations,
+    each (B, N_t + 1, n).
     """
-    n, k = frame.n, frame.k
-    # (N_t, B, 1, k): row controls and increments as (1, k) matrices
-    cells = np.ascontiguousarray(controls.swapaxes(0, 1))[:, :, None]
-    incs = np.ascontiguousarray(increments.swapaxes(0, 1))[:, :, None]
+    n = frame.n
+    # (B, N_t, 2k): each row's (u, du) per cell, the last stack variables
+    cells = np.concatenate([controls, increments], axis=2)
 
     def rhs(j, y):
-        q, b = y[:, :n], y[:, n:]
-        f, jac = frame.jet(q)                         # (B, k, n), (B, k, n, n)
-        a = (cells[j] @ jac.reshape(-1, k, n * n)).reshape(-1, n, n)
-        db = (incs[j] @ f)[:, 0] + (a @ b[:, :, None])[:, :, 0]
-        return np.concatenate([(cells[j] @ f)[:, 0], db], axis=1)
+        return frame.variation_field(np.concatenate([y, cells[:, j]], axis=1))
 
     y0 = np.tile(np.concatenate([q0, np.zeros(n)]), (controls.shape[0], 1))
     ys = _rk4(rhs, y0, dt / substeps, substeps, controls.shape[1]).swapaxes(0, 1)
@@ -233,8 +230,7 @@ def decompose_variation(frame: SRFrame, u: ControlSignal, du: ControlSignal,
     in-span).  When the ACB regularity proxy fails the split is still
     returned but flagged hypothesis_verified=False.
     """
-    if not u.is_normalized():
-        raise NotNormalizedError("decomposition requires a normalized control")
+    require_normalized(u, "the decomposition")
     m = traj0.node_index(t)
     if b_field is None:
         b_field = variation_integral(frame, u, du, traj0, tf)

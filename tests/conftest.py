@@ -50,6 +50,18 @@ def make_random_poly_frame(rng, n=3, k=2, degree=3):
     return SRFrame(tuple(fields), n, k)
 
 
+def jet_variation_rhs(frame, rows):
+    """The member right-hand side the "variation" stack replaced: one jet
+    evaluation and four stacked (1, k) matmuls on (B, 2n + 2k) rows."""
+    n, k = frame.n, frame.k
+    q, b = rows[:, :n], rows[:, n:2 * n]
+    cells, incs = rows[:, None, 2 * n:2 * n + k], rows[:, None, 2 * n + k:]
+    f, jac = frame.jet(q)
+    a = (cells @ jac.reshape(-1, k, n * n)).reshape(-1, n, n)
+    db = (incs @ f)[:, 0] + (a @ b[:, :, None])[:, :, 0]
+    return np.concatenate([(cells @ f)[:, 0], db], axis=1)
+
+
 def constant_control(value, horizon=1.0, n_cells=1000):
     value = np.asarray(value, dtype=float)
     return ControlSignal(horizon, np.tile(value, (n_cells, 1)))

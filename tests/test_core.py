@@ -10,7 +10,7 @@ from srx import core
 from srx.core import node_index
 from srx.scenario import BUNDLED, load_scenario
 
-from conftest import (constant_control, make_quartic_frame,
+from conftest import (constant_control, jet_variation_rhs, make_quartic_frame,
                       make_random_poly_frame, smooth_perturbation)
 
 
@@ -188,6 +188,8 @@ def _stack_tables(frame, key):
         return frame._hamiltonian_tables(), 2 * frame.n
     if key == "jet":
         return frame._tables(0) + frame._tables(1), frame.n
+    if key == "variation":
+        return frame._variation_tables(), 2 * (frame.n + frame.k)
     return frame._tables(key), frame.n
 
 
@@ -229,7 +231,7 @@ def _test_points(rng, shape, n):
     make_random_poly_frame(np.random.default_rng(22), n=4),
     make_quartic_frame(),
 ], ids=["random_n3", "random_n4", "quartic"])
-@pytest.mark.parametrize("key", [0, 1, 2, "jet", "hamiltonian"])
+@pytest.mark.parametrize("key", [0, 1, 2, "jet", "hamiltonian", "variation"])
 @pytest.mark.parametrize("shape", [(0,), (1,), (17,), (1088,), (4, 6), ()])
 def test_stack_matches_the_pow_evaluator(frame, key, shape):
     # x*x*x and pow(x, 3) round differently, and merged monomials are
@@ -256,6 +258,40 @@ def test_jet_merges_identical_monomials(name, terms, distinct):
     weights = load_scenario(name).frame._stack("jet").weights
     assert np.count_nonzero(weights) == terms
     assert weights.shape[0] == distinct
+
+
+@pytest.mark.parametrize("frame", [
+    *(load_scenario(name).frame for name in BUNDLED),
+    make_random_poly_frame(np.random.default_rng(21), n=3),
+    make_random_poly_frame(np.random.default_rng(22), n=4),
+    make_quartic_frame(),
+], ids=[*BUNDLED, "random_n3", "random_n4", "quartic"])
+@pytest.mark.parametrize("n_rows", [0, 1, 17, 102, 1088])
+def test_variation_stack_matches_the_jet_rhs(frame, n_rows):
+    # both routes sum the same terms in different orders: agreement to
+    # rounding, relative to the sum of the terms' absolute values
+    tables, dim = _stack_tables(frame, "variation")
+    rows = _test_points(np.random.default_rng(n_rows), (n_rows,), dim)
+    out = frame.variation_field(rows)
+    expected = jet_variation_rhs(frame, rows)
+    scale = _pow_reference(tables, dim, rows)[1]
+    assert out.shape == (n_rows, 2 * frame.n)
+    assert np.all(np.abs(out - expected) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("name, distinct", [("heisenberg_line", 10),
+                                            ("martinet_arc", 7),
+                                            ("cartan_arc", 14)])
+def test_variation_stack_monomials(name, distinct):
+    # every term u_i X_i^a, du_i X_i^a and u_i b_c dX_i^a/dq_c keeps its
+    # own weight: no two terms of a row share a monomial
+    frame = load_scenario(name).frame
+    weights = frame._stack("variation").weights
+    terms = sum(2 * len(t) + sum(len(core._differentiate(t, c))
+                                 for c in range(frame.n))
+                for f in frame.fields for t in f.coeffs)
+    assert weights.shape == (distinct, 2 * frame.n)
+    assert np.count_nonzero(weights) == terms
 
 
 @pytest.mark.parametrize("shape", [(0,), (5,), (4, 6)])

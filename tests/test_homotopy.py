@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
-from srx import (ControlSignal, Domain, GridMismatchError, decompose_variation,
-                 energy_comparison_check, estimate_constants,
+from srx import (ControlSignal, Domain, GridMismatchError, SRFrame,
+                 decompose_variation, energy_comparison_check,
+                 estimate_constants, hamiltonian_extremal,
                  integrate_trajectory, natural_homotopies, natural_homotopy,
                  tangent_flow, variation_direct, variation_integral)
 from srx.certify import bound_slacks
-from srx.homotopy import decomposition_residual_profile, node_velocity
+from srx.core import _StackedPolys
+from srx.homotopy import (_members_and_variations,
+                          decomposition_residual_profile, node_velocity)
+from srx.scenario import load_scenario
 
-from conftest import (constant_control, make_quartic_frame, sampled_control,
-                      smooth_perturbation)
+from conftest import (constant_control, jet_variation_rhs, make_quartic_frame,
+                      sampled_control, smooth_perturbation)
 
 
 def _heisenberg_line(heisenberg, n_cells=500):
@@ -101,6 +105,44 @@ def test_batched_members_match_per_member_loop():
         for got in (hom.variations[idx], direct.vectors):
             assert np.abs(got - variations).max() <= \
                 1e-13 * np.abs(variations).max()
+
+
+@pytest.mark.parametrize("name", ["martinet_arc", "cartan_arc"])
+def test_natural_homotopy_matches_the_jet_route(monkeypatch, name):
+    # state-dependent Jacobians: the b stages see every term of the stack;
+    # the reference runs the same batch on the jet-plus-matmul right-hand side
+    scenario = load_scenario(name)
+    frame, q0, ham = scenario.frame, scenario.q0, scenario.hamiltonian
+    u = hamiltonian_extremal(frame, q0, ham["p0"], ham["T"], ham["N_t"]).control
+    du = smooth_perturbation(np.random.default_rng(11), horizon=u.horizon,
+                             n_cells=u.n_cells, k=u.k, amplitude=0.2)
+    hom = natural_homotopy(frame, u, du, q0, n_s=4, substeps=2)
+    monkeypatch.setattr(SRFrame, "variation_field", jet_variation_rhs)
+    ref = natural_homotopy(frame, u, du, q0, n_s=4, substeps=2)
+    for got, want in ((hom.trajectories, ref.trajectories),
+                      (hom.variations, ref.variations)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n_cells, substeps", [(7, 1), (5, 3)])
+def test_members_take_one_stack_evaluation_per_stage(monkeypatch, n_cells,
+                                                     substeps):
+    frame = load_scenario("cartan_arc").frame
+    evals, jets = [], []
+    evaluate, jet = _StackedPolys.eval, SRFrame.jet
+    monkeypatch.setattr(_StackedPolys, "eval",
+                        lambda self, pts: evals.append(self) or
+                        evaluate(self, pts))
+    monkeypatch.setattr(SRFrame, "jet",
+                        lambda self, pts: jets.append(self) or jet(self, pts))
+    rng = np.random.default_rng(n_cells)
+    shape = (3, n_cells, frame.k)
+    _members_and_variations(frame, rng.normal(size=shape),
+                            rng.normal(size=shape), np.zeros(frame.n), 0.01,
+                            substeps)
+    assert len(evals) == 4 * n_cells * substeps
+    assert all(stack is frame._stack("variation") for stack in evals)
+    assert jets == []
 
 
 # -- variation fields: two routes + finite differences -------------------------

@@ -278,6 +278,32 @@ def test_cli_nsre_exit_codes(tmp_path):
     assert code == 4
 
 
+def _non_unit_heisenberg(tmp_path):
+    # |u| = 1.5 on every cell, so the worst | |u| - 1 | is 0.5
+    data = _load_bundled_dict("heisenberg_line")
+    data["control"] = {"T": 1.0, "N_t": 100, "constant": [0.9, 1.2]}
+    return _write_scenario(tmp_path, data)
+
+
+@pytest.mark.parametrize("command, output", [
+    ("nsre-check", "nsre_report.json"), ("certify", "certificate.json")],
+    ids=["nsre-check", "certify"])
+def test_cli_rejects_a_non_unit_control(tmp_path, capsys, command, output):
+    # these used to exit 5, "numerical failure", for unusable input
+    cfg = _non_unit_heisenberg(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / output).exists()
+    assert "worst | |u| - 1 | is 5.000e-01" in capsys.readouterr().err
+
+
+def test_cli_homotopy_reports_a_non_unit_control(tmp_path):
+    cfg = _non_unit_heisenberg(tmp_path)
+    assert main(["homotopy", "--config", cfg, "--out", str(tmp_path)]) == 0
+    slacks = json.loads((tmp_path / "lemma_slacks.json").read_text())
+    assert slacks["nsre_status"] == "not_normalized"
+
+
 def test_cli_homotopy_euclidean(tmp_path):
     code = main(["homotopy", "--config", "euclidean_line", "--out", str(tmp_path)])
     assert code == 0
@@ -356,6 +382,21 @@ def test_cli_certify_heisenberg(tmp_path):
     assert len(lines) == 2 + cert["verification"]["n_trials"]
 
 
+def test_cli_certified_certificate_carries_the_nsre_summary(tmp_path):
+    cfg = _quick_certify_scenario(tmp_path, n_trials=2, n_cells=200)
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["nsre-check", "--config", cfg, "--out", str(tmp_path)]) == 0
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    report = json.loads((tmp_path / "nsre_report.json").read_text())
+    assert cert["certified"] is True
+    summary = {key: value for key, value in report.items()
+               if key not in ("angles", "span_rank", "meta")}
+    assert cert["nsre"] == summary
+    assert {"status", "c", "min_angle_node", "rank_cut",
+            "tangent_flow"} <= set(summary)
+    assert cert["nsre"]["c"] == cert["c"]
+
+
 def test_cli_certified_requires_conditions(tmp_path, monkeypatch):
     # a radius that breaks the angle condition used to be certified as long
     # as every verification trial passed
@@ -412,6 +453,32 @@ def test_cli_outputs_byte_stable(tmp_path):
                            ("trajectory.csv", "nsre_report.json",
                             "homotopy.csv", "endpoints.csv", "lemma_slacks.json")))
     assert blobs[0] == blobs[1]
+
+
+# exit codes of every bundled scenario under integrate, nsre-check, homotopy
+# and certify; homotopy needs a delta_u, which only two of them set
+BUNDLED_EXIT_CODES = {
+    "euclidean_line": (0, 0, 0, 0),
+    "heisenberg_line": (0, 0, 0, 0),
+    "heisenberg_arc": (0, 0, 2, 0),
+    "jump_control": (0, 3, 2, 3),
+    "martinet_arc": (0, 0, 2, 0),
+    "cartan_arc": (0, 0, 2, 0),
+}
+COMMANDS = ("integrate", "nsre-check", "homotopy", "certify")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("name", list(BUNDLED_EXIT_CODES))
+def test_bundled_scenario_exit_codes_and_bytes(tmp_path, name, command):
+    outputs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        code = main([command, "--config", name, "--out", str(out)])
+        assert code == BUNDLED_EXIT_CODES[name][COMMANDS.index(command)]
+        outputs.append({path.name: path.read_bytes()
+                        for path in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_output_header_carries_version_and_hash(tmp_path):

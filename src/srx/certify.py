@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ControlSignal, Domain, SRFrame, SRXError, Trajectory, control_inner
-from .extremals import NSREReport, nsre_check
+from .extremals import NSREReport, nsre_check, require_normalized
 from .flows import tangent_flow
 from .homotopy import Homotopy, energy_comparison_check, natural_homotopies
 
@@ -291,6 +291,7 @@ def build_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
                       nsre_kwargs: dict | None = None
                       ) -> tuple[Certificate, NSREReport]:
     """Run the full chain: constants, NSRE test, tube radius, radius search."""
+    require_normalized(u, "nsre_check")
     constants = estimate_constants(frame, domain, grid_resolution, margin)
     tf = tangent_flow(frame, u, traj, substeps=substeps)
     report = nsre_check(frame, u, traj, tf, **(nsre_kwargs or {}))

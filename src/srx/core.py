@@ -7,6 +7,7 @@ L2 quantity of a piecewise-constant control an exact finite sum.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -92,6 +93,43 @@ class _StackedPolys:
         """Entrywise bounds of |rows| on the box |q_b| <= radius_b: (rows,)."""
         return (self._monomials(radius.reshape(1, self.n))
                 @ np.abs(self.weights))[0]
+
+    @functools.cached_property
+    def row(self):
+        """The stack at one point on Python floats: a sequence of n floats
+        -> tuple of the rows, with no numpy call.
+
+        Generated once per stack as straight-line Python source: one
+        statement per product, sharing the products of common factor
+        prefixes, then one per weighted term, each row summed from 0.0 in
+        the order of the matmul (zero weights skipped).  Nothing is nested,
+        so any degree compiles.
+        """
+        body = ["".join(f"x{b}, " for b in range(1, self.n + 1)) + "= x"]
+        products: dict[tuple[int, ...], str] = {}
+        names = []
+        for index in zip(*self.factors):
+            index = tuple(int(b) for b in index if b)
+            name = f"x{index[0]}" if index else "1.0"
+            for c in range(2, len(index) + 1):
+                if index[:c] not in products:
+                    products[index[:c]] = f"m{len(products)}"
+                    body.append(f"{products[index[:c]]} = "
+                                f"{name} * x{index[c - 1]}")
+                name = products[index[:c]]
+            names.append(name)
+        rows = range(self.weights.shape[1])
+        for r, column in zip(rows, self.weights.T):
+            body.append(f"r{r} = 0.0")
+            for j in np.flatnonzero(column):
+                w = float(column[j])
+                term = names[j] if abs(w) == 1.0 else f"{abs(w)!r} * {names[j]}"
+                body.append(f"r{r} = r{r} {'+' if w > 0.0 else '-'} {term}")
+        body.append("return (" + "".join(f"r{r}, " for r in rows) + ")")
+        namespace = {"inf": math.inf, "nan": math.nan}
+        exec(compile("def row(x):\n    " + "\n    ".join(body),
+                     "<srx.core._StackedPolys.row>", "exec"), namespace)
+        return namespace["row"]
 
 
 def _validate_table(table: ExponentTable, n: int) -> ExponentTable:

@@ -3,9 +3,10 @@
 One RK4 step per control cell (optionally substepped): within a cell the
 control is constant, so the vector field is autonomous and smooth there and
 the classical order-4 error bound applies cell by cell.  Adaptive steppers
-are deliberately avoided to keep every run bit-deterministic.  Every
-integrator in srx, here and in the homotopy and Hamiltonian modules, runs
-through the one batched stepper `_rk4`.
+are deliberately avoided to keep every run bit-deterministic.  Batches of
+systems (homotopy members, cell propagators) step on numpy arrays through
+`_rk4`; a single system whose right-hand side is a small polynomial stack
+steps on Python floats through `_rk4_row` (see `_rk4_one`).
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ControlSignal, Domain, SRFrame, SRXError, Trajectory,
-                   node_index, require_same_grid)
+                   _StackedPolys, node_index, require_same_grid)
 
 
 class IntegrationError(SRXError):
@@ -31,18 +32,22 @@ class SingularFlowError(SRXError):
 
 COND_LIMIT = 1e12
 FLOW_BATCH = 256           # cells per batch of propagators, bounds the temporaries
+# Distinct monomials up to which a one-row integration steps on Python
+# floats (see _rk4_one).  Over 1000 cells, compilation included, the row
+# path took 0.5-0.75 of the batched time at 113-164 monomials, 0.95 at
+# about 180 and 1.2-1.8 from 280 up.
+ROW_MONOMIALS = 128
 
 
 def _rk4(rhs, y0: np.ndarray, h: float, substeps: int,
          n_cells: int) -> np.ndarray:
     """Classical RK4 over n_cells control cells of `substeps` steps each.
 
-    The single stepper behind every integrator in srx.  y0 is a (B, d)
-    batch of states and rhs(j, y) the (B, d) right-hand side in cell j;
-    rows advance independently, so a batch integrates B systems at the
-    cost of one Python loop.  Returns the (n_cells + 1, B, d) states at the
-    cell ends, or raises IntegrationError naming the first cell end with a
-    non-finite value.
+    y0 is a (B, d) batch of states and rhs(j, y) the (B, d) right-hand side
+    in cell j; rows advance independently, so a batch integrates B systems
+    at the cost of one Python loop.  Returns the (n_cells + 1, B, d) states
+    at the cell ends, or raises IntegrationError naming the first cell end
+    with a non-finite value.
     """
     ys = np.empty((n_cells + 1,) + y0.shape)
     ys[0] = y = y0
@@ -55,11 +60,60 @@ def _rk4(rhs, y0: np.ndarray, h: float, substeps: int,
                 k4 = rhs(j, y + h * k3)
                 y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
             ys[j + 1] = y
-    finite = np.isfinite(ys).all(axis=(1, 2))
+    return _finite_states(ys, h, substeps)
+
+
+def _rk4_row(f, y0: np.ndarray, h: float, substeps: int,
+             n_cells: int) -> np.ndarray:
+    """_rk4 for one system of d equations, on Python floats.
+
+    f(j) is called once, when cell j's first step starts, and returns the
+    cell's right-hand side: a function of one state (a list of d floats)
+    that returns d floats.  Each operation is _rk4's, rounded the same way.
+    Returns the (n_cells + 1, d) states at the cell ends, or raises
+    _rk4's IntegrationError.
+    """
+    ys = np.empty((n_cells + 1, y0.shape[0]))
+    ys[0] = y0
+    y = y0.tolist()
+    half, sixth = 0.5 * h, h / 6.0
+    for j in range(n_cells):
+        rhs = f(j)
+        for _ in range(substeps):
+            k1 = rhs(y)
+            k2 = rhs([a + half * b for a, b in zip(y, k1)])
+            k3 = rhs([a + half * b for a, b in zip(y, k2)])
+            k4 = rhs([a + h * b for a, b in zip(y, k3)])
+            y = [a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        ys[j + 1] = y
+    return _finite_states(ys, h, substeps)
+
+
+def _finite_states(ys: np.ndarray, h: float, substeps: int) -> np.ndarray:
+    """ys, or IntegrationError naming the first cell end that is not finite."""
+    finite = np.isfinite(ys.reshape(ys.shape[0], -1)).all(axis=1)
     if not finite.all():
         j = int(np.argmin(finite))
         raise IntegrationError(f"state became non-finite at t={j * substeps * h:.6g}")
     return ys
+
+
+def _rk4_one(stack: _StackedPolys, cell_rhs, rhs, y0: np.ndarray, h: float,
+             substeps: int, n_cells: int) -> np.ndarray:
+    """(n_cells + 1, d) states of one system whose right-hand side is built
+    on one polynomial stack.
+
+    A stack of at most ROW_MONOMIALS distinct monomials costs less on
+    Python floats than one numpy call, so the system steps by _rk4_row with
+    cell j's right-hand side cell_rhs(stack.row, j).  A larger stack steps
+    by _rk4 on a batch of one row with rhs(j, y), where the arithmetic, not
+    the per-call overhead, dominates.
+    """
+    if stack.weights.shape[0] <= ROW_MONOMIALS:
+        row = stack.row
+        return _rk4_row(lambda j: cell_rhs(row, j), y0, h, substeps, n_cells)
+    return _rk4(rhs, y0[None], h, substeps, n_cells)[:, 0]
 
 
 def _checked_start(frame: SRFrame, q0, domain: Domain | None,
@@ -97,10 +151,24 @@ def integrate_trajectory(frame: SRFrame, u: ControlSignal, q0,
     invalid.  A non-finite state raises IntegrationError.
     """
     q0 = _checked_start(frame, q0, domain, substeps)
+    n = frame.n
     cells = u.samples[:, None, None, :]
-    states = _rk4(lambda j, q: (cells[j] @ frame.derivatives(0, q))[:, 0],
-                  q0[None], u.dt / substeps, substeps, u.n_cells)
-    return _marked_trajectory(u.grid, states[:, 0], u, domain)
+
+    def cell_rhs(row, j):
+        # sum_i u_i X_i(q), summed from 0.0 over i as the matmul sums it
+        u_j = u.samples[j].tolist()
+
+        def rhs(q):
+            values, out = row(q), [0.0] * n
+            for i, c in enumerate(u_j):
+                out = [o + c * v for o, v in zip(out, values[i * n:])]
+            return out
+        return rhs
+
+    states = _rk4_one(frame._stack(0), cell_rhs,
+                      lambda j, q: (cells[j] @ frame.derivatives(0, q))[:, 0],
+                      q0, u.dt / substeps, substeps, u.n_cells)
+    return _marked_trajectory(u.grid, states, u, domain)
 
 
 @dataclass(frozen=True, eq=False)

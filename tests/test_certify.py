@@ -382,6 +382,22 @@ def test_certificate_refuses_jump_control(heisenberg, box3):
     assert err.value.report.status == "failed"
 
 
+def test_certificate_rejects_a_non_unit_control_first(heisenberg, box3,
+                                                      monkeypatch):
+    # the unit-speed check comes before the constants and the tangent flow
+    from srx.extremals import NotNormalizedError
+
+    def never(*args, **kwargs):
+        raise AssertionError("called before the unit-speed check")
+
+    u = constant_control([0.9, 1.2], n_cells=100)
+    traj = integrate_trajectory(heisenberg, u, [0.0, 0.0, 0.0], domain=box3)
+    monkeypatch.setattr(certify, "tangent_flow", never)
+    monkeypatch.setattr(certify, "estimate_constants", never)
+    with pytest.raises(NotNormalizedError, match=r"is 5\.000e-01"):
+        build_certificate(heisenberg, box3, u, traj, grid_resolution=5)
+
+
 # -- perturbation sampler --------------------------------------------------------------
 
 def test_sampler_always_admissible():

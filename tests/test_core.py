@@ -226,23 +226,42 @@ def _test_points(rng, shape, n):
     return pts
 
 
-@pytest.mark.parametrize("frame", [
-    make_random_poly_frame(np.random.default_rng(21), n=3),
-    make_random_poly_frame(np.random.default_rng(22), n=4),
-    make_quartic_frame(),
-], ids=["random_n3", "random_n4", "quartic"])
+STACK_FRAMES = {
+    **{name: load_scenario(name).frame for name in BUNDLED},
+    "random_n3": make_random_poly_frame(np.random.default_rng(21), n=3),
+    "random_n4": make_random_poly_frame(np.random.default_rng(22), n=4),
+    "quartic": make_quartic_frame(),
+}
+
+
+@pytest.mark.parametrize("frame", [*STACK_FRAMES.values()], ids=[*STACK_FRAMES])
 @pytest.mark.parametrize("key", [0, 1, 2, "jet", "hamiltonian", "variation"])
 @pytest.mark.parametrize("shape", [(0,), (1,), (17,), (1088,), (4, 6), ()])
 def test_stack_matches_the_pow_evaluator(frame, key, shape):
     # x*x*x and pow(x, 3) round differently, and merged monomials are
     # summed in another order: agreement to rounding, relative to the sum
-    # of the terms' absolute values
+    # of the terms' absolute values; the row function is checked point by
+    # point against the same bound
     tables, n = _stack_tables(frame, key)
     pts = _test_points(np.random.default_rng(len(shape) + sum(shape)), shape, n)
-    out = frame._stack(key).eval(pts)
+    stack = frame._stack(key)
+    out = stack.eval(pts)
     expected, scale = _pow_reference(tables, n, pts)
     assert out.shape == shape + (len(tables),)
     assert np.all(np.abs(out - expected) <= 1e-14 * scale)
+    rows = [stack.row(p) for p in pts.reshape(-1, n).tolist()]
+    assert all(type(r) is tuple and len(r) == len(tables) for r in rows)
+    rows = np.array(rows, dtype=float).reshape(out.shape)
+    assert np.all(np.abs(rows - expected) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("exp", [(300,), (150, 150), (0, 300, 1)])
+def test_row_function_of_a_high_degree_monomial(exp):
+    # one statement per product: no nested expression for the compiler to
+    # recurse into, whatever the degree
+    stack = core._StackedPolys([{exp: 0.5}, {}], len(exp))
+    pts = np.full((1, len(exp)), 1.001)
+    assert stack.row(pts[0].tolist()) == tuple(stack.eval(pts)[0])
 
 
 def test_degree_one_stack_equals_the_pow_evaluator(heisenberg):

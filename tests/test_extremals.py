@@ -481,16 +481,17 @@ class _Captured(Exception):
 
 
 def _oracle_rhs(monkeypatch, frame, q0, p0):
-    """The right-hand side the oracle hands to the RK4 stepper."""
-    import srx.extremals as extremals
+    """Cell 0's right-hand side from the function the oracle hands to the
+    row stepper."""
+    import srx.flows as flows
 
-    def capture(rhs, *args):
-        raise _Captured(rhs)
+    def capture(f, *args):
+        raise _Captured(f)
 
-    monkeypatch.setattr(extremals, "_rk4", capture)
+    monkeypatch.setattr(flows, "_rk4_row", capture)
     with pytest.raises(_Captured) as caught:
         hamiltonian_extremal(frame, q0, p0, 1.0, 10)
-    return caught.value.args[0]
+    return caught.value.args[0](0)
 
 
 def test_hamiltonian_batched_rhs_matches_rows(monkeypatch):
@@ -498,7 +499,7 @@ def test_hamiltonian_batched_rhs_matches_rows(monkeypatch):
     frame, n, k = scenario.frame, scenario.frame.n, scenario.frame.k
     rhs = _oracle_rhs(monkeypatch, frame, scenario.q0, scenario.hamiltonian["p0"])
     rows = np.random.default_rng(4).uniform(-1.5, 1.5, size=(7, 2 * n))
-    batched = rhs(0, rows)
+    batched = frame.hamiltonian_field(rows)
     assert batched.shape == rows.shape
     for y, out in zip(rows, batched):
         # dq = sum u^i X_i, dp = -sum u^i (dX_i/dq)^T p, one row at a time
@@ -508,28 +509,97 @@ def test_hamiltonian_batched_rhs_matches_rows(monkeypatch):
         a = (u @ jac.reshape(k, n * n)).reshape(n, n)
         expected = np.concatenate([u @ f, -(p @ a)])
         assert np.abs(out - expected).max() <= 1e-15 * np.abs(expected).max()
-        assert np.abs(rhs(0, y[None])[0] - out).max() <= 1e-15 * np.abs(out).max()
+        single = np.array(rhs(y.tolist()))
+        assert np.abs(single - out).max() <= 1e-15 * np.abs(out).max()
 
 
 @pytest.mark.parametrize("n_cells, substeps", [(300, 1), (100, 2)])
 def test_hamiltonian_field_calls(heisenberg, monkeypatch, n_cells, substeps):
-    # four stages per RK4 step, `substeps` steps per cell, plus the node
-    # slopes in batches of FLOW_BATCH; two half steps per cell took
-    # 8 N_t substeps
+    # four row-function calls per RK4 step, `substeps` steps per cell, plus
+    # the node slopes in batches of FLOW_BATCH; two half steps per cell
+    # took 8 N_t substeps
     from srx import SRFrame
     from srx.flows import FLOW_BATCH
-    calls = []
+    calls, row_calls = [], []
     real_field = SRFrame.hamiltonian_field
+    stack = heisenberg._stack("hamiltonian")
+    real_row = stack.row
 
     def counting_field(self, states):
         calls.append(states)
         return real_field(self, states)
 
     monkeypatch.setattr(SRFrame, "hamiltonian_field", counting_field)
+    monkeypatch.setattr(stack, "row",
+                        lambda y: row_calls.append(y) or real_row(y))
     hamiltonian_extremal(heisenberg, [0.0, 0.0, 0.0], [1.0, 0.0, 2.0], 1.0,
                          n_cells, substeps=substeps)
     batches = -(-(n_cells + 1) // FLOW_BATCH)
-    assert len(calls) == 4 * n_cells * substeps + batches
+    assert len(row_calls) == 4 * n_cells * substeps
+    assert len(calls) == batches
+
+
+def _one_row_runs(scenario):
+    """The oracle's states, costates and control (arcs) and the base
+    trajectory of the scenario's control, or of the oracle's."""
+    frame, q0 = scenario.frame, scenario.q0
+    runs, u = [], scenario.control
+    if scenario.hamiltonian:
+        ham = scenario.hamiltonian
+        ext = hamiltonian_extremal(frame, q0, ham["p0"], ham["T"], ham["N_t"],
+                                   scenario.substeps)
+        runs = [ext.trajectory.states, ext.costates, ext.control.samples]
+        u = ext.control
+    return runs, integrate_trajectory(frame, u, q0, substeps=scenario.substeps).states
+
+
+# The batched path sums weighted terms by a matmul, which a BLAS kernel may
+# round as a fused multiply-add; Python floats round each product, so the
+# two agree bit for bit only where those products are exact: the oracle's
+# stacks have weights that are powers of 2 on the Heisenberg and Martinet
+# frames, and sum_i u_i X_i(q) has one field term per coordinate on the
+# Martinet frame and a control like (1, 0) on the line scenarios.
+@pytest.mark.parametrize("name, oracle_rel, trajectory_rel", [
+    ("heisenberg_line", None, 0.0), ("jump_control", None, 0.0),
+    ("heisenberg_arc", 0.0, 1e-13), ("martinet_arc", 0.0, 0.0),
+    ("cartan_arc", 1e-13, 1e-13)])
+def test_row_path_matches_the_batched_path(monkeypatch, name, oracle_rel,
+                                           trajectory_rel):
+    import srx.flows as flows
+    scenario = load_scenario(name)
+    rows = _one_row_runs(scenario)
+    monkeypatch.setattr(flows, "ROW_MONOMIALS", -1)
+    batched = _one_row_runs(scenario)
+    for row, ref in zip(rows[0], batched[0]):
+        assert np.all(np.abs(row - ref) <= oracle_rel * np.abs(ref).max())
+    assert np.all(np.abs(rows[1] - batched[1])
+                  <= trajectory_rel * np.abs(batched[1]).max())
+
+
+def test_dense_hamiltonian_stack_takes_the_batched_path(monkeypatch):
+    # 1423 distinct monomials: past ROW_MONOMIALS, the row function costs
+    # more per call than one batched evaluation
+    import srx.flows as flows
+    from conftest import make_random_poly_frame
+
+    def capture(rhs, *args):
+        raise _Captured(rhs)
+
+    def never(*args):
+        raise AssertionError("the row stepper ran")
+
+    frame = make_random_poly_frame(np.random.default_rng(22), n=4)
+    assert frame._stack("hamiltonian").weights.shape[0] > flows.ROW_MONOMIALS
+    q0 = np.full(4, 0.1)
+    p0 = np.random.default_rng(3).normal(size=4)
+    p0 /= np.linalg.norm(frame.field_matrix(q0).T @ p0)
+    monkeypatch.setattr(flows, "_rk4", capture)
+    monkeypatch.setattr(flows, "_rk4_row", never)
+    with pytest.raises(_Captured) as caught:
+        hamiltonian_extremal(frame, q0, p0, 1.0, 10)
+    rows = np.random.default_rng(4).uniform(-1.0, 1.0, size=(1, 8))
+    assert np.array_equal(caught.value.args[0](0, rows),
+                          frame.hamiltonian_field(rows))
 
 
 def test_hamiltonian_level_conservation(heisenberg):

@@ -228,6 +228,32 @@ def test_blow_up_raises():
         integrate_trajectory(frame, u, [1.0])
 
 
+def test_blow_up_raises_the_same_error_on_both_paths(monkeypatch):
+    # dy/dt = x^4 = 1e304 from x = 1e76: y overflows to inf at about
+    # t = 1.8e4, in the middle of the run; on the oracle x^8 = inf times
+    # p2 = 0 is already nan in the first stage
+    import srx.flows as flows
+    from srx import hamiltonian_extremal
+    frame = make_quartic_frame()
+    u = constant_control([1.0], horizon=2e4, n_cells=100)
+
+    def errors():
+        found = []
+        with pytest.raises(IntegrationError) as err:
+            integrate_trajectory(frame, u, [1e76, 0.0])
+        found.append(str(err.value))
+        with pytest.raises(IntegrationError) as err:
+            hamiltonian_extremal(frame, [1e76, 0.0], [1.0, 0.0], 2e4, 100)
+        found.append(str(err.value))
+        return found
+
+    expected = ["state became non-finite at t=18000",
+                "state became non-finite at t=200"]
+    assert errors() == expected
+    monkeypatch.setattr(flows, "ROW_MONOMIALS", -1)
+    assert errors() == expected
+
+
 def test_tangent_flow_non_finite_raises():
     from srx import PolyVectorField, SRFrame, Trajectory
     u = constant_control([1.0], horizon=1.0, n_cells=1000)

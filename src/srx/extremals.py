@@ -14,7 +14,7 @@ import numpy as np
 from .core import (NORMALIZED_TOL, ControlSignal, Domain, SRFrame, SRXError,
                    Trajectory)
 from .flows import (FLOW_BATCH, DomainExitError, IntegrationError, TangentFlow,
-                    _marked_trajectory, _rk4_one, tangent_flow)
+                    _marked_trajectory, _rk4_row, tangent_flow)
 
 SIGMA_TOL = 1e-8
 THETA_MIN = 1e-3
@@ -374,10 +374,10 @@ def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
     u^i = <p, X_i(q)>, starting on the unit level sum_i <p0, X_i(q0)>^2 = 1.
     That right-hand side is (dH/dp, -dH/dq) for the polynomial
     H = 1/2 sum_i <p, X_i(q)>^2: the cached "hamiltonian" stack, stepped
-    one row at a time (see flows._rk4_one).  Each control cell of width
-    h = horizon / n_cells takes `substeps` RK4 steps, as in
-    integrate_trajectory and tangent_flow.  The control is
-    sampled at cell midpoints, read from the cubic Hermite interpolant of
+    one row at a time on Python floats (flows._rk4_row).  Each control cell
+    of width h = horizon / n_cells takes `substeps` RK4 steps, as in
+    integrate_trajectory and tangent_flow.  The control is sampled at cell
+    midpoints, read from the cubic Hermite interpolant of
     the cell's end values y and slopes f (dense output, Hairer, Norsett &
     Wanner, Solving ODEs I, II.6): (y_j + y_{j+1}) / 2 + h/8 (f_j - f_{j+1}),
     which is O(h^4) like the stepper; the slopes take one batched
@@ -403,9 +403,9 @@ def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
 
     n = frame.n
     h = horizon / n_cells
-    ys = _rk4_one(frame._stack("hamiltonian"), lambda row, _: row,
-                  lambda _, y: frame.hamiltonian_field(y),
-                  np.concatenate([q0, p0]), h / substeps, substeps, n_cells)
+    row = frame._stack("hamiltonian").row
+    ys = _rk4_row(lambda _: row, np.concatenate([q0, p0]), h / substeps,
+                  substeps, n_cells)
     slopes = np.concatenate([frame.hamiltonian_field(ys[lo:lo + FLOW_BATCH])
                              for lo in range(0, n_cells + 1, FLOW_BATCH)])
     mids = 0.5 * (ys[:-1] + ys[1:]) + (h / 8.0) * (slopes[:-1] - slopes[1:])

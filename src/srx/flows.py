@@ -5,8 +5,9 @@ control is constant, so the vector field is autonomous and smooth there and
 the classical order-4 error bound applies cell by cell.  Adaptive steppers
 are deliberately avoided to keep every run bit-deterministic.  Batches of
 systems (homotopy members, cell propagators) step on numpy arrays through
-`_rk4`; a single system whose right-hand side is a small polynomial stack
-steps on Python floats through `_rk4_row` (see `_rk4_one`).
+`_rk4`; a single system (the base trajectory, the Hamiltonian oracle)
+steps on Python floats through `_rk4_row`, which does the same arithmetic
+without a numpy call per stage.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ControlSignal, Domain, SRFrame, SRXError, Trajectory,
-                   _StackedPolys, node_index, require_same_grid)
+                   node_index, require_same_grid)
 
 
 class IntegrationError(SRXError):
@@ -32,11 +33,6 @@ class SingularFlowError(SRXError):
 
 COND_LIMIT = 1e12
 FLOW_BATCH = 256           # cells per batch of propagators, bounds the temporaries
-# Distinct monomials up to which a one-row integration steps on Python
-# floats (see _rk4_one).  Over 1000 cells, compilation included, the row
-# path took 0.5-0.75 of the batched time at 113-164 monomials, 0.95 at
-# about 180 and 1.2-1.8 from 280 up.
-ROW_MONOMIALS = 128
 
 
 def _rk4(rhs, y0: np.ndarray, h: float, substeps: int,
@@ -99,23 +95,6 @@ def _finite_states(ys: np.ndarray, h: float, substeps: int) -> np.ndarray:
     return ys
 
 
-def _rk4_one(stack: _StackedPolys, cell_rhs, rhs, y0: np.ndarray, h: float,
-             substeps: int, n_cells: int) -> np.ndarray:
-    """(n_cells + 1, d) states of one system whose right-hand side is built
-    on one polynomial stack.
-
-    A stack of at most ROW_MONOMIALS distinct monomials costs less on
-    Python floats than one numpy call, so the system steps by _rk4_row with
-    cell j's right-hand side cell_rhs(stack.row, j).  A larger stack steps
-    by _rk4 on a batch of one row with rhs(j, y), where the arithmetic, not
-    the per-call overhead, dominates.
-    """
-    if stack.weights.shape[0] <= ROW_MONOMIALS:
-        row = stack.row
-        return _rk4_row(lambda j: cell_rhs(row, j), y0, h, substeps, n_cells)
-    return _rk4(rhs, y0[None], h, substeps, n_cells)[:, 0]
-
-
 def _checked_start(frame: SRFrame, q0, domain: Domain | None,
                    substeps: int) -> np.ndarray:
     q0 = np.asarray(q0, dtype=float)
@@ -151,10 +130,9 @@ def integrate_trajectory(frame: SRFrame, u: ControlSignal, q0,
     invalid.  A non-finite state raises IntegrationError.
     """
     q0 = _checked_start(frame, q0, domain, substeps)
-    n = frame.n
-    cells = u.samples[:, None, None, :]
+    n, row = frame.n, frame._stack(0).row
 
-    def cell_rhs(row, j):
+    def cell_rhs(j):
         # sum_i u_i X_i(q), summed from 0.0 over i as the matmul sums it
         u_j = u.samples[j].tolist()
 
@@ -165,9 +143,7 @@ def integrate_trajectory(frame: SRFrame, u: ControlSignal, q0,
             return out
         return rhs
 
-    states = _rk4_one(frame._stack(0), cell_rhs,
-                      lambda j, q: (cells[j] @ frame.derivatives(0, q))[:, 0],
-                      q0, u.dt / substeps, substeps, u.n_cells)
+    states = _rk4_row(cell_rhs, q0, u.dt / substeps, substeps, u.n_cells)
     return _marked_trajectory(u.grid, states, u, domain)
 
 

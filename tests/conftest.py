@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from srx import ControlSignal, Domain, PolyVectorField, SRFrame
+from srx.flows import _rk4
 
 
 def make_euclidean_frame(n=2):
@@ -60,6 +61,26 @@ def jet_variation_rhs(frame, rows):
     a = (cells @ jac.reshape(-1, k, n * n)).reshape(-1, n, n)
     db = (incs @ f)[:, 0] + (a @ b[:, :, None])[:, :, 0]
     return np.concatenate([(cells @ f)[:, 0], db], axis=1)
+
+
+def batched_trajectory_states(frame, u, q0, substeps=1):
+    """integrate_trajectory's states from the batched stepper: _rk4 on a
+    batch of one row with sum_i u_i X_i(q) as a (1, k) @ (k, n) matmul, the
+    reference for the row stepper."""
+    cells = u.samples[:, None, None, :]
+    return _rk4(lambda j, q: (cells[j] @ frame.derivatives(0, q))[:, 0],
+                np.asarray(q0, dtype=float)[None], u.dt / substeps, substeps,
+                u.n_cells)[:, 0]
+
+
+def batched_oracle_stepper(frame):
+    """A stand-in for the row stepper in hamiltonian_extremal: the
+    Hamiltonian system on _rk4 with a batch of one row, evaluated by
+    SRFrame.hamiltonian_field, the reference for the row stepper."""
+    def stepper(f, y0, h, substeps, n_cells):
+        return _rk4(lambda _, y: frame.hamiltonian_field(y), y0[None], h,
+                    substeps, n_cells)[:, 0]
+    return stepper
 
 
 def constant_control(value, horizon=1.0, n_cells=1000):

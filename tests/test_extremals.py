@@ -483,12 +483,12 @@ class _Captured(Exception):
 def _oracle_rhs(monkeypatch, frame, q0, p0):
     """Cell 0's right-hand side from the function the oracle hands to the
     row stepper."""
-    import srx.flows as flows
+    import srx.extremals as extremals
 
     def capture(f, *args):
         raise _Captured(f)
 
-    monkeypatch.setattr(flows, "_rk4_row", capture)
+    monkeypatch.setattr(extremals, "_rk4_row", capture)
     with pytest.raises(_Captured) as caught:
         hamiltonian_extremal(frame, q0, p0, 1.0, 10)
     return caught.value.args[0](0)
@@ -539,7 +539,7 @@ def test_hamiltonian_field_calls(heisenberg, monkeypatch, n_cells, substeps):
     assert len(calls) == batches
 
 
-def _one_row_runs(scenario):
+def _one_row_runs(scenario, trajectory_states):
     """The oracle's states, costates and control (arcs) and the base
     trajectory of the scenario's control, or of the oracle's."""
     frame, q0 = scenario.frame, scenario.q0
@@ -550,56 +550,34 @@ def _one_row_runs(scenario):
                                    scenario.substeps)
         runs = [ext.trajectory.states, ext.costates, ext.control.samples]
         u = ext.control
-    return runs, integrate_trajectory(frame, u, q0, substeps=scenario.substeps).states
+    return runs, trajectory_states(frame, u, q0, scenario.substeps)
 
 
-# The batched path sums weighted terms by a matmul, which a BLAS kernel may
-# round as a fused multiply-add; Python floats round each product, so the
-# two agree bit for bit only where those products are exact: the oracle's
-# stacks have weights that are powers of 2 on the Heisenberg and Martinet
-# frames, and sum_i u_i X_i(q) has one field term per coordinate on the
-# Martinet frame and a control like (1, 0) on the line scenarios.
+# The batched stepper sums weighted terms by a matmul, which a BLAS kernel
+# may round as a fused multiply-add; Python floats round each product, so
+# the two agree bit for bit only where those products are exact: the
+# oracle's stacks have weights that are powers of 2 on the Heisenberg and
+# Martinet frames, and sum_i u_i X_i(q) has one field term per coordinate
+# on the Martinet frame and a control like (1, 0) on the line scenarios.
 @pytest.mark.parametrize("name, oracle_rel, trajectory_rel", [
     ("heisenberg_line", None, 0.0), ("jump_control", None, 0.0),
     ("heisenberg_arc", 0.0, 1e-13), ("martinet_arc", 0.0, 0.0),
     ("cartan_arc", 1e-13, 1e-13)])
-def test_row_path_matches_the_batched_path(monkeypatch, name, oracle_rel,
-                                           trajectory_rel):
-    import srx.flows as flows
+def test_row_stepper_matches_the_batched_stepper(monkeypatch, name,
+                                                 oracle_rel, trajectory_rel):
+    import srx.extremals as extremals
+    from conftest import batched_oracle_stepper, batched_trajectory_states
     scenario = load_scenario(name)
-    rows = _one_row_runs(scenario)
-    monkeypatch.setattr(flows, "ROW_MONOMIALS", -1)
-    batched = _one_row_runs(scenario)
+    rows = _one_row_runs(scenario, lambda frame, u, q0, substeps:
+                         integrate_trajectory(frame, u, q0,
+                                              substeps=substeps).states)
+    monkeypatch.setattr(extremals, "_rk4_row",
+                        batched_oracle_stepper(scenario.frame))
+    batched = _one_row_runs(scenario, batched_trajectory_states)
     for row, ref in zip(rows[0], batched[0]):
         assert np.all(np.abs(row - ref) <= oracle_rel * np.abs(ref).max())
     assert np.all(np.abs(rows[1] - batched[1])
                   <= trajectory_rel * np.abs(batched[1]).max())
-
-
-def test_dense_hamiltonian_stack_takes_the_batched_path(monkeypatch):
-    # 1423 distinct monomials: past ROW_MONOMIALS, the row function costs
-    # more per call than one batched evaluation
-    import srx.flows as flows
-    from conftest import make_random_poly_frame
-
-    def capture(rhs, *args):
-        raise _Captured(rhs)
-
-    def never(*args):
-        raise AssertionError("the row stepper ran")
-
-    frame = make_random_poly_frame(np.random.default_rng(22), n=4)
-    assert frame._stack("hamiltonian").weights.shape[0] > flows.ROW_MONOMIALS
-    q0 = np.full(4, 0.1)
-    p0 = np.random.default_rng(3).normal(size=4)
-    p0 /= np.linalg.norm(frame.field_matrix(q0).T @ p0)
-    monkeypatch.setattr(flows, "_rk4", capture)
-    monkeypatch.setattr(flows, "_rk4_row", never)
-    with pytest.raises(_Captured) as caught:
-        hamiltonian_extremal(frame, q0, p0, 1.0, 10)
-    rows = np.random.default_rng(4).uniform(-1.0, 1.0, size=(1, 8))
-    assert np.array_equal(caught.value.args[0](0, rows),
-                          frame.hamiltonian_field(rows))
 
 
 def test_hamiltonian_level_conservation(heisenberg):

@@ -162,8 +162,9 @@ def _not_certifiable(scenario: Scenario, out: Path, err: NotCertifiableError,
 def cmd_certify(scenario: Scenario, out: Path) -> int:
     u, traj, extra = _resolve_run(scenario)
     if traj.left_domain:
-        print("trajectory leaves the domain; nothing to certify", file=sys.stderr)
-        return EXIT_FAILED
+        err = NotCertifiableError("trajectory leaves the domain at "
+                                  f"t={traj.first_exit_time:.6g}")
+        return _not_certifiable(scenario, out, err, extra, None)
     cfg = scenario.certify
     try:
         cert, report = build_certificate(
@@ -231,12 +232,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ScenarioError("--seed must be a non-negative integer")
         scenario = load_scenario(args.config)
         if args.seed is not None:
             object.__setattr__(scenario, "seed", int(args.seed))
         out = Path(args.out if args.out is not None
                    else scenario.out_dir or ".")
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            print(f"cannot create output directory {out}: "
+                  f"{err.strerror or err}", file=sys.stderr)
+            return EXIT_INPUT
         if args.command == "integrate":
             return cmd_integrate(scenario, out)
         if args.command == "nsre-check":

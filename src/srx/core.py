@@ -216,19 +216,6 @@ class SRFrame:
         shape = (self.k,) + (self.n,) * (order + 1)
         return self._stack(order).bound(radius).reshape(shape)
 
-    def jet(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """(..., n) points -> values (..., k, n) and Jacobians (..., k, n, n).
-
-        One evaluation of the cached stack whose rows are the order-0 rows
-        followed by the order-1 rows, so an RK4 stage that needs both pays
-        for a single polynomial evaluation.
-        """
-        pts = np.asarray(points, dtype=float)
-        lead, k, n = pts.shape[:-1], self.k, self.n
-        rows = self._stack("jet").eval(pts)
-        return (rows[..., :k * n].reshape(lead + (k, n)),
-                rows[..., k * n:].reshape(lead + (k, n, n)))
-
     def hamiltonian_field(self, states) -> np.ndarray:
         """(..., 2n) rows (q, p) -> (..., 2n) rows (dH/dp, -dH/dq).
 
@@ -365,9 +352,10 @@ class SRFrame:
         return dq + db
 
     def _stack(self, key) -> _StackedPolys:
-        """The stack of one derivative order, "jet" (orders 0 and 1),
-        "hamiltonian" (the partials of H, over 2n variables) or "variation"
-        (the member and variation right-hand side, over 2n + 2k variables).
+        """The stack of one derivative order, "hamiltonian" (the partials of
+        H, over 2n variables) or "variation" (the right-hand side of a state
+        with one variation of it, over 2n + 2k variables; every batched RK4
+        integration steps on it).
 
         Built once per key and cached.
         """
@@ -376,8 +364,6 @@ class SRFrame:
                 tables, dim = self._hamiltonian_tables(), 2 * self.n
             elif key == "variation":
                 tables, dim = self._variation_tables(), 2 * (self.n + self.k)
-            elif key == "jet":
-                tables, dim = self._tables(0) + self._tables(1), self.n
             else:
                 tables, dim = self._tables(key), self.n
             self._stacks[key] = _StackedPolys(tables, dim)

@@ -4,10 +4,12 @@ One RK4 step per control cell (optionally substepped): within a cell the
 control is constant, so the vector field is autonomous and smooth there and
 the classical order-4 error bound applies cell by cell.  Adaptive steppers
 are deliberately avoided to keep every run bit-deterministic.  Batches of
-systems (homotopy members, cell propagators) step on numpy arrays through
-`_rk4`; a single system (the base trajectory, the Hamiltonian oracle)
-steps on Python floats through `_rk4_row`, which does the same arithmetic
-without a numpy call per stage.
+systems step on numpy arrays through `_rk4`, whose one right-hand side is
+the variational system of `_variational_flow`: a state with one variation
+of it, which gives both the homotopy members with their variation fields
+and the columns of the tangent-flow cell propagators.  A single system (the
+base trajectory, the Hamiltonian oracle) steps on Python floats through
+`_rk4_row`, which does the same arithmetic without a numpy call per stage.
 """
 from __future__ import annotations
 
@@ -147,6 +149,23 @@ def integrate_trajectory(frame: SRFrame, u: ControlSignal, q0,
     return _marked_trajectory(u.grid, states, u, domain)
 
 
+def _variational_flow(frame: SRFrame, y0: np.ndarray, cells: np.ndarray,
+                      h: float, substeps: int) -> np.ndarray:
+    """RK4 states of a batch of states, each with one variation of it.
+
+    Row r integrates dq/dt = f_u(q) jointly with db/dt = f_du(q) + Df_u(q) b,
+    so the b stages use the row's own RK4 stage states.  That right-hand
+    side is one polynomial in (q, b, u, du), so each RK4 stage is one
+    SRFrame.variation_field call.  y0 is (B, 2n), the start rows (q, b), and
+    cells (B, N, 2k), each row's (u, du) per cell, the last stack
+    variables.  Returns the (B, N + 1, 2n) states at the cell ends.
+    """
+    def rhs(j, y):
+        return frame.variation_field(np.concatenate([y, cells[:, j]], axis=1))
+
+    return _rk4(rhs, y0, h, substeps, cells.shape[1]).swapaxes(0, 1)
+
+
 @dataclass(frozen=True, eq=False)
 class TangentFlow:
     """Tangent maps of the time-dependent flow along a base trajectory.
@@ -167,27 +186,6 @@ class TangentFlow:
         return node_index(self.grid, t)
 
 
-def _cell_propagators(frame: SRFrame, q: np.ndarray, cells: np.ndarray,
-                      h: float, substeps: int) -> np.ndarray:
-    """Cell propagators P_j (see tangent_flow) of a batch of cells.
-
-    q is (B, n), the base states at the cell starts, and cells is (B, 1, k).
-    Row j of the RK4 batch is cell j's state together with its tangent map,
-    started from (q_j, I), so its `substeps` steps return P_j.
-    """
-    n, k = frame.n, frame.k
-
-    def rhs(_, y):
-        values, jacobians = frame.jet(y[:, :n])
-        a = (cells @ jacobians.reshape(-1, k, n * n)).reshape(-1, n, n)
-        return np.concatenate([(cells @ values)[:, 0],
-                               (a @ y[:, n:].reshape(-1, n, n)).reshape(-1, n * n)],
-                              axis=1)
-
-    y0 = np.concatenate([q, np.tile(np.eye(n).ravel(), (q.shape[0], 1))], axis=1)
-    return _rk4(rhs, y0, h, substeps, 1)[1, :, n:].reshape(-1, n, n)
-
-
 def tangent_flow(frame: SRFrame, u: ControlSignal, base: Trajectory,
                  substeps: int = 1, cond_limit: float = COND_LIMIT) -> TangentFlow:
     """RK4 solution of the matrix variational equation dM/dt = Df_u(gamma(t)) M.
@@ -204,7 +202,9 @@ def tangent_flow(frame: SRFrame, u: ControlSignal, base: Trajectory,
     B3 = I + h/2 A2 B2 and B4 = I + h A3 B3: the same linear map as
     integrating M alongside the state.  The cell propagators P_j (the
     products of a cell's substep maps) are evaluated FLOW_BATCH cells at a
-    time, and M_{j+1} = P_j M_j, anchored at t = 0.
+    time, column by column: column c of P_j is the variation of
+    _variational_flow started from (q_j, e_c) with du = 0.  Then
+    M_{j+1} = P_j M_j, anchored at t = 0.
     Condition numbers above cond_limit only set `ill_conditioned`; they do
     not abort, since the flag is advisory for downstream rank decisions.
     """
@@ -212,17 +212,23 @@ def tangent_flow(frame: SRFrame, u: ControlSignal, base: Trajectory,
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     n = frame.n
-    cells = u.samples[:, None, :]
+    # row (j, c) of a batch starts at (q_j, e_c) with (u_j, 0): one cell
+    # later its b holds column c of P_j
+    cells = np.repeat(np.concatenate([u.samples, np.zeros_like(u.samples)],
+                                     axis=1), n, axis=0)[:, None]
     mats = np.empty((u.n_cells + 1, n, n))
     mats[0] = np.eye(n)
     for lo in range(0, u.n_cells, FLOW_BATCH):
         hi = min(lo + FLOW_BATCH, u.n_cells)
+        y0 = np.concatenate([np.repeat(base.states[lo:hi], n, axis=0),
+                             np.tile(np.eye(n), (hi - lo, 1))], axis=1)
         try:
-            props = _cell_propagators(frame, base.states[lo:hi], cells[lo:hi],
-                                      u.dt / substeps, substeps)
+            columns = _variational_flow(frame, y0, cells[lo * n:hi * n],
+                                        u.dt / substeps, substeps)[:, 1, n:]
         except IntegrationError:
             raise IntegrationError("a cell propagator became non-finite after "
                                    f"t={lo * u.dt:.6g}") from None
+        props = columns.reshape(-1, n, n).swapaxes(1, 2)
         with np.errstate(over="ignore", invalid="ignore"):
             for j, prop in enumerate(props, start=lo):
                 mats[j + 1] = prop @ mats[j]

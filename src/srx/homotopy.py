@@ -19,7 +19,7 @@ from .core import (ControlSignal, Domain, SRFrame, Trajectory, control_inner,
 from .extremals import (ACB_BOUND, SIGMA_TOL, OrthoDistribution, build_f_perp,
                         max_velocity_derivative, require_normalized,
                         span_profile)
-from .flows import TangentFlow, _checked_start, _rk4
+from .flows import TangentFlow, _checked_start, _variational_flow
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,30 +64,6 @@ class VariationField:
     vectors: np.ndarray  # (N_t + 1, n)
 
 
-def _members_and_variations(frame: SRFrame, controls: np.ndarray,
-                            increments: np.ndarray, q0: np.ndarray, dt: float,
-                            substeps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Members and their variation fields for a batch of (control, du) pairs.
-
-    Integrates the member dq/dt = f_u(q) jointly with its variation
-    db/dt = f_du(q) + Df_u(q) b, b(0) = 0, so the b stages use the member's
-    own RK4 stage states.  That right-hand side is one polynomial in
-    (q, b, u, du), so each RK4 stage is one SRFrame.variation_field call.
-    controls and increments are (B, N_t, k); returns states and variations,
-    each (B, N_t + 1, n).
-    """
-    n = frame.n
-    # (B, N_t, 2k): each row's (u, du) per cell, the last stack variables
-    cells = np.concatenate([controls, increments], axis=2)
-
-    def rhs(j, y):
-        return frame.variation_field(np.concatenate([y, cells[:, j]], axis=1))
-
-    y0 = np.tile(np.concatenate([q0, np.zeros(n)]), (controls.shape[0], 1))
-    ys = _rk4(rhs, y0, dt / substeps, substeps, controls.shape[1]).swapaxes(0, 1)
-    return ys[..., :n], ys[..., n:]
-
-
 def natural_homotopies(frame: SRFrame, u: ControlSignal,
                        deltas: Sequence[ControlSignal], q0, n_s: int = 16,
                        domain: Domain | None = None,
@@ -106,10 +82,12 @@ def natural_homotopies(frame: SRFrame, u: ControlSignal,
     n_members = s_grid.shape[0]
     incs = np.repeat(np.stack([du.samples for du in deltas]), n_members, axis=0)
     controls = u.samples + np.tile(s_grid, len(deltas))[:, None, None] * incs
-    states, variations = _members_and_variations(frame, controls, incs, q0,
-                                                 u.dt, substeps)
-    shape = (len(deltas), n_members) + states.shape[1:]
-    states, variations = states.reshape(shape), variations.reshape(shape)
+    y0 = np.concatenate([q0, np.zeros(frame.n)])
+    ys = _variational_flow(frame, np.tile(y0, (controls.shape[0], 1)),
+                           np.concatenate([controls, incs], axis=2),
+                           u.dt / substeps, substeps)
+    ys = ys.reshape((len(deltas), n_members) + ys.shape[1:])
+    states, variations = ys[..., :frame.n], ys[..., frame.n:]
     in_domain = ([True] * len(deltas) if domain is None else
                  (domain.boundary_distances(states) > 0.0).all(axis=(1, 2)).tolist())
     return tuple(Homotopy(s_grid, u.grid, x, b, du, inside) for x, b, du, inside
@@ -135,11 +113,12 @@ def variation_direct(frame: SRFrame, u: ControlSignal, du: ControlSignal,
     require_same_grid(u, du)
     idx = homotopy.s_index(s)
     s_val = float(homotopy.s_grid[idx])
-    controls = u.perturbed(du, s_val).samples[None]
-    _, variations = _members_and_variations(frame, controls, du.samples[None],
-                                            homotopy.trajectories[0, 0], u.dt,
-                                            substeps)
-    return VariationField(s_val, homotopy.grid, variations[0])
+    cells = np.concatenate([u.perturbed(du, s_val).samples, du.samples],
+                           axis=1)
+    y0 = np.concatenate([homotopy.trajectories[0, 0], np.zeros(frame.n)])
+    ys = _variational_flow(frame, y0[None], cells[None], u.dt / substeps,
+                           substeps)
+    return VariationField(s_val, homotopy.grid, ys[0, :, frame.n:])
 
 
 def variation_integral(frame: SRFrame, u: ControlSignal, du: ControlSignal,

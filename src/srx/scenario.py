@@ -277,7 +277,8 @@ def parse_scenario(data: dict, sha256: str, name_hint: str = "scenario") -> Scen
     _require(not unknown, f"unknown scenario keys: {sorted(unknown)}")
     for key in ("frame", "domain", "q0"):
         _require(key in data, f"scenario is missing required key '{key}'")
-    _require(_integer(data.get("seed", 0)), "seed must be an integer")
+    _require(_integer(data.get("seed", 0)) and data.get("seed", 0) >= 0,
+             "seed must be a non-negative integer")
     _require(data.get("out_dir") is None or isinstance(data["out_dir"], str),
              "out_dir must be a string")
 
@@ -351,7 +352,11 @@ def load_scenario(path_or_name: str) -> Scenario:
         path = bundled_scenario_path(path_or_name)
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
-    raw_bytes = path.read_bytes()
+    try:
+        raw_bytes = path.read_bytes()
+    except OSError as err:
+        raise ScenarioError(f"cannot read scenario file {path}: "
+                            f"{err.strerror or err}") from err
     try:
         data = json.loads(raw_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:

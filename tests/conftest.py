@@ -52,12 +52,13 @@ def make_random_poly_frame(rng, n=3, k=2, degree=3):
 
 
 def jet_variation_rhs(frame, rows):
-    """The member right-hand side the "variation" stack replaced: one jet
-    evaluation and four stacked (1, k) matmuls on (B, 2n + 2k) rows."""
+    """The member right-hand side the "variation" stack replaced: the field
+    values and Jacobians and four stacked (1, k) matmuls on (B, 2n + 2k)
+    rows."""
     n, k = frame.n, frame.k
     q, b = rows[:, :n], rows[:, n:2 * n]
     cells, incs = rows[:, None, 2 * n:2 * n + k], rows[:, None, 2 * n + k:]
-    f, jac = frame.jet(q)
+    f, jac = frame.derivatives(0, q), frame.derivatives(1, q)
     a = (cells @ jac.reshape(-1, k, n * n)).reshape(-1, n, n)
     db = (incs @ f)[:, 0] + (a @ b[:, :, None])[:, :, 0]
     return np.concatenate([(cells @ f)[:, 0], db], axis=1)

@@ -98,18 +98,6 @@ def test_frame_independence_check_chunks_change_nothing(monkeypatch, box3):
     assert "[0.0, -1.0]" in results[0][1]
 
 
-def test_jet_blocks_match_derivatives():
-    rng = np.random.default_rng(6)
-    frame = make_random_poly_frame(rng)
-    pts = rng.uniform(-1.0, 1.0, size=(5, 4, 3))
-    values, jacobians = frame.jet(pts)
-    assert values.shape == (5, 4, 2, 3)
-    assert jacobians.shape == (5, 4, 2, 3, 3)
-    assert np.allclose(values, frame.derivatives(0, pts), rtol=0.0, atol=1e-13)
-    assert np.allclose(jacobians, frame.derivatives(1, pts), rtol=0.0,
-                       atol=1e-13)
-
-
 @pytest.mark.parametrize("name", ["euclidean_line", "heisenberg_arc",
                                   "martinet_arc", "cartan_arc"])
 @pytest.mark.parametrize("n_rows", [1, 300])
@@ -124,7 +112,7 @@ def test_hamiltonian_field_matches_jet_rhs(monkeypatch, name, n_rows):
     rows = rng.uniform(-1.5, 1.5, size=(n_rows, 2 * n))
     # dq = sum u^i X_i, dp = -sum u^i (dX_i/dq)^T p from the values and
     # Jacobians of the fields
-    f, jac = frame.jet(rows[:, :n])
+    f, jac = frame.derivatives(0, rows[:, :n]), frame.derivatives(1, rows[:, :n])
     p = rows[:, None, n:]
     u = p @ f.swapaxes(1, 2)
     a = (u @ jac.reshape(-1, k, n * n)).reshape(-1, n, n)
@@ -183,7 +171,7 @@ def test_bundled_frame_matches_fixture(heisenberg):
 # -- the stacked evaluator --------------------------------------------------
 
 def _stack_tables(frame, key):
-    """The tables SRFrame._stack(key) is built from, and their variable count."""
+    """The tables _stack(frame, key) is built from, and their variable count."""
     if key == "hamiltonian":
         return frame._hamiltonian_tables(), 2 * frame.n
     if key == "jet":
@@ -191,6 +179,15 @@ def _stack_tables(frame, key):
     if key == "variation":
         return frame._variation_tables(), 2 * (frame.n + frame.k)
     return frame._tables(key), frame.n
+
+
+def _stack(frame, key):
+    """SRFrame._stack(key), or for "jet" a stack of the order-0 tables
+    followed by the order-1 tables: the frame no longer builds one, so the
+    test does, to cover monomials merged across tables of two orders."""
+    if key == "jet":
+        return core._StackedPolys(*_stack_tables(frame, key))
+    return frame._stack(key)
 
 
 def _pow_reference(tables, n, points):
@@ -244,7 +241,7 @@ def test_stack_matches_the_pow_evaluator(frame, key, shape):
     # point against the same bound
     tables, n = _stack_tables(frame, key)
     pts = _test_points(np.random.default_rng(len(shape) + sum(shape)), shape, n)
-    stack = frame._stack(key)
+    stack = _stack(frame, key)
     out = stack.eval(pts)
     expected, scale = _pow_reference(tables, n, pts)
     assert out.shape == shape + (len(tables),)
@@ -265,16 +262,16 @@ def test_row_function_of_a_high_degree_monomial(exp):
 
 
 def test_degree_one_stack_equals_the_pow_evaluator(heisenberg):
-    tables, n = _stack_tables(heisenberg, "jet")
+    tables, n = _stack_tables(heisenberg, 0)
     pts = _test_points(np.random.default_rng(3), (1088,), n)
-    assert np.array_equal(heisenberg._stack("jet").eval(pts),
+    assert np.array_equal(heisenberg._stack(0).eval(pts),
                           _pow_reference(tables, n, pts)[0])
 
 
-@pytest.mark.parametrize("name, terms, distinct", [("heisenberg_line", 6, 3),
-                                                   ("cartan_arc", 9, 5)])
-def test_jet_merges_identical_monomials(name, terms, distinct):
-    weights = load_scenario(name).frame._stack("jet").weights
+@pytest.mark.parametrize("name, terms, distinct", [("heisenberg_line", 4, 3),
+                                                   ("cartan_arc", 5, 4)])
+def test_order_zero_stack_merges_identical_monomials(name, terms, distinct):
+    weights = load_scenario(name).frame._stack(0).weights
     assert np.count_nonzero(weights) == terms
     assert weights.shape[0] == distinct
 
@@ -327,7 +324,7 @@ def test_stack_memory_stays_below_the_power_array(key):
     # the pow evaluator held a (points x terms x n) float array; products
     # taken one factor at a time hold two (points x distinct) arrays
     frame = make_random_poly_frame(np.random.default_rng(4), n=4, degree=3)
-    stack = frame._stack(key)
+    stack = _stack(frame, key)
     pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(4096, 4))
     tracemalloc.start()
     try:

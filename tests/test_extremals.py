@@ -504,7 +504,7 @@ def test_hamiltonian_batched_rhs_matches_rows(monkeypatch):
     for y, out in zip(rows, batched):
         # dq = sum u^i X_i, dp = -sum u^i (dX_i/dq)^T p, one row at a time
         q, p = y[:n], y[n:]
-        f, jac = frame.jet(q)
+        f, jac = frame.derivatives(0, q), frame.derivatives(1, q)
         u = f @ p
         a = (u @ jac.reshape(k, n * n)).reshape(n, n)
         expected = np.concatenate([u @ f, -(p @ a)])

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
-from srx import (Domain, DomainExitError, GridMismatchError, IntegrationError,
-                 hamiltonian_extremal, integrate_trajectory, push_forward,
-                 tangent_flow)
-from srx.flows import write_tangent_flow_rows, write_trajectory_rows
+from srx import (ControlSignal, Domain, DomainExitError, GridMismatchError,
+                 IntegrationError, hamiltonian_extremal, integrate_trajectory,
+                 push_forward, tangent_flow)
+from srx.cli import _resolve_run
+from srx.core import _StackedPolys
+from srx.flows import (FLOW_BATCH, _rk4, write_tangent_flow_rows,
+                       write_trajectory_rows)
+from srx.scenario import BUNDLED, load_scenario
 
 from conftest import (batched_oracle_stepper, batched_trajectory_states,
                       constant_control, make_quartic_frame,
-                      make_random_poly_frame, sampled_control)
+                      make_random_poly_frame, sampled_control,
+                      smooth_perturbation)
 
 
 def test_euclidean_straight_line(euclidean2):
@@ -106,6 +111,88 @@ def test_tangent_flow_matches_joint_integration(substeps):
 
     tf = tangent_flow(frame, u, traj, substeps=substeps)
     assert np.abs(tf.matrices - reference).max() <= 1e-13 * scale
+
+
+def _jet_tangent_maps(frame, u, base, substeps):
+    """The tangent maps from the propagators the variational system
+    replaced: row j of an RK4 batch is (q_j, I), stepped on the field values
+    and Jacobians with two stacked matmuls per stage, so one cell later it
+    holds P_j; the chain M_{j+1} = P_j M_j is tangent_flow's."""
+    n, k = frame.n, frame.k
+    mats = [np.eye(n)]
+    for lo in range(0, u.n_cells, FLOW_BATCH):
+        cells = u.samples[lo:lo + FLOW_BATCH, None, :]
+
+        def rhs(_, y):
+            q = y[:, :n]
+            values, jacobians = frame.derivatives(0, q), frame.derivatives(1, q)
+            a = (cells @ jacobians.reshape(-1, k, n * n)).reshape(-1, n, n)
+            return np.concatenate(
+                [(cells @ values)[:, 0],
+                 (a @ y[:, n:].reshape(-1, n, n)).reshape(-1, n * n)], axis=1)
+
+        q = base.states[lo:lo + cells.shape[0]]
+        y0 = np.concatenate([q, np.tile(np.eye(n).ravel(), (q.shape[0], 1))],
+                            axis=1)
+        props = _rk4(rhs, y0, u.dt / substeps, substeps, 1)[1, :, n:]
+        for prop in props.reshape(-1, n, n):
+            mats.append(prop @ mats[-1])
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_tangent_flow_equals_the_jet_propagators_on_bundled_scenarios(name):
+    scenario = load_scenario(name)
+    u, traj, _ = _resolve_run(scenario)
+    tf = tangent_flow(scenario.frame, u, traj, substeps=scenario.substeps)
+    assert np.array_equal(tf.matrices, _jet_tangent_maps(
+        scenario.frame, u, traj, scenario.substeps))
+
+
+@pytest.mark.parametrize("name, substeps", [("random_n3", 1), ("random_n4", 2),
+                                            ("quartic", 1), ("quartic", 3)])
+def test_tangent_flow_matches_the_jet_propagators(name, substeps):
+    # state-dependent Jacobians: both routes sum the same terms in other
+    # orders, so they agree to rounding; 600 cells span three batches, and
+    # the maps end 0.58 to 2.0 away from I
+    rng = np.random.default_rng(len(name) + substeps)
+    if name == "quartic":
+        frame = make_quartic_frame()
+        du = smooth_perturbation(rng, n_cells=600, k=1)
+        u = ControlSignal(du.horizon, du.samples + 1.0)
+        q0 = rng.uniform(-0.5, 0.5, size=frame.n)
+    else:
+        frame = make_random_poly_frame(rng, n=int(name[-1]))
+        u = sampled_control(lambda t: [np.cos(3.0 * t), np.sin(3.0 * t)],
+                            n_cells=600)
+        q0 = rng.choice([-1.0, 1.0], size=frame.n) * \
+            rng.uniform(0.4, 0.7, size=frame.n)
+    traj = integrate_trajectory(frame, u, q0, substeps=substeps)
+    reference = _jet_tangent_maps(frame, u, traj, substeps)
+    tf = tangent_flow(frame, u, traj, substeps=substeps)
+    assert np.abs(tf.matrices - reference).max() <= \
+        1e-13 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("n_cells, substeps", [(600, 1), (256, 2), (257, 3)])
+def test_tangent_flow_takes_one_stack_evaluation_per_stage(monkeypatch,
+                                                           n_cells, substeps):
+    # each RK4 stage of a batch of FLOW_BATCH cells is one evaluation of
+    # the variation stack, whatever n
+    scenario = load_scenario("cartan_arc")
+    frame = scenario.frame
+    u = smooth_perturbation(np.random.default_rng(n_cells), n_cells=n_cells,
+                            k=frame.k, amplitude=0.5)
+    traj = integrate_trajectory(frame, u, scenario.q0, substeps=substeps)
+    evals = []
+    evaluate = _StackedPolys.eval
+    monkeypatch.setattr(_StackedPolys, "eval",
+                        lambda self, pts: evals.append(self) or
+                        evaluate(self, pts))
+    tangent_flow(frame, u, traj, substeps=substeps)
+    batches = -(-n_cells // FLOW_BATCH)
+    assert len(evals) == 4 * substeps * batches
+    assert all(stack is frame._stack("variation") for stack in evals)
 
 
 def test_tangent_flow_rejects_base_on_another_grid(heisenberg):

@@ -8,8 +8,8 @@ from srx import (ControlSignal, Domain, GridMismatchError, SRFrame,
                  tangent_flow, variation_direct, variation_integral)
 from srx.certify import bound_slacks
 from srx.core import _StackedPolys
-from srx.homotopy import (_members_and_variations,
-                          decomposition_residual_profile, node_velocity)
+from srx.flows import _variational_flow
+from srx.homotopy import decomposition_residual_profile, node_velocity
 from srx.scenario import load_scenario
 
 from conftest import (constant_control, jet_variation_rhs, make_quartic_frame,
@@ -128,21 +128,18 @@ def test_natural_homotopy_matches_the_jet_route(monkeypatch, name):
 def test_members_take_one_stack_evaluation_per_stage(monkeypatch, n_cells,
                                                      substeps):
     frame = load_scenario("cartan_arc").frame
-    evals, jets = [], []
-    evaluate, jet = _StackedPolys.eval, SRFrame.jet
+    evals = []
+    evaluate = _StackedPolys.eval
     monkeypatch.setattr(_StackedPolys, "eval",
                         lambda self, pts: evals.append(self) or
                         evaluate(self, pts))
-    monkeypatch.setattr(SRFrame, "jet",
-                        lambda self, pts: jets.append(self) or jet(self, pts))
     rng = np.random.default_rng(n_cells)
-    shape = (3, n_cells, frame.k)
-    _members_and_variations(frame, rng.normal(size=shape),
-                            rng.normal(size=shape), np.zeros(frame.n), 0.01,
-                            substeps)
+    ys = _variational_flow(frame, np.zeros((3, 2 * frame.n)),
+                           rng.normal(size=(3, n_cells, 2 * frame.k)),
+                           0.01 / substeps, substeps)
+    assert ys.shape == (3, n_cells + 1, 2 * frame.n)
     assert len(evals) == 4 * n_cells * substeps
     assert all(stack is frame._stack("variation") for stack in evals)
-    assert jets == []
 
 
 # -- variation fields: two routes + finite differences -------------------------

@@ -113,7 +113,7 @@ def _half_cell_controls(frame, q0, p0, horizon, n_cells):
 
     def rhs(y):
         q, p = y[:n], y[n:]
-        f, jac = frame.jet(q)
+        f, jac = frame.derivatives(0, q), frame.derivatives(1, q)
         u = f @ p
         a = (u @ jac.reshape(k, n * n)).reshape(n, n)
         return np.concatenate([u @ f, -(p @ a)])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import srx
-from srx.cli import main
+from srx.cli import _resolve_run, main
 from srx.io import write_json
 from srx.scenario import (ScenarioError, bundled_scenario_path, load_scenario,
                           parse_scenario)
@@ -536,3 +536,95 @@ def test_scenario_out_dir_used_when_no_flag(tmp_path):
     cfg = _write_scenario(tmp_path, data)
     assert main(["integrate", "--config", cfg]) == 0
     assert (tmp_path / "from_scenario" / "trajectory.csv").exists()
+
+
+# -- unusable input exits 2 before any work -------------------------------------
+
+def test_negative_scenario_seed_rejected(tmp_path):
+    # used to build the whole certificate, then crash in np.random.default_rng
+    data = _load_bundled_dict("heisenberg_line")
+    data["seed"] = -5
+    cfg = _write_scenario(tmp_path, data)
+    with pytest.raises(ScenarioError, match="seed must be a non-negative"):
+        load_scenario(cfg)
+    out = tmp_path / "out"
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_negative_seed_flag_exits_2_before_loading(tmp_path, capsys,
+                                                       monkeypatch):
+    loads = []
+    monkeypatch.setattr("srx.cli.load_scenario", loads.append)
+    out = tmp_path / "out"
+    assert main(["certify", "--config", "heisenberg_line", "--out", str(out),
+                 "--seed", "-5"]) == 2
+    assert loads == [] and not out.exists()
+    assert "--seed must be a non-negative integer" in capsys.readouterr().err
+
+
+def _run_cli(*args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(srx.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "srx.cli", *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_cli_config_that_is_a_directory_exits_2(tmp_path):
+    # used to exit 1 with an IsADirectoryError traceback
+    run = _run_cli("integrate", "--config", str(tmp_path),
+                   "--out", str(tmp_path / "out"))
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("scenario error: cannot read scenario file")
+
+
+def test_cli_out_that_is_a_file_exits_2(tmp_path):
+    # used to exit 1 with a FileExistsError traceback from mkdir
+    out = tmp_path / "taken"
+    out.write_text("keep me")
+    run = _run_cli("integrate", "--config", "euclidean_line", "--out", str(out))
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr == f"cannot create output directory {out}: File exists\n"
+    assert out.read_text() == "keep me"
+
+
+def test_cli_certify_control_leaving_the_domain_writes_the_reason(tmp_path):
+    # used to exit 3 without writing any file
+    data = _load_bundled_dict("heisenberg_line")
+    data["domain"]["upper"][0] = 0.5
+    out = tmp_path / "out"
+    assert main(["certify", "--config", _write_scenario(tmp_path, data),
+                 "--out", str(out)]) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["certificate.json"]
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["certified"] is False
+    assert cert["reason"] == "trajectory leaves the domain at t=0.5"
+
+
+# -- tangent_flow.csv -----------------------------------------------------------
+
+def test_cli_integrate_emits_the_tangent_flow(tmp_path):
+    data = _load_bundled_dict("cartan_arc")
+    data.setdefault("integrator", {})["emit_tangent_flow"] = True
+    cfg = _write_scenario(tmp_path, data)
+    blobs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["integrate", "--config", cfg, "--out", str(out)]) == 0
+        blobs.append((out / "tangent_flow.csv").read_bytes())
+    assert blobs[0] == blobs[1]
+
+    scenario = load_scenario(cfg)
+    u, traj, _ = _resolve_run(scenario)
+    tf = srx.tangent_flow(scenario.frame, u, traj,
+                          substeps=scenario.substeps)
+    lines = blobs[0].decode().splitlines()
+    n = scenario.frame.n
+    assert lines[1] == ",".join(["t"] + [f"m{a}{b}" for a in range(1, n + 1)
+                                         for b in range(1, n + 1)])
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[2:]])
+    assert rows.shape == (u.n_cells + 1, 1 + n * n)
+    assert np.array_equal(rows[:, 0], tf.grid)
+    assert np.array_equal(rows[:, 1:].reshape(-1, n, n), tf.matrices)

@@ -12,8 +12,8 @@ from .extremals import (HamiltonianExtremal, NSREReport, NotNormalizedError,
                         orthogonal_control_complement, span_profile)
 from .homotopy import (EnergyComparison, Homotopy, VariationField,
                        VariationSplit, decompose_variation,
-                       energy_comparison_check, natural_homotopies,
-                       natural_homotopy, variation_direct, variation_integral)
+                       energy_comparison_check, natural_homotopy,
+                       variation_direct, variation_integral)
 from .certify import (Certificate, EpsilonResult, FrameConstants,
                       NotCertifiableError, TrialRecord, VerificationReport,
                       build_certificate, compute_epsilon, compute_eta,
@@ -33,8 +33,8 @@ __all__ = [
     "hamiltonian_extremal", "nsre_check", "orthogonal_control_complement",
     "span_profile",
     "EnergyComparison", "Homotopy", "VariationField", "VariationSplit",
-    "decompose_variation", "energy_comparison_check", "natural_homotopies",
-    "natural_homotopy", "variation_direct", "variation_integral",
+    "decompose_variation", "energy_comparison_check", "natural_homotopy",
+    "variation_direct", "variation_integral",
     "Certificate", "EpsilonResult", "FrameConstants", "NotCertifiableError",
     "TrialRecord", "VerificationReport", "build_certificate",
     "compute_epsilon", "compute_eta", "estimate_constants", "psi",

@@ -16,12 +16,12 @@ import numpy as np
 from .core import ControlSignal, Domain, SRFrame, SRXError, Trajectory, control_inner
 from .extremals import NSREReport, nsre_check, require_normalized
 from .flows import tangent_flow
-from .homotopy import Homotopy, energy_comparison_check, natural_homotopies
+from .homotopy import Homotopy, _homotopy_cells, energy_comparison_check
 
 MARGIN_FACTOR = 0.999
 EPSILON_REL_TOL = 1e-6
-# Memory budget of one verification batch: the RK4 state history of its
-# members and variations.  Batches hold whole trials, at least one.
+# Memory budget of one verification batch: its du draws and one cell's
+# (q, b, u, du) member rows.  Batches hold whole trials, at least one.
 VERIFY_BATCH_BYTES = 1 << 18
 
 
@@ -110,6 +110,75 @@ def xi(t: float, constants: FrameConstants, k: int, n: int) -> float:
         + rk * (n * constants.C1 * p + constants.C2 * z))
 
 
+def _extremes(q: np.ndarray, b: np.ndarray, phi: np.ndarray,
+              c: float) -> np.ndarray:
+    """Extremes of the bound quantities of H homotopies, as maxima.
+
+    q and b are (M, T, H, n) member states and variations (member 0 has
+    s = 0) at T nodes, phi the (T, H) values |integral_0^t phi|.  Row h
+    holds the largest squared spread, variation and drift, minus the
+    smallest b_0 slack |b_0(t)| - c |integral_0^t phi|, and q's per-axis
+    minimum (negated) and maximum, so rows of node blocks fold by
+    np.maximum.  Squares are summed left to right, as np.linalg.norm sums
+    up to 7 components, and sqrt is monotone and correctly rounded: the
+    sqrt of a largest square is exactly the largest norm.
+    """
+    def squares(x, x0=None):
+        total = 0.0
+        for a in range(x.shape[-1]):
+            xa = x[..., a] if x0 is None else x[..., a] - x0[..., a]
+            total = total + xa * xa
+        return total
+
+    variation = squares(b)
+    slack = np.sqrt(variation[0]) - c * phi
+    return np.column_stack([
+        squares(q, q[:1]).max(axis=(0, 1)), variation.max(axis=(0, 1)),
+        squares(b, b[:1]).max(axis=(0, 1)), -slack.min(axis=0),
+        -q.min(axis=(0, 1)), q.max(axis=(0, 1))])
+
+
+def _bounds(extremes: np.ndarray, du: ControlSignal, n: int,
+            constants: FrameConstants, horizon: float
+            ) -> tuple[dict[str, tuple[float, float]], float]:
+    """bound_slacks' result from one row of _extremes."""
+    k = du.k
+    du_l2 = du.l2_norm()
+    root_t = math.sqrt(horizon)
+    spread, variation, drift = (math.sqrt(v) for v in extremes[:3].tolist())
+    bounds = {
+        "spread": (spread, root_t * zeta(horizon, constants, k) * du_l2),
+        "variation": (variation, root_t * psi(horizon, constants, k, n) * du_l2),
+        "drift": (drift, horizon * xi(horizon, constants, k, n) * du.l2_norm_sq()),
+    }
+    return bounds, -float(extremes[3])
+
+
+def _inside(extremes: np.ndarray, domain: Domain) -> bool:
+    """Whether q's per-axis range in a row of _extremes lies in the open
+    box: for finite states, exactly boundary_distances > 0 at every node."""
+    low, high = np.split(extremes[4:], 2)
+    return domain.contains(-low) and domain.contains(high)
+
+
+def _streamed_extremes(frame: SRFrame, u: ControlSignal,
+                       deltas: list[ControlSignal], q0, n_s: int,
+                       domain: Domain, substeps: int, c: float
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """_extremes of the natural homotopies of u, one per increment in deltas,
+    folded cell by cell as the members advance, and the (B, n_s + 1, n)
+    member endpoints.  No member history is kept."""
+    n = frame.n
+    phi = np.abs(np.stack([control_inner(u, du).cumulative for du in deltas]))
+    _, cells = _homotopy_cells(frame, u, np.stack([du.samples for du in deltas]),
+                               q0, n_s, domain, substeps)
+    extremes = None
+    for j, y in enumerate(cells):
+        cell = _extremes(y[:, None, :, :n], y[:, None, :, n:], phi[None, :, j], c)
+        extremes = cell if extremes is None else np.maximum(extremes, cell)
+    return extremes, y[..., :n].swapaxes(0, 1)
+
+
 def bound_slacks(hom: Homotopy, u: ControlSignal, constants: FrameConstants,
                  c: float, horizon: float
                  ) -> tuple[dict[str, tuple[float, float]], float]:
@@ -120,22 +189,11 @@ def bound_slacks(hom: Homotopy, u: ControlSignal, constants: FrameConstants,
     sqrt(T) psi |du| and T xi |du|^2, and the smallest slack of the angle
     lower bound |b_0(t)| >= c |integral_0^t phi|.
     """
-    du = hom.delta_u
-    k, n = u.k, hom.trajectories.shape[2]
-    members, fields = hom.trajectories, hom.variations
-    du_l2 = du.l2_norm()
-    root_t = math.sqrt(horizon)
-    bounds = {
-        "spread": (float(np.linalg.norm(members - members[0], axis=-1).max()),
-                   root_t * zeta(horizon, constants, k) * du_l2),
-        "variation": (float(np.linalg.norm(fields, axis=-1).max()),
-                      root_t * psi(horizon, constants, k, n) * du_l2),
-        "drift": (float(np.linalg.norm(fields - fields[0], axis=-1).max()),
-                  horizon * xi(horizon, constants, k, n) * du.l2_norm_sq()),
-    }
-    b0_norms = np.linalg.norm(fields[0], axis=1)
-    phi_cum = np.abs(control_inner(u, du).cumulative)
-    return bounds, float((b0_norms - c * phi_cum).min())
+    phi = np.abs(control_inner(u, hom.delta_u).cumulative)
+    extremes = _extremes(hom.trajectories[:, :, None], hom.variations[:, :, None],
+                         phi[:, None], c)
+    return _bounds(extremes[0], hom.delta_u, hom.trajectories.shape[2],
+                   constants, horizon)
 
 
 def compute_eta(traj: Trajectory, domain: Domain,
@@ -406,9 +464,10 @@ class VerificationReport:
         }
 
 
-def _trials_per_batch(n_members: int, n_cells: int, n: int) -> int:
-    """Trials whose members and variations fit in VERIFY_BATCH_BYTES (>= 1)."""
-    trial_bytes = n_members * (n_cells + 1) * 2 * n * 8
+def _trials_per_batch(n_members: int, n_cells: int, n: int, k: int) -> int:
+    """Trials whose du draws and one cell's member rows fit in
+    VERIFY_BATCH_BYTES (>= 1)."""
+    trial_bytes = (n_cells * k + n_members * 2 * (n + k)) * 8
     return max(1, VERIFY_BATCH_BYTES // trial_bytes)
 
 
@@ -425,7 +484,9 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
     bounds (spread, variation, drift, the angle lower bound on b_0, and the
     energy-comparison identity) must hold.  Trials are seeded base_seed +
     trial and integrated in batches of whole trials sized by
-    VERIFY_BATCH_BYTES, so the report does not depend on the batch layout.
+    VERIFY_BATCH_BYTES, whose member states are reduced cell by cell as
+    bound_slacks reduces a stored homotopy, so the report does not depend
+    on the batch layout.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -439,22 +500,23 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
             "certified radius is below one control cell; refine the grid")
     tp = m * dt
     u_r = u.restrict(m)
-    q0 = traj.q0
+    n = frame.n
 
-    bound_coef = 0.5 * cert.c - tp * xi(tp, cert.constants, frame.k, frame.n)
+    bound_coef = 0.5 * cert.c - tp * xi(tp, cert.constants, frame.k, n)
 
     def trial_record(i: int, du: ControlSignal, rejected: int,
-                     hom: Homotopy) -> TrialRecord:
+                     extremes: np.ndarray, ends: np.ndarray) -> TrialRecord:
+        separation = Homotopy.endpoint_gap(ends)
         bound = bound_coef * du.l2_norm_sq()
-        slack = hom.separation - bound
-        bounds, b0_slack = bound_slacks(hom, u_r, cert.constants, cert.c, tp)
+        slack = separation - bound
+        bounds, b0_slack = _bounds(extremes, du, n, cert.constants, tp)
 
         violations: list[str] = []
-        if not hom.in_domain:
+        if not _inside(extremes, domain):
             violations.append("homotopy_left_domain")
         if slack < -slack_tol:
             violations.append("separation_bound")
-        if hom.separation <= 0.0:
+        if separation <= 0.0:
             violations.append("separation_zero")
         violations += [f"{name}_bound" for name, (value, limit) in bounds.items()
                        if limit - value < -slack_tol]
@@ -465,17 +527,19 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
             violations.append("energy_comparison")
 
         return TrialRecord(i, cert.seed + base_seed + i, du.l2_norm(),
-                           hom.separation, bound, slack, tuple(violations),
+                           separation, bound, slack, tuple(violations),
                            rejected)
 
-    batch = _trials_per_batch(n_s + 1, m, frame.n)
+    batch = _trials_per_batch(n_s + 1, m, n, frame.k)
     records: list[TrialRecord] = []
     for start in range(0, n_trials, batch):
         trials = range(start, min(start + batch, n_trials))
         draws = [sample_admissible_perturbation(
             np.random.default_rng(cert.seed + base_seed + i), u_r) for i in trials]
-        homs = natural_homotopies(frame, u_r, [du for du, _ in draws], q0, n_s,
-                                  domain, substeps)
-        records.extend(trial_record(i, du, rejected, hom)
-                       for i, (du, rejected), hom in zip(trials, draws, homs))
+        extremes, ends = _streamed_extremes(frame, u_r, [du for du, _ in draws],
+                                            traj.q0, n_s, domain, substeps,
+                                            cert.c)
+        records.extend(trial_record(i, du, rejected, row, end)
+                       for i, (du, rejected), row, end
+                       in zip(trials, draws, extremes, ends))
     return VerificationReport(tuple(records), tp, bound_coef, base_seed, n_s)

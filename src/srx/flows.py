@@ -4,15 +4,17 @@ One RK4 step per control cell (optionally substepped): within a cell the
 control is constant, so the vector field is autonomous and smooth there and
 the classical order-4 error bound applies cell by cell.  Adaptive steppers
 are deliberately avoided to keep every run bit-deterministic.  Batches of
-systems step on numpy arrays through `_rk4`, whose one right-hand side is
-the variational system of `_variational_flow`: a state with one variation
-of it, which gives both the homotopy members with their variation fields
-and the columns of the tangent-flow cell propagators.  A single system (the
-base trajectory, the Hamiltonian oracle) steps on Python floats through
-`_rk4_row`, which does the same arithmetic without a numpy call per stage.
+systems step on numpy arrays through `_rk4`, a generator of the cell-end
+states, whose one right-hand side is the variational system of
+`_variational_flow`: a state with one variation of it, which gives both the
+homotopy members with their variation fields and the columns of the
+tangent-flow cell propagators.  A single system (the base trajectory, the
+Hamiltonian oracle) steps on Python floats through `_rk4_row`, which does
+the same arithmetic without a numpy call per stage.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,28 +39,31 @@ COND_LIMIT = 1e12
 FLOW_BATCH = 256           # cells per batch of propagators, bounds the temporaries
 
 
-def _rk4(rhs, y0: np.ndarray, h: float, substeps: int,
-         n_cells: int) -> np.ndarray:
+def _rk4(f, y0: np.ndarray, h: float, substeps: int,
+         n_cells: int) -> Iterator[np.ndarray]:
     """Classical RK4 over n_cells control cells of `substeps` steps each.
 
-    y0 is a (B, d) batch of states and rhs(j, y) the (B, d) right-hand side
-    in cell j; rows advance independently, so a batch integrates B systems
-    at the cost of one Python loop.  Returns the (n_cells + 1, B, d) states
-    at the cell ends, or raises IntegrationError naming the first cell end
-    with a non-finite value.
+    y0 is a (B, d) batch of states.  f(j) is called when cell j's first
+    step starts and returns the cell's right-hand side, (B, d) states ->
+    (B, d) derivatives; rows advance independently, so a batch integrates B
+    systems at the cost of one Python loop.  Yields the states at cell ends
+    0..n_cells (y0, then a new array per cell), so a caller stores or
+    reduces them, and raises IntegrationError at the first non-finite one.
     """
-    ys = np.empty((n_cells + 1,) + y0.shape)
-    ys[0] = y = y0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_cells):
+    y = y0
+    yield y
+    for j in range(n_cells):
+        rhs = f(j)
+        with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(substeps):
-                k1 = rhs(j, y)
-                k2 = rhs(j, y + 0.5 * h * k1)
-                k3 = rhs(j, y + 0.5 * h * k2)
-                k4 = rhs(j, y + h * k3)
+                k1 = rhs(y)
+                k2 = rhs(y + 0.5 * h * k1)
+                k3 = rhs(y + 0.5 * h * k2)
+                k4 = rhs(y + h * k3)
                 y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            ys[j + 1] = y
-    return _finite_states(ys, h, substeps)
+        if not np.isfinite(y).all():
+            raise _non_finite(j + 1, h, substeps)
+        yield y
 
 
 def _rk4_row(f, y0: np.ndarray, h: float, substeps: int,
@@ -85,16 +90,15 @@ def _rk4_row(f, y0: np.ndarray, h: float, substeps: int,
             y = [a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         ys[j + 1] = y
-    return _finite_states(ys, h, substeps)
-
-
-def _finite_states(ys: np.ndarray, h: float, substeps: int) -> np.ndarray:
-    """ys, or IntegrationError naming the first cell end that is not finite."""
-    finite = np.isfinite(ys.reshape(ys.shape[0], -1)).all(axis=1)
+    finite = np.isfinite(ys).all(axis=1)
     if not finite.all():
-        j = int(np.argmin(finite))
-        raise IntegrationError(f"state became non-finite at t={j * substeps * h:.6g}")
+        raise _non_finite(int(np.argmin(finite)), h, substeps)
     return ys
+
+
+def _non_finite(j: int, h: float, substeps: int) -> IntegrationError:
+    """The error of a state that is not finite at cell end j."""
+    return IntegrationError(f"state became non-finite at t={j * substeps * h:.6g}")
 
 
 def _checked_start(frame: SRFrame, q0, domain: Domain | None,
@@ -149,21 +153,32 @@ def integrate_trajectory(frame: SRFrame, u: ControlSignal, q0,
     return _marked_trajectory(u.grid, states, u, domain)
 
 
-def _variational_flow(frame: SRFrame, y0: np.ndarray, cells: np.ndarray,
-                      h: float, substeps: int) -> np.ndarray:
+def _variational_flow(frame: SRFrame, y0: np.ndarray, cell_rows, h: float,
+                      substeps: int, n_cells: int) -> Iterator[np.ndarray]:
     """RK4 states of a batch of states, each with one variation of it.
 
     Row r integrates dq/dt = f_u(q) jointly with db/dt = f_du(q) + Df_u(q) b,
     so the b stages use the row's own RK4 stage states.  That right-hand
     side is one polynomial in (q, b, u, du), so each RK4 stage is one
     SRFrame.variation_field call.  y0 is (B, 2n), the start rows (q, b), and
-    cells (B, N, 2k), each row's (u, du) per cell, the last stack
-    variables.  Returns the (B, N + 1, 2n) states at the cell ends.
+    cell_rows(j), called when cell j starts, returns the (B, 2k) rows
+    (u, du) of that cell, the last stack variables.  Yields _rk4's (B, 2n)
+    states at cell ends 0..n_cells.
     """
-    def rhs(j, y):
-        return frame.variation_field(np.concatenate([y, cells[:, j]], axis=1))
+    # one (q, b, u, du) buffer serves every stage: the stack evaluation
+    # copies its input, so nothing keeps the buffer between stages
+    d = y0.shape[1]
+    stage = np.empty((y0.shape[0], d + 2 * frame.k))
 
-    return _rk4(rhs, y0, h, substeps, cells.shape[1]).swapaxes(0, 1)
+    def f(j):
+        stage[:, d:] = cell_rows(j)
+
+        def rhs(y):
+            stage[:, :d] = y
+            return frame.variation_field(stage)
+        return rhs
+
+    return _rk4(f, y0, h, substeps, n_cells)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,16 +230,18 @@ def tangent_flow(frame: SRFrame, u: ControlSignal, base: Trajectory,
     # row (j, c) of a batch starts at (q_j, e_c) with (u_j, 0): one cell
     # later its b holds column c of P_j
     cells = np.repeat(np.concatenate([u.samples, np.zeros_like(u.samples)],
-                                     axis=1), n, axis=0)[:, None]
+                                     axis=1), n, axis=0)
     mats = np.empty((u.n_cells + 1, n, n))
     mats[0] = np.eye(n)
     for lo in range(0, u.n_cells, FLOW_BATCH):
         hi = min(lo + FLOW_BATCH, u.n_cells)
         y0 = np.concatenate([np.repeat(base.states[lo:hi], n, axis=0),
                              np.tile(np.eye(n), (hi - lo, 1))], axis=1)
+        rows = cells[lo * n:hi * n]
         try:
-            columns = _variational_flow(frame, y0, cells[lo * n:hi * n],
-                                        u.dt / substeps, substeps)[:, 1, n:]
+            *_, ends = _variational_flow(frame, y0, lambda _: rows,
+                                         u.dt / substeps, substeps, 1)
+            columns = ends[:, n:]
         except IntegrationError:
             raise IntegrationError("a cell propagator became non-finite after "
                                    f"t={lo * u.dt:.6g}") from None

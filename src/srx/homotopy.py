@@ -9,7 +9,7 @@ core consistency check of the whole pipeline.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +46,12 @@ class Homotopy:
     @property
     def separation(self) -> float:
         """Endpoint gap |gamma_1(T) - gamma_0(T)|."""
-        return float(np.linalg.norm(self.endpoints[-1] - self.endpoints[0]))
+        return self.endpoint_gap(self.endpoints)
+
+    @staticmethod
+    def endpoint_gap(endpoints: np.ndarray) -> float:
+        """|last - first| of the (n_s + 1, n) member endpoints."""
+        return float(np.linalg.norm(endpoints[-1] - endpoints[0]))
 
     def s_index(self, s: float) -> int:
         idx = int(np.argmin(np.abs(self.s_grid - s)))
@@ -64,41 +69,50 @@ class VariationField:
     vectors: np.ndarray  # (N_t + 1, n)
 
 
-def natural_homotopies(frame: SRFrame, u: ControlSignal,
-                       deltas: Sequence[ControlSignal], q0, n_s: int = 16,
-                       domain: Domain | None = None,
-                       substeps: int = 1) -> tuple[Homotopy, ...]:
-    """Natural homotopies of several perturbations of u as one RK4 batch.
+def _homotopy_cells(frame: SRFrame, u: ControlSignal, deltas: np.ndarray, q0,
+                    n_s: int, domain: Domain | None, substeps: int
+                    ) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """s grid and member states of the natural homotopies of several increments.
 
-    All len(deltas) * (n_s + 1) members and their variation fields advance
-    together.  Rows do not interact, so the batch layout changes no result.
+    deltas is a (B, N, k) stack of increments du on u's grid.  Member i of
+    homotopy f follows u + s_i du_f from q0 together with its variation
+    field.  The iterator yields the (n_s + 1, B, 2n) states (q, b) at cell
+    ends 0..N, and cell j's (u + s du, du) rows are built when that cell
+    starts.  Rows do not interact, so B changes no result.
     """
-    for du in deltas:
-        require_same_grid(u, du)
     if n_s < 1:
         raise ValueError("n_s must be >= 1")
     q0 = _checked_start(frame, q0, domain, substeps)
     s_grid = np.linspace(0.0, 1.0, n_s + 1)
-    n_members = s_grid.shape[0]
-    incs = np.repeat(np.stack([du.samples for du in deltas]), n_members, axis=0)
-    controls = u.samples + np.tile(s_grid, len(deltas))[:, None, None] * incs
-    y0 = np.concatenate([q0, np.zeros(frame.n)])
-    ys = _variational_flow(frame, np.tile(y0, (controls.shape[0], 1)),
-                           np.concatenate([controls, incs], axis=2),
-                           u.dt / substeps, substeps)
-    ys = ys.reshape((len(deltas), n_members) + ys.shape[1:])
-    states, variations = ys[..., :frame.n], ys[..., frame.n:]
-    in_domain = ([True] * len(deltas) if domain is None else
-                 (domain.boundary_distances(states) > 0.0).all(axis=(1, 2)).tolist())
-    return tuple(Homotopy(s_grid, u.grid, x, b, du, inside) for x, b, du, inside
-                 in zip(states, variations, deltas, in_domain))
+    members, families, k = s_grid.shape[0], deltas.shape[0], u.k
+    s = s_grid[:, None, None]
+
+    def cell_rows(j):
+        du, rows = deltas[:, j], np.empty((members, families, 2 * k))
+        rows[..., :k] = u.samples[j] + s * du
+        rows[..., k:] = du
+        return rows.reshape(-1, 2 * k)
+
+    y0 = np.tile(np.concatenate([q0, np.zeros(frame.n)]), (members * families, 1))
+    cells = _variational_flow(frame, y0, cell_rows, u.dt / substeps, substeps,
+                              u.n_cells)
+    return s_grid, (y.reshape(members, families, -1) for y in cells)
 
 
 def natural_homotopy(frame: SRFrame, u: ControlSignal, du: ControlSignal, q0,
                      n_s: int = 16, domain: Domain | None = None,
                      substeps: int = 1) -> Homotopy:
     """Integrate the n_s + 1 members of the natural homotopy and their variations."""
-    return natural_homotopies(frame, u, [du], q0, n_s, domain, substeps)[0]
+    require_same_grid(u, du)
+    s_grid, cells = _homotopy_cells(frame, u, du.samples[None], q0, n_s,
+                                    domain, substeps)
+    ys = np.empty((s_grid.shape[0], u.n_cells + 1, 2 * frame.n))
+    for j, y in enumerate(cells):
+        ys[:, j] = y[:, 0]
+    states, variations = ys[..., :frame.n], ys[..., frame.n:]
+    in_domain = domain is None or bool((domain.boundary_distances(states)
+                                        > 0.0).all())
+    return Homotopy(s_grid, u.grid, states, variations, du, in_domain)
 
 
 def variation_direct(frame: SRFrame, u: ControlSignal, du: ControlSignal,
@@ -116,9 +130,10 @@ def variation_direct(frame: SRFrame, u: ControlSignal, du: ControlSignal,
     cells = np.concatenate([u.perturbed(du, s_val).samples, du.samples],
                            axis=1)
     y0 = np.concatenate([homotopy.trajectories[0, 0], np.zeros(frame.n)])
-    ys = _variational_flow(frame, y0[None], cells[None], u.dt / substeps,
-                           substeps)
-    return VariationField(s_val, homotopy.grid, ys[0, :, frame.n:])
+    ys = np.stack(tuple(_variational_flow(
+        frame, y0[None], lambda j: cells[None, j], u.dt / substeps, substeps,
+        u.n_cells)))
+    return VariationField(s_val, homotopy.grid, ys[:, 0, frame.n:])
 
 
 def variation_integral(frame: SRFrame, u: ControlSignal, du: ControlSignal,

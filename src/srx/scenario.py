@@ -312,10 +312,14 @@ def parse_scenario(data: dict, sha256: str, name_hint: str = "scenario") -> Scen
         p0 = _array(ham["p0"], (frame.n,), f"p0 must have length {frame.n}")
         hamiltonian = {"p0": p0, "T": float(ham["T"]), "N_t": ham["N_t"]}
 
+    base = {"T": control.horizon, "N_t": control.n_cells} if control else \
+        {"T": hamiltonian["T"], "N_t": hamiltonian["N_t"]}
+    cell = base["T"] / base["N_t"]
+    _require(certify["T_prime"] is None or certify["T_prime"] >= cell,
+             f"certify.T_prime = {certify['T_prime']!r} is shorter than one "
+             f"control cell (T / N_t = {cell!r})")
     delta_u = None
     if hom["delta_u"] is not None:
-        base = {"T": control.horizon, "N_t": control.n_cells} if control else \
-            {"T": hamiltonian["T"], "N_t": hamiltonian["N_t"]}
         delta_u = _control_from_spec(hom["delta_u"], frame.k, defaults=base,
                                      name="homotopy.delta_u")
         _require(delta_u.n_cells == base["N_t"] and

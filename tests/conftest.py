@@ -69,9 +69,10 @@ def batched_trajectory_states(frame, u, q0, substeps=1):
     batch of one row with sum_i u_i X_i(q) as a (1, k) @ (k, n) matmul, the
     reference for the row stepper."""
     cells = u.samples[:, None, None, :]
-    return _rk4(lambda j, q: (cells[j] @ frame.derivatives(0, q))[:, 0],
-                np.asarray(q0, dtype=float)[None], u.dt / substeps, substeps,
-                u.n_cells)[:, 0]
+    return np.stack(tuple(_rk4(
+        lambda j: lambda q: (cells[j] @ frame.derivatives(0, q))[:, 0],
+        np.asarray(q0, dtype=float)[None], u.dt / substeps, substeps,
+        u.n_cells)))[:, 0]
 
 
 def batched_oracle_stepper(frame):
@@ -79,8 +80,8 @@ def batched_oracle_stepper(frame):
     Hamiltonian system on _rk4 with a batch of one row, evaluated by
     SRFrame.hamiltonian_field, the reference for the row stepper."""
     def stepper(f, y0, h, substeps, n_cells):
-        return _rk4(lambda _, y: frame.hamiltonian_field(y), y0[None], h,
-                    substeps, n_cells)[:, 0]
+        return np.stack(tuple(_rk4(lambda _: frame.hamiltonian_field,
+                                   y0[None], h, substeps, n_cells)))[:, 0]
     return stepper
 
 

@@ -5,13 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from srx import (Domain, NotCertifiableError, PolyVectorField, SRFrame, SRXError,
-                 build_certificate, compute_epsilon, compute_eta,
-                 estimate_constants, integrate_trajectory, natural_homotopy,
-                 psi, sample_admissible_perturbation, verify_certificate, xi,
-                 zeta)
+from srx import (Domain, Homotopy, NotCertifiableError, PolyVectorField,
+                 SRFrame, SRXError, build_certificate, compute_epsilon,
+                 compute_eta, estimate_constants, hamiltonian_extremal,
+                 integrate_trajectory, natural_homotopy, psi,
+                 sample_admissible_perturbation, verify_certificate, xi, zeta)
 from srx import certify
-from srx.certify import FrameConstants
+from srx.certify import FrameConstants, bound_slacks
 from srx.scenario import BUNDLED, load_scenario
 
 from conftest import constant_control, make_random_poly_frame
@@ -331,9 +331,11 @@ def test_verification_independent_of_batch_layout(heisenberg, line_certificate,
 
 
 def test_batch_holds_at_least_one_trial(monkeypatch):
-    assert certify._trials_per_batch(17, 10 ** 9, 5) == 1
-    monkeypatch.setattr(certify, "VERIFY_BATCH_BYTES", 17 * 51 * 6 * 8 * 3)
-    assert certify._trials_per_batch(17, 50, 3) == 3
+    # a trial takes its du draw (50 cells x 2) and one cell's rows
+    # (q, b, u, du) of its 17 members, 17 x 10 floats: no member history
+    assert certify._trials_per_batch(17, 10 ** 9, 5, 2) == 1
+    monkeypatch.setattr(certify, "VERIFY_BATCH_BYTES", (50 * 2 + 17 * 10) * 8 * 3)
+    assert certify._trials_per_batch(17, 50, 3, 2) == 3
 
 
 def test_verification_catches_inflated_constant(heisenberg, line_certificate):
@@ -366,6 +368,75 @@ def test_verification_records_members_leaving_the_domain(heisenberg,
     recorded = ["homotopy_left_domain" in t.violations for t in report.trials]
     assert recorded == expected
     assert any(recorded) and not report.ok
+
+
+def _stream_case(case, heisenberg):
+    """frame, domain, restricted control, q0 and substeps of one case."""
+    if case == "martinet_arc":
+        scenario = load_scenario(case)
+        ham = scenario.hamiltonian
+        u = hamiltonian_extremal(scenario.frame, scenario.q0, ham["p0"],
+                                 ham["T"], ham["N_t"]).control
+        return scenario.frame, scenario.domain, u.restrict(20), scenario.q0, 2
+    u = constant_control([1.0, 0.0], horizon=0.5, n_cells=500).restrict(24)
+    # the base line runs along y = 0; the members of some draws cross
+    # y = 5e-4 and some do not
+    upper = 5e-4 if case == "members_leave" else 1.0
+    box = Domain([-1.0, -1.0, -1.0], [1.0, upper, 1.0])
+    return heisenberg, box, u, np.zeros(3), 1
+
+
+@pytest.mark.parametrize("case", ["heisenberg_line", "martinet_arc",
+                                  "members_leave"])
+def test_streamed_reductions_equal_the_stored_homotopy(heisenberg, case):
+    # verification keeps no member history: the cell-by-cell fold of a batch
+    # must give exactly what bound_slacks, in_domain and separation give on
+    # the stored homotopy of each of its draws
+    frame, domain, u_r, q0, substeps = _stream_case(case, heisenberg)
+    draws = [sample_admissible_perturbation(np.random.default_rng(seed), u_r)[0]
+             for seed in range(6)]
+    constants = estimate_constants(frame, domain, 5)
+    c = 0.8
+    extremes, ends = certify._streamed_extremes(frame, u_r, draws, q0, 8,
+                                                domain, substeps, c)
+    inside = []
+    for du, row, end in zip(draws, extremes, ends):
+        hom = natural_homotopy(frame, u_r, du, q0, 8, domain, substeps)
+        assert certify._bounds(row, du, frame.n, constants, u_r.horizon) == \
+            bound_slacks(hom, u_r, constants, c, u_r.horizon)
+        assert certify._inside(row, domain) == hom.in_domain
+        assert Homotopy.endpoint_gap(end) == hom.separation
+        inside.append(hom.in_domain)
+    if case == "members_leave":
+        assert True in inside and False in inside
+    else:
+        assert all(inside)
+
+
+def test_verification_memory_does_not_grow_with_the_horizon(heisenberg,
+                                                             line_certificate):
+    # the stored member histories grew by 17 members x 6 floats per trial
+    # and added cell; streamed, only the du draws and |integral phi| grow,
+    # by 2 + 1 floats per trial and cell (4x leaves room for the sampler's
+    # temporaries of one draw)
+    box, u, traj, cert, _ = line_certificate
+    n_trials = 8
+
+    def peak(t_prime):
+        verify_certificate(heisenberg, box, u, traj, cert, n_trials=n_trials,
+                           t_prime=t_prime)
+        tracemalloc.start()
+        try:
+            report = verify_certificate(heisenberg, box, u, traj, cert,
+                                        n_trials=n_trials, t_prime=t_prime)
+            return round(report.t_prime / u.dt), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (short, short_peak), (long, long_peak) = peak(0.012), peak(0.048)
+    assert (short, long) == (12, 48)
+    draw_growth = n_trials * (long - short) * (2 + 1) * 8
+    assert long_peak - short_peak <= 4 * draw_growth
 
 
 def test_certificate_refuses_jump_control(heisenberg, box3):

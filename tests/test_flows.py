@@ -123,7 +123,7 @@ def _jet_tangent_maps(frame, u, base, substeps):
     for lo in range(0, u.n_cells, FLOW_BATCH):
         cells = u.samples[lo:lo + FLOW_BATCH, None, :]
 
-        def rhs(_, y):
+        def rhs(y):
             q = y[:, :n]
             values, jacobians = frame.derivatives(0, q), frame.derivatives(1, q)
             a = (cells @ jacobians.reshape(-1, k, n * n)).reshape(-1, n, n)
@@ -134,7 +134,8 @@ def _jet_tangent_maps(frame, u, base, substeps):
         q = base.states[lo:lo + cells.shape[0]]
         y0 = np.concatenate([q, np.tile(np.eye(n).ravel(), (q.shape[0], 1))],
                             axis=1)
-        props = _rk4(rhs, y0, u.dt / substeps, substeps, 1)[1, :, n:]
+        *_, ends = _rk4(lambda _: rhs, y0, u.dt / substeps, substeps, 1)
+        props = ends[:, n:]
         for prop in props.reshape(-1, n, n):
             mats.append(prop @ mats[-1])
     return np.array(mats)

@@ -4,12 +4,13 @@ import pytest
 from srx import (ControlSignal, Domain, GridMismatchError, SRFrame,
                  decompose_variation, energy_comparison_check,
                  estimate_constants, hamiltonian_extremal,
-                 integrate_trajectory, natural_homotopies, natural_homotopy,
+                 integrate_trajectory, natural_homotopy,
                  tangent_flow, variation_direct, variation_integral)
 from srx.certify import bound_slacks
 from srx.core import _StackedPolys
 from srx.flows import _variational_flow
-from srx.homotopy import decomposition_residual_profile, node_velocity
+from srx.homotopy import (_homotopy_cells, decomposition_residual_profile,
+                          node_velocity)
 from srx.scenario import load_scenario
 
 from conftest import (constant_control, jet_variation_rhs, make_quartic_frame,
@@ -134,9 +135,10 @@ def test_members_take_one_stack_evaluation_per_stage(monkeypatch, n_cells,
                         lambda self, pts: evals.append(self) or
                         evaluate(self, pts))
     rng = np.random.default_rng(n_cells)
-    ys = _variational_flow(frame, np.zeros((3, 2 * frame.n)),
-                           rng.normal(size=(3, n_cells, 2 * frame.k)),
-                           0.01 / substeps, substeps)
+    cells = rng.normal(size=(3, n_cells, 2 * frame.k))
+    ys = np.stack(tuple(_variational_flow(
+        frame, np.zeros((3, 2 * frame.n)), lambda j: cells[:, j],
+        0.01 / substeps, substeps, n_cells)), axis=1)
     assert ys.shape == (3, n_cells + 1, 2 * frame.n)
     assert len(evals) == 4 * n_cells * substeps
     assert all(stack is frame._stack("variation") for stack in evals)
@@ -352,17 +354,18 @@ def test_homotopies_mark_domain_exit_per_family(heisenberg):
     rng = np.random.default_rng(4)
     inside = smooth_perturbation(rng, n_cells=80, amplitude=0.05)
     leaving = constant_control([0.0, 1.0], n_cells=80)
-    homs = natural_homotopies(heisenberg, u, [inside, leaving], [0.0, 0.0, 0.0],
-                              n_s=4, domain=box)
+    homs = [natural_homotopy(heisenberg, u, du, [0.0, 0.0, 0.0], n_s=4,
+                             domain=box) for du in (inside, leaving)]
     assert [hom.in_domain for hom in homs] == [True, False]
-    for hom, du in zip(homs, (inside, leaving)):
-        alone = natural_homotopy(heisenberg, u, du, [0.0, 0.0, 0.0], n_s=4,
-                                 domain=box)
-        assert alone.in_domain == hom.in_domain
-        assert np.array_equal(alone.s_grid, hom.s_grid)
-        assert np.array_equal(alone.grid, hom.grid)
-        assert np.array_equal(alone.trajectories, hom.trajectories)
-        assert np.array_equal(alone.variations, hom.variations)
+    # both families in one batch give each family's members exactly
+    s_grid, cells = _homotopy_cells(
+        heisenberg, u, np.stack([inside.samples, leaving.samples]),
+        [0.0, 0.0, 0.0], 4, box, 1)
+    batch = np.stack(tuple(cells), axis=2)
+    for hom, ys in zip(homs, batch.swapaxes(0, 1)):
+        assert np.array_equal(hom.s_grid, s_grid)
+        assert np.array_equal(hom.trajectories, ys[..., :3])
+        assert np.array_equal(hom.variations, ys[..., 3:])
     # without a domain every family counts as inside
-    assert all(hom.in_domain for hom in natural_homotopies(
-        heisenberg, u, [inside, leaving], [0.0, 0.0, 0.0], n_s=4))
+    assert all(natural_homotopy(heisenberg, u, du, [0.0, 0.0, 0.0],
+                                n_s=4).in_domain for du in (inside, leaving))

@@ -147,6 +147,26 @@ def test_certify_counts_below_one_rejected(tmp_path, key, value):
     assert not (tmp_path / "certificate.json").exists()
 
 
+@pytest.mark.parametrize("scenario, section", [
+    ("heisenberg_line", "control"), ("heisenberg_arc", "hamiltonian")])
+def test_t_prime_below_one_cell_rejected(tmp_path, scenario, section):
+    # a T_prime shorter than one cell used to reach verification and end in
+    # "certified radius is below one control cell" (exit 3), although the
+    # certified radius spans many cells
+    data = _load_bundled_dict(scenario)
+    cell = data[section]["T"] / data[section]["N_t"]
+    data.setdefault("certify", {})["T_prime"] = 0.5 * cell
+    path = _write_scenario(tmp_path, data)
+    with pytest.raises(ScenarioError, match="T_prime"):
+        load_scenario(path)
+    run = _run_cli("certify", "--config", path, "--out", str(tmp_path / "out"))
+    assert run.returncode == 2
+    assert run.stderr.count("\n") == 1 and "T_prime" in run.stderr
+    assert not (tmp_path / "out").exists()
+    data["certify"]["T_prime"] = cell
+    assert load_scenario(_write_scenario(tmp_path, data)).certify["T_prime"] == cell
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("certify", "n_trails", 4),
     ("certify", "margin", "1.1"),

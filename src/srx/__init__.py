@@ -3,15 +3,13 @@
 from .core import (ControlSignal, Domain, FrameRankError, GridMismatchError,
                    InnerProduct, PolyVectorField, SRFrame, SRXError, Trajectory,
                    control_inner)
-from .flows import (DomainExitError, IntegrationError, SingularFlowError,
-                    TangentFlow, integrate_trajectory, push_forward,
-                    tangent_flow)
+from .flows import (DomainExitError, IntegrationError, TangentFlow,
+                    integrate_trajectory, tangent_flow)
 from .extremals import (HamiltonianExtremal, NSREReport, NotNormalizedError,
-                        OrthoDistribution, angle_to_subspace, build_f_perp,
+                        OrthoDistribution, angle_to_subspace,
                         hamiltonian_extremal, nsre_check,
                         orthogonal_control_complement, span_profile)
 from .homotopy import (EnergyComparison, Homotopy, VariationField,
-                       VariationSplit, decompose_variation,
                        energy_comparison_check, natural_homotopy,
                        variation_direct, variation_integral)
 from .certify import (Certificate, EpsilonResult, FrameConstants,
@@ -26,14 +24,14 @@ __all__ = [
     "ControlSignal", "Domain", "FrameRankError", "GridMismatchError",
     "InnerProduct", "PolyVectorField", "SRFrame", "SRXError", "Trajectory",
     "control_inner",
-    "DomainExitError", "IntegrationError", "SingularFlowError", "TangentFlow",
-    "integrate_trajectory", "push_forward", "tangent_flow",
+    "DomainExitError", "IntegrationError", "TangentFlow",
+    "integrate_trajectory", "tangent_flow",
     "HamiltonianExtremal", "NSREReport", "NotNormalizedError",
-    "OrthoDistribution", "angle_to_subspace", "build_f_perp",
+    "OrthoDistribution", "angle_to_subspace",
     "hamiltonian_extremal", "nsre_check", "orthogonal_control_complement",
     "span_profile",
-    "EnergyComparison", "Homotopy", "VariationField", "VariationSplit",
-    "decompose_variation", "energy_comparison_check", "natural_homotopy",
+    "EnergyComparison", "Homotopy", "VariationField",
+    "energy_comparison_check", "natural_homotopy",
     "variation_direct", "variation_integral",
     "Certificate", "EpsilonResult", "FrameConstants", "NotCertifiableError",
     "TrialRecord", "VerificationReport", "build_certificate",

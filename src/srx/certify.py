@@ -20,6 +20,9 @@ from .homotopy import Homotopy, _homotopy_cells, energy_comparison_check
 
 MARGIN_FACTOR = 0.999
 EPSILON_REL_TOL = 1e-6
+SLACK_TOL = 1e-9            # a separation or bound slack above -SLACK_TOL holds
+AMP_RANGE = (0.05, 0.7)     # range of the sampler's Gaussian draw amplitude
+MAX_ATTEMPTS = 200          # sampler draws before it gives up
 # Memory budget of one verification batch: its du draws and one cell's
 # (q, b, u, du) member rows.  Batches hold whole trials, at least one.
 VERIFY_BATCH_BYTES = 1 << 18
@@ -138,18 +141,17 @@ def _extremes(q: np.ndarray, b: np.ndarray, phi: np.ndarray,
         -q.min(axis=(0, 1)), q.max(axis=(0, 1))])
 
 
-def _bounds(extremes: np.ndarray, du: ControlSignal, n: int,
+def _bounds(extremes: np.ndarray, du2: float, k: int, n: int,
             constants: FrameConstants, horizon: float
             ) -> tuple[dict[str, tuple[float, float]], float]:
-    """bound_slacks' result from one row of _extremes."""
-    k = du.k
-    du_l2 = du.l2_norm()
+    """bound_slacks' result from one row of _extremes and du2 = |du|^2."""
+    du_l2 = math.sqrt(du2)
     root_t = math.sqrt(horizon)
     spread, variation, drift = (math.sqrt(v) for v in extremes[:3].tolist())
     bounds = {
         "spread": (spread, root_t * zeta(horizon, constants, k) * du_l2),
         "variation": (variation, root_t * psi(horizon, constants, k, n) * du_l2),
-        "drift": (drift, horizon * xi(horizon, constants, k, n) * du.l2_norm_sq()),
+        "drift": (drift, horizon * xi(horizon, constants, k, n) * du2),
     }
     return bounds, -float(extremes[3])
 
@@ -192,7 +194,8 @@ def bound_slacks(hom: Homotopy, u: ControlSignal, constants: FrameConstants,
     phi = np.abs(control_inner(u, hom.delta_u).cumulative)
     extremes = _extremes(hom.trajectories[:, :, None], hom.variations[:, :, None],
                          phi[:, None], c)
-    return _bounds(extremes[0], hom.delta_u, hom.trajectories.shape[2],
+    du = hom.delta_u
+    return _bounds(extremes[0], du.l2_norm_sq(), du.k, hom.trajectories.shape[2],
                    constants, horizon)
 
 
@@ -246,14 +249,13 @@ class EpsilonResult:
 
 def compute_epsilon(constants: FrameConstants, c: float, eta: float, k: int,
                     n: int, t_max: float, *,
-                    margin_factor: float = MARGIN_FACTOR,
-                    rel_tol: float = EPSILON_REL_TOL) -> EpsilonResult:
+                    margin_factor: float = MARGIN_FACTOR) -> EpsilonResult:
     """Largest radius satisfying 4*eps*zeta(eps) < eta and eps*xi(eps) < c/2.
 
     With C0..C3 finite and nonnegative, which is checked, both left-hand
     sides are sums and products of nonnegative nondecreasing terms, so a
-    bisection on (0, t_max] locates the boundary to rel_tol.  The strict
-    inequalities are enforced through the margin factor.
+    bisection on (0, t_max] locates the boundary to EPSILON_REL_TOL.  The
+    strict inequalities are enforced through the margin factor.
     """
     if c <= 0.0:
         raise NotCertifiableError("angle constant c <= 0: not a certified NSRE")
@@ -283,7 +285,7 @@ def compute_epsilon(constants: FrameConstants, c: float, eta: float, k: int,
         eps, capped = t_max, True
     else:
         lo, hi = 0.0, t_max
-        while hi - lo > rel_tol * hi:
+        while hi - lo > EPSILON_REL_TOL * hi:
             mid = 0.5 * (lo + hi)
             if feasible(mid):
                 lo = mid
@@ -343,8 +345,7 @@ class Certificate:
 def build_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
                       traj: Trajectory, *, grid_resolution: int = 21,
                       margin: float = 1.1,
-                      margin_factor: float = MARGIN_FACTOR,
-                      t_max: float | None = None, seed: int = 0,
+                      margin_factor: float = MARGIN_FACTOR, seed: int = 0,
                       substeps: int = 1,
                       nsre_kwargs: dict | None = None
                       ) -> tuple[Certificate, NSREReport]:
@@ -360,9 +361,8 @@ def build_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
         raise NotCertifiableError("NSRE angle condition is inconclusive at this "
                                   "resolution", report)
     eta = compute_eta(traj, domain, constants)
-    horizon = t_max if t_max is not None else traj.horizon
     result = compute_epsilon(constants, report.c, eta, frame.k, frame.n,
-                             horizon, margin_factor=margin_factor)
+                             traj.horizon, margin_factor=margin_factor)
     eps = result.epsilon
     cert = Certificate(constants, report.c, eta, eps,
                        zeta(eps, constants, frame.k),
@@ -372,9 +372,7 @@ def build_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
     return cert, report
 
 
-def sample_admissible_perturbation(rng: np.random.Generator, u: ControlSignal,
-                                   amp_range: tuple[float, float] = (0.05, 0.7),
-                                   max_attempts: int = 200
+def sample_admissible_perturbation(rng: np.random.Generator, u: ControlSignal
                                    ) -> tuple[ControlSignal, int]:
     """Draw a random energy-nonincreasing perturbation of u.
 
@@ -386,8 +384,8 @@ def sample_admissible_perturbation(rng: np.random.Generator, u: ControlSignal,
     """
     u2 = u.l2_norm_sq()
     rejected = 0
-    for _ in range(max_attempts):
-        amp = rng.uniform(*amp_range)
+    for _ in range(MAX_ATTEMPTS):
+        amp = rng.uniform(*AMP_RANGE)
         raw = rng.standard_normal(u.samples.shape) * (amp / math.sqrt(u.k))
         a_raw = float(np.sum(u.samples * raw) * u.dt / u2)
         w = raw - a_raw * u.samples
@@ -475,8 +473,7 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
                        traj: Trajectory, cert: Certificate, *,
                        n_trials: int = 200, base_seed: int = 0,
                        t_prime: float | None = None, n_s: int = 16,
-                       substeps: int = 1,
-                       slack_tol: float = 1e-9) -> VerificationReport:
+                       substeps: int = 1) -> VerificationReport:
     """Monte-Carlo check of the certificate on the restricted horizon.
 
     For every trial the perturbed homotopy must stay in the domain, the
@@ -507,26 +504,27 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
     def trial_record(i: int, du: ControlSignal, rejected: int,
                      extremes: np.ndarray, ends: np.ndarray) -> TrialRecord:
         separation = Homotopy.endpoint_gap(ends)
-        bound = bound_coef * du.l2_norm_sq()
+        du2 = du.l2_norm_sq()
+        bound = bound_coef * du2
         slack = separation - bound
-        bounds, b0_slack = _bounds(extremes, du, n, cert.constants, tp)
+        bounds, b0_slack = _bounds(extremes, du2, frame.k, n, cert.constants, tp)
 
         violations: list[str] = []
         if not _inside(extremes, domain):
             violations.append("homotopy_left_domain")
-        if slack < -slack_tol:
+        if slack < -SLACK_TOL:
             violations.append("separation_bound")
         if separation <= 0.0:
             violations.append("separation_zero")
         violations += [f"{name}_bound" for name, (value, limit) in bounds.items()
-                       if limit - value < -slack_tol]
-        if b0_slack < -slack_tol:
+                       if limit - value < -SLACK_TOL]
+        if b0_slack < -SLACK_TOL:
             violations.append("b0_lower_bound")
         comparison = energy_comparison_check(u_r, du)
         if not (comparison.applicable and comparison.holds and comparison.bound2):
             violations.append("energy_comparison")
 
-        return TrialRecord(i, cert.seed + base_seed + i, du.l2_norm(),
+        return TrialRecord(i, cert.seed + base_seed + i, math.sqrt(du2),
                            separation, bound, slack, tuple(violations),
                            rejected)
 

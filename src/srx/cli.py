@@ -12,14 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import (NotCertifiableError, bound_slacks, build_certificate,
-                      estimate_constants, verify_certificate)
+from .certify import (SLACK_TOL, NotCertifiableError, bound_slacks,
+                      build_certificate, estimate_constants, verify_certificate)
 from .core import ControlSignal, SRXError, Trajectory
 from .extremals import (_CONSERVATION_TOL, NotNormalizedError,
                         hamiltonian_extremal, nsre_check)
-from .flows import (DomainExitError, IntegrationError, SingularFlowError,
-                    integrate_trajectory, tangent_flow, write_tangent_flow_rows,
-                    write_trajectory_rows)
+from .flows import (DomainExitError, IntegrationError, integrate_trajectory,
+                    tangent_flow, write_tangent_flow_rows, write_trajectory_rows)
 from .homotopy import (energy_comparison_check, natural_homotopy,
                        write_homotopy_rows)
 from .io import write_csv, write_json
@@ -140,7 +139,7 @@ def cmd_homotopy(scenario: Scenario, out: Path) -> int:
     if not in_domain:
         print("homotopy members left the domain", file=sys.stderr)
     failed = not in_domain or any(
-        b["applicable"] and b.get("slack", b.get("min_slack")) < -1e-9
+        b["applicable"] and b.get("slack", b.get("min_slack")) < -SLACK_TOL
         for b in bounds.values())
     failed = failed or (comparison.applicable and not comparison.holds)
     return EXIT_FAILED if failed else EXIT_OK
@@ -258,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     except NotNormalizedError as err:
         print(f"unusable control: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except (IntegrationError, SingularFlowError) as err:
+    except IntegrationError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except DomainExitError as err:

@@ -30,6 +30,7 @@ class FrameRankError(SRXError):
 ExponentTable = dict[tuple[int, ...], float]
 
 FRAME_CHECK_CHUNK = 4096    # grid points per batch of the frame-independence check
+FRAME_SV_TOL = 1e-10        # smallest field-matrix singular value accepted
 
 
 def _differentiate(table: ExponentTable, axis: int) -> ExponentTable:
@@ -242,29 +243,12 @@ class SRFrame:
         """n x k matrix whose columns are X_1(q), ..., X_k(q)."""
         return self.field_matrix_many(self._point(q))
 
-    def jacobians(self, q) -> np.ndarray:
-        """(k, n, n) stack of field Jacobians at q."""
-        return self.derivatives(1, self._point(q))
-
-    def value(self, i: int, q) -> np.ndarray:
-        """Value of field i (0-based) at q."""
-        return self.derivatives(0, self._point(q))[self._index(i)]
-
-    def jacobian(self, i: int, q) -> np.ndarray:
-        """Matrix J[a, b] = d(X_i)^a / d(q^b), evaluated exactly."""
-        return self.derivatives(1, self._point(q))[self._index(i)]
-
-    def hessian(self, i: int, q) -> np.ndarray:
-        """Tensor H[a, b, c] = d^2(X_i)^a / (d q^b d q^c)."""
-        return self.derivatives(2, self._point(q))[self._index(i)]
-
-    def check_independence(self, domain: "Domain", resolution: int = 5,
-                           sv_tol: float = 1e-10) -> float:
+    def check_independence(self, domain: "Domain", resolution: int = 5) -> float:
         """Smallest singular value of the field matrix over a sampled grid.
 
         The grid is evaluated FRAME_CHECK_CHUNK points at a time.  Raises
-        FrameRankError when the value drops to sv_tol or below, naming the
-        first grid point that attains it.
+        FrameRankError when the value drops to FRAME_SV_TOL or below, naming
+        the first grid point that attains it.
         """
         smin, worst = math.inf, None
         for pts in domain.grid_chunks(resolution, FRAME_CHECK_CHUNK):
@@ -273,18 +257,13 @@ class SRFrame:
             j = int(svals.argmin())
             if svals[j] < smin:
                 smin, worst = float(svals[j]), pts[j]
-        if smin <= sv_tol:
+        if smin <= FRAME_SV_TOL:
             raise FrameRankError(
                 f"frame fields nearly dependent at {worst.tolist()} "
-                f"(sigma_min={smin:.3e} <= {sv_tol:.1e})")
+                f"(sigma_min={smin:.3e} <= {FRAME_SV_TOL:.1e})")
         return smin
 
     # -- plumbing ---------------------------------------------------------
-
-    def _index(self, i: int) -> int:
-        if not 0 <= i < self.k:
-            raise IndexError(f"field index {i} out of range [0, {self.k})")
-        return i
 
     def _point(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -483,8 +462,8 @@ class ControlSignal:
         """Worst | |u_j| - 1 | over the cells; 0 for a unit-speed control."""
         return float(np.max(np.abs(self.cell_norms() - 1.0)))
 
-    def is_normalized(self, tol: float = NORMALIZED_TOL) -> bool:
-        return self.speed_deviation() <= tol
+    def is_normalized(self) -> bool:
+        return self.speed_deviation() <= NORMALIZED_TOL
 
     def perturbed(self, delta: "ControlSignal", scale: float = 1.0) -> "ControlSignal":
         require_same_grid(self, delta)

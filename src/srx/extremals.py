@@ -22,6 +22,7 @@ ACB_BOUND = 50.0
 TAU_RANGES = ("0..t", "0..T")
 SPAN_BATCH = 256            # nodes per batched SVD, bounds the temporaries
 _CONSERVATION_TOL = 1e-6    # default bound on the oracle's level drift
+_LEVEL_TOL = 1e-9           # bound on |2H - 1| at the initial covector
 
 
 class DegenerateSpanError(SRXError):
@@ -69,8 +70,8 @@ def orthogonal_control_complement(u_cell) -> np.ndarray:
 class OrthoDistribution:
     """Numerical spans of flow-pushed orthogonal directions at grid nodes.
 
-    Leading axes index nodes (span_profile); build_f_perp returns one node
-    with no node axis.  basis always has n columns: the first `rank` are
+    Leading axes index nodes (span_profile); a single node index gives no
+    node axis.  basis always has n columns: the first `rank` are
     orthonormal and span the distribution, the rest are zero, so
     basis @ basis^T projects onto it at every node.
     """
@@ -231,14 +232,6 @@ def span_profile(frame: SRFrame, traj: Trajectory, tf: TangentFlow,
                              ranks.reshape(nodes.shape))
 
 
-def build_f_perp(frame: SRFrame, traj: Trajectory, tf: TangentFlow, t: float,
-                 sample_stride: int = 1, tau_range: str = "0..t",
-                 sigma_tol: float = SIGMA_TOL) -> OrthoDistribution:
-    """Numerical flow-invariant orthogonal span at time t (see span_profile)."""
-    return span_profile(frame, traj, tf, traj.node_index(t), tau_range=tau_range,
-                        sample_stride=sample_stride, sigma_tol=sigma_tol)
-
-
 def max_velocity_derivative(frame: SRFrame, u: ControlSignal,
                             traj: Trajectory) -> float:
     """Largest difference quotient of cellwise velocities (ACB proxy)."""
@@ -365,7 +358,6 @@ class HamiltonianExtremal:
 
 def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
                          substeps: int = 1, domain: Domain | None = None,
-                         level_tol: float = 1e-9,
                          conservation_tol: float = _CONSERVATION_TOL
                          ) -> HamiltonianExtremal:
     """Integrate the normal Hamiltonian system and sample its control.
@@ -398,7 +390,7 @@ def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
 
     u0 = frame.field_matrix(q0).T @ p0
     level = float(np.dot(u0, u0))
-    if abs(level - 1.0) > level_tol:
+    if abs(level - 1.0) > _LEVEL_TOL:
         raise ValueError(f"initial covector is off the unit level: 2H = {level!r}")
 
     n = frame.n

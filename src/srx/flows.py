@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ControlSignal, Domain, SRFrame, SRXError, Trajectory,
-                   node_index, require_same_grid)
+                   require_same_grid)
 
 
 class IntegrationError(SRXError):
@@ -29,10 +29,6 @@ class IntegrationError(SRXError):
 
 class DomainExitError(SRXError):
     """A required domain-containment condition failed."""
-
-
-class SingularFlowError(SRXError):
-    """A tangent-flow matrix is numerically singular."""
 
 
 COND_LIMIT = 1e12
@@ -188,8 +184,8 @@ class TangentFlow:
     matrices[j] is the tangent map from t = 0 to grid node j.  Each RK4
     step of the linear variational equation is a linear map, the cell
     propagator P_j of `tangent_flow`, so matrices[j + 1] = P_j matrices[j]
-    and every two-point map is an exact composition for the discrete flow
-    (push_forward).
+    and every two-point map matrices[j] @ inv(matrices[i]) is an exact
+    composition for the discrete flow.
     """
 
     grid: np.ndarray          # (N_t + 1,)
@@ -197,12 +193,9 @@ class TangentFlow:
     max_condition: float
     ill_conditioned: bool
 
-    def node_index(self, t: float) -> int:
-        return node_index(self.grid, t)
-
 
 def tangent_flow(frame: SRFrame, u: ControlSignal, base: Trajectory,
-                 substeps: int = 1, cond_limit: float = COND_LIMIT) -> TangentFlow:
+                 substeps: int = 1) -> TangentFlow:
     """RK4 solution of the matrix variational equation dM/dt = Df_u(gamma(t)) M.
 
     gamma is the base trajectory, read from base.states: the RK4 stages of
@@ -220,7 +213,7 @@ def tangent_flow(frame: SRFrame, u: ControlSignal, base: Trajectory,
     time, column by column: column c of P_j is the variation of
     _variational_flow started from (q_j, e_c) with du = 0.  Then
     M_{j+1} = P_j M_j, anchored at t = 0.
-    Condition numbers above cond_limit only set `ill_conditioned`; they do
+    Condition numbers above COND_LIMIT only set `ill_conditioned`; they do
     not abort, since the flag is advisory for downstream rank decisions.
     """
     require_same_grid(u, base.control)
@@ -256,20 +249,7 @@ def tangent_flow(frame: SRFrame, u: ControlSignal, base: Trajectory,
 
     conds = np.linalg.cond(mats)
     max_cond = float(np.max(conds))
-    return TangentFlow(base.grid, mats, max_cond, max_cond > cond_limit)
-
-
-def push_forward(tf: TangentFlow, tau: float, t: float, v) -> np.ndarray:
-    """Apply the two-point tangent map from time tau to time t to a vector."""
-    v = np.asarray(v, dtype=float)
-    jt = tf.node_index(t)
-    jtau = tf.node_index(tau)
-    if jt == jtau:
-        return v.copy()
-    m_tau = tf.matrices[jtau]
-    if 1.0 / np.linalg.cond(m_tau) < 1e-15:
-        raise SingularFlowError(f"tangent map at tau={tau:.6g} is singular")
-    return tf.matrices[jt] @ np.linalg.solve(m_tau, v)
+    return TangentFlow(base.grid, mats, max_cond, max_cond > COND_LIMIT)
 
 
 def write_trajectory_rows(traj: Trajectory) -> tuple[list[str], np.ndarray]:

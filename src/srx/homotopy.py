@@ -16,10 +16,10 @@ import numpy as np
 
 from .core import (ControlSignal, Domain, SRFrame, Trajectory, control_inner,
                    require_same_grid)
-from .extremals import (ACB_BOUND, SIGMA_TOL, OrthoDistribution, build_f_perp,
-                        max_velocity_derivative, require_normalized,
-                        span_profile)
+from .extremals import SIGMA_TOL, span_profile
 from .flows import TangentFlow, _checked_start, _variational_flow
+
+COMPARISON_TOL = 1e-12      # slack allowed in the energy-comparison checks
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,79 +193,23 @@ def node_velocity(frame: SRFrame, u: ControlSignal, traj: Trajectory,
     return (frame.field_matrix_many(traj.states[m]) @ u_node[..., None])[..., 0]
 
 
-@dataclass(frozen=True, eq=False)
-class VariationSplit:
-    """Split of the s=0 variation into a velocity multiple plus a span part."""
-
-    t: float
-    coefficient: float
-    residual: np.ndarray
-    residual_in_span: bool
-    relative_residual: float
-    b0_t: np.ndarray
-    velocity: np.ndarray
-    hypothesis_verified: bool
-
-
-def decompose_variation(frame: SRFrame, u: ControlSignal, du: ControlSignal,
-                        traj0: Trajectory, tf: TangentFlow, t: float, *,
-                        b_field: VariationField | None = None,
-                        f_perp: OrthoDistribution | None = None,
-                        in_span_rtol: float = 1e-6,
-                        acb_bound: float = ACB_BOUND,
-                        sigma_tol: float = SIGMA_TOL,
-                        tau_range: str = "0..t",
-                        sample_stride: int = 1) -> VariationSplit:
-    """Write b_0(t) as (running integral of phi) * velocity + span residual.
-
-    The coefficient is the exact running integral of the control inner
-    product; the residual is tested for membership in the flow-pushed
-    orthogonal span at relative tolerance in_span_rtol (a zero b_0 counts as
-    in-span).  When the ACB regularity proxy fails the split is still
-    returned but flagged hypothesis_verified=False.
-    """
-    require_normalized(u, "the decomposition")
-    m = traj0.node_index(t)
-    if b_field is None:
-        b_field = variation_integral(frame, u, du, traj0, tf)
-    b0_t = b_field.vectors[m]
-    coefficient = float(control_inner(u, du).cumulative[m])
-    velocity = node_velocity(frame, u, traj0, m)
-    residual = b0_t - coefficient * velocity
-
-    if f_perp is None:
-        f_perp = build_f_perp(frame, traj0, tf, t, sample_stride, tau_range,
-                              sigma_tol)
-    b0_norm = float(np.linalg.norm(b0_t))
-    if b0_norm == 0.0:
-        in_span, rel = True, 0.0
-    else:
-        rel = float(f_perp.residual(residual)) / b0_norm
-        in_span = rel <= in_span_rtol
-
-    hypothesis = max_velocity_derivative(frame, u, traj0) <= acb_bound
-    return VariationSplit(float(traj0.grid[m]), coefficient, residual, in_span,
-                          float(rel), b0_t, velocity, hypothesis)
-
-
 def decomposition_residual_profile(frame: SRFrame, u: ControlSignal,
                                    du: ControlSignal, traj0: Trajectory,
                                    tf: TangentFlow, *,
-                                   sigma_tol: float = SIGMA_TOL,
-                                   tau_range: str = "0..t",
-                                   sample_stride: int = 1) -> np.ndarray:
+                                   sigma_tol: float = SIGMA_TOL) -> np.ndarray:
     """Relative span residual of the decomposition at every grid node.
 
-    Same computation as decompose_variation, batched over the nodes: one
-    span_profile call spans every node with a nonzero variation.  Nodes with
-    a zero variation report 0 (degenerate case counts as in-span).
+    b_0(t) is written as (running integral of phi) * velocity plus a
+    residual, whose norm outside the flow-pushed orthogonal span is divided
+    by |b_0(t)|.  One span_profile call, with tau sampled at every node of
+    0..t, spans every node with a nonzero variation.  Nodes with a zero
+    variation report 0 (degenerate case counts as in-span).
     """
     b_field = variation_integral(frame, u, du, traj0, tf)
     phi_cum = control_inner(u, du).cumulative
     norms = np.linalg.norm(b_field.vectors, axis=1)
     nodes = np.flatnonzero(norms)
-    spans = span_profile(frame, traj0, tf, nodes, tau_range=tau_range,
-                         sample_stride=sample_stride, sigma_tol=sigma_tol)
+    spans = span_profile(frame, traj0, tf, nodes, sigma_tol=sigma_tol)
     residuals = b_field.vectors[nodes] - phi_cum[nodes, None] * node_velocity(
         frame, u, traj0, nodes)
     out = np.zeros(norms.shape[0])
@@ -294,8 +238,8 @@ class EnergyComparison:
     bound2_slack: float
 
 
-def energy_comparison_check(u: ControlSignal, du: ControlSignal,
-                            slack_tol: float = 1e-12) -> EnergyComparison:
+def energy_comparison_check(u: ControlSignal, du: ControlSignal
+                            ) -> EnergyComparison:
     require_same_grid(u, du)
     phi = control_inner(u, du)
     lhs = -phi.total
@@ -303,9 +247,9 @@ def energy_comparison_check(u: ControlSignal, du: ControlSignal,
     slack = lhs - rhs
     e_old = u.energy()
     e_new = u.perturbed(du).energy()
-    applicable = e_new <= e_old + slack_tol * max(1.0, e_old)
+    applicable = e_new <= e_old + COMPARISON_TOL * max(1.0, e_old)
     du_l2 = du.l2_norm()
     limit = 2.0 * math.sqrt(u.horizon)
     return EnergyComparison(applicable, lhs, rhs, slack,
-                            slack >= -slack_tol, du_l2, limit,
-                            du_l2 <= limit + slack_tol, limit - du_l2)
+                            slack >= -COMPARISON_TOL, du_l2, limit,
+                            du_l2 <= limit + COMPARISON_TOL, limit - du_l2)

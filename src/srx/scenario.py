@@ -17,15 +17,16 @@ import numpy as np
 
 from .core import (ControlSignal, Domain, FrameRankError, PolyVectorField,
                    SRFrame, SRXError)
-from .extremals import TAU_RANGES
+from .certify import MARGIN_FACTOR
+from .extremals import ACB_BOUND, SIGMA_TOL, TAU_RANGES, THETA_MIN
 
 BUNDLED = ("euclidean_line", "heisenberg_line", "heisenberg_arc", "jump_control",
            "martinet_arc", "cartan_arc")
 
 TOLERANCE_DEFAULTS = {
-    "acb_bound": 50.0,
-    "theta_min": 1e-3,
-    "sigma_tol": 1e-8,
+    "acb_bound": ACB_BOUND,
+    "theta_min": THETA_MIN,
+    "sigma_tol": SIGMA_TOL,
     "tau_range": "0..t",
     "frame_grid": 5,
 }
@@ -33,7 +34,7 @@ TOLERANCE_DEFAULTS = {
 CERTIFY_DEFAULTS = {
     "grid_resolution": 21,
     "margin": 1.1,
-    "margin_factor": 0.999,
+    "margin_factor": MARGIN_FACTOR,
     "T_prime": None,
     "n_trials": 200,
     "N_s": 16,

@@ -113,6 +113,11 @@ def smooth_perturbation(rng, horizon=1.0, n_cells=1000, k=2, amplitude=1.0,
     return ControlSignal(horizon, vals)
 
 
+def two_point_map(tf, i, j, v):
+    """The tangent map from grid node i to grid node j applied to v."""
+    return tf.matrices[j] @ np.linalg.solve(tf.matrices[i], v)
+
+
 @pytest.fixture(scope="session")
 def euclidean2():
     return make_euclidean_frame(2)

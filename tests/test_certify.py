@@ -402,7 +402,8 @@ def test_streamed_reductions_equal_the_stored_homotopy(heisenberg, case):
     inside = []
     for du, row, end in zip(draws, extremes, ends):
         hom = natural_homotopy(frame, u_r, du, q0, 8, domain, substeps)
-        assert certify._bounds(row, du, frame.n, constants, u_r.horizon) == \
+        assert certify._bounds(row, du.l2_norm_sq(), du.k, frame.n, constants,
+                               u_r.horizon) == \
             bound_slacks(hom, u_r, constants, c, u_r.horizon)
         assert certify._inside(row, domain) == hom.in_domain
         assert Homotopy.endpoint_gap(end) == hom.separation

@@ -17,39 +17,38 @@ from conftest import (constant_control, jet_variation_rhs, make_quartic_frame,
 # -- polynomial fields ------------------------------------------------------
 
 def test_euclidean_field_values(euclidean2):
-    assert np.array_equal(euclidean2.value(0, [3.7, -1.2]), [1.0, 0.0])
-    assert np.array_equal(euclidean2.value(1, [3.7, -1.2]), [0.0, 1.0])
+    values = euclidean2.derivatives(0, [3.7, -1.2])
+    assert np.array_equal(values[0], [1.0, 0.0])
+    assert np.array_equal(values[1], [0.0, 1.0])
 
 
 def test_heisenberg_field_values(heisenberg):
     # X_2 at (2,0,0): x/2 = 1 in the z slot
-    assert np.array_equal(heisenberg.value(1, [2.0, 0.0, 0.0]), [0.0, 1.0, 1.0])
-    assert np.array_equal(heisenberg.value(0, [0.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
+    assert np.array_equal(heisenberg.derivatives(0, [2.0, 0.0, 0.0])[1],
+                          [0.0, 1.0, 1.0])
+    assert np.array_equal(heisenberg.derivatives(0, [0.0, 0.0, 0.0])[0],
+                          [1.0, 0.0, 0.0])
 
 
 def test_euclidean_jacobian_zero(euclidean2):
-    assert np.array_equal(euclidean2.jacobian(0, [0.3, 0.4]), np.zeros((2, 2)))
+    assert np.array_equal(euclidean2.derivatives(1, [0.3, 0.4])[0],
+                          np.zeros((2, 2)))
 
 
 def test_heisenberg_jacobians(heisenberg):
-    j1 = heisenberg.jacobian(0, [1.0, 2.0, 3.0])
+    j1 = heisenberg.derivatives(1, [1.0, 2.0, 3.0])[0]
     expected = np.zeros((3, 3))
     expected[2, 1] = -0.5
     assert np.array_equal(j1, expected)
-    j2 = heisenberg.jacobian(1, [-4.0, 1.0, 0.0])
+    j2 = heisenberg.derivatives(1, [-4.0, 1.0, 0.0])[1]
     expected = np.zeros((3, 3))
     expected[2, 0] = 0.5
     assert np.array_equal(j2, expected)
 
 
-def test_field_index_out_of_range(heisenberg):
-    with pytest.raises(IndexError):
-        heisenberg.value(2, [0.0, 0.0, 0.0])
-
-
 def test_nonfinite_point_rejected(heisenberg):
     with pytest.raises(ValueError):
-        heisenberg.value(0, [np.inf, 0.0, 0.0])
+        heisenberg.field_matrix([np.inf, 0.0, 0.0])
 
 
 def test_bad_exponent_tuple_rejected():
@@ -64,14 +63,16 @@ def test_derivatives_match_finite_differences():
     for _ in range(5):
         q = rng.uniform(-1.0, 1.0, size=3)
         for i in range(frame.k):
-            jac = frame.jacobian(i, q)
-            hess = frame.hessian(i, q)
+            jac = frame.derivatives(1, q)[i]
+            hess = frame.derivatives(2, q)[i]
             for b in range(3):
                 e = np.zeros(3)
                 e[b] = h
-                fd_col = (frame.value(i, q + e) - frame.value(i, q - e)) / (2 * h)
+                fd_col = (frame.derivatives(0, q + e)[i]
+                          - frame.derivatives(0, q - e)[i]) / (2 * h)
                 assert np.allclose(jac[:, b], fd_col, rtol=1e-6, atol=1e-8)
-                fd_jcol = (frame.jacobian(i, q + e) - frame.jacobian(i, q - e)) / (2 * h)
+                fd_jcol = (frame.derivatives(1, q + e)[i]
+                           - frame.derivatives(1, q - e)[i]) / (2 * h)
                 assert np.allclose(hess[:, :, b], fd_jcol, rtol=1e-6, atol=1e-8)
 
 
@@ -147,14 +148,13 @@ def test_batched_derivatives_match_single_points():
     rng = np.random.default_rng(5)
     frame = make_random_poly_frame(rng)
     pts = rng.uniform(-1.0, 1.0, size=(4, 6, 3))
-    single = (frame.value, frame.jacobian, frame.hessian)
-    for order, at_point in enumerate(single):
+    for order in range(3):
         batch = frame.derivatives(order, pts)
         assert batch.shape == (4, 6, 2) + (3,) * (order + 1)
         for b, m in np.ndindex(4, 6):
             for i, field in enumerate(frame.fields):
                 q = pts[b, m]
-                for expected in (at_point(i, q),
+                for expected in (frame.derivatives(order, q)[i],
                                  _monomial_derivative(field, q, order)):
                     assert np.allclose(batch[b, m, i], expected,
                                        rtol=0.0, atol=1e-13)
@@ -163,9 +163,9 @@ def test_batched_derivatives_match_single_points():
 def test_bundled_frame_matches_fixture(heisenberg):
     parsed = load_scenario("heisenberg_line").frame
     q = np.array([0.3, -0.7, 1.1])
-    for i in range(2):
-        assert np.array_equal(parsed.value(i, q), heisenberg.value(i, q))
-        assert np.array_equal(parsed.jacobian(i, q), heisenberg.jacobian(i, q))
+    for order in range(2):
+        assert np.array_equal(parsed.derivatives(order, q),
+                              heisenberg.derivatives(order, q))
 
 
 # -- the stacked evaluator --------------------------------------------------

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from srx import (angle_to_subspace, build_f_perp, hamiltonian_extremal,
-                 integrate_trajectory, nsre_check,
-                 orthogonal_control_complement, push_forward, span_profile,
+from srx import (angle_to_subspace, hamiltonian_extremal, integrate_trajectory,
+                 nsre_check, orthogonal_control_complement, span_profile,
                  tangent_flow)
 from srx.extremals import NotNormalizedError, OrthoDistribution
 from srx.scenario import load_scenario
 
 from conftest import (constant_control, make_euclidean_frame,
-                      make_heisenberg_frame, sampled_control)
+                      make_heisenberg_frame, sampled_control, two_point_map)
 
 
 def _line_setup(heisenberg, n_cells=200):
@@ -73,7 +72,7 @@ def test_complement_batched_matches_rows(k):
 
 def test_f_perp_heisenberg_line(heisenberg):
     u, traj, tf = _line_setup(heisenberg)
-    span = build_f_perp(heisenberg, traj, tf, 1.0)
+    span = span_profile(heisenberg, traj, tf, traj.node_index(1.0))
     assert span.rank == 2
     # span is the y-z plane: e2 and e3 project onto it with no residual
     assert span.residual(np.array([0.0, 1.0, 0.0])) < 1e-10
@@ -86,14 +85,14 @@ def test_f_perp_euclidean_line(euclidean2):
     traj = integrate_trajectory(euclidean2, u, [0.0, 0.0])
     tf = tangent_flow(euclidean2, u, traj)
     for t in (0.25, 1.0):
-        span = build_f_perp(euclidean2, traj, tf, t)
+        span = span_profile(euclidean2, traj, tf, traj.node_index(t))
         assert span.rank == 1
         assert np.allclose(np.abs(span.basis[:, 0]), [0.0, 1.0], atol=1e-12)
 
 
 def test_f_perp_at_time_zero(heisenberg):
     u, traj, tf = _line_setup(heisenberg)
-    span = build_f_perp(heisenberg, traj, tf, 0.0)
+    span = span_profile(heisenberg, traj, tf, traj.node_index(0.0))
     assert span.rank == heisenberg.k - 1
 
 
@@ -104,27 +103,29 @@ def test_f_perp_monotone_span_growth(heisenberg):
     traj = integrate_trajectory(heisenberg, u, [0.2, -0.1, 0.0])
     tf = tangent_flow(heisenberg, u, traj)
     t1, t2 = 0.4, 0.9
-    small = build_f_perp(heisenberg, traj, tf, t1)
-    big = build_f_perp(heisenberg, traj, tf, t2)
+    small = span_profile(heisenberg, traj, tf, traj.node_index(t1))
+    big = span_profile(heisenberg, traj, tf, traj.node_index(t2))
     assert small.rank <= big.rank
     for col in range(small.rank):
-        moved = push_forward(tf, t1, t2, small.basis[:, col])
+        moved = two_point_map(tf, traj.node_index(t1), traj.node_index(t2),
+                              small.basis[:, col])
         assert big.residual(moved) < 1e-8 * np.linalg.norm(moved)
 
 
 def test_f_perp_flow_invariance(heisenberg):
     u, traj, tf = _line_setup(heisenberg)
     for tau, t in ((0.25, 0.75), (0.0, 1.0), (0.5, 0.6)):
-        earlier = build_f_perp(heisenberg, traj, tf, tau)
-        later = build_f_perp(heisenberg, traj, tf, t)
+        earlier = span_profile(heisenberg, traj, tf, traj.node_index(tau))
+        later = span_profile(heisenberg, traj, tf, traj.node_index(t))
         for col in range(earlier.rank):
-            moved = push_forward(tf, tau, t, earlier.basis[:, col])
+            moved = two_point_map(tf, traj.node_index(tau), traj.node_index(t),
+                                  earlier.basis[:, col])
             assert later.residual(moved) < 1e-6 * np.linalg.norm(moved)
 
 
 def test_angle_examples(heisenberg):
     u, traj, tf = _line_setup(heisenberg)
-    span = build_f_perp(heisenberg, traj, tf, 1.0)
+    span = span_profile(heisenberg, traj, tf, traj.node_index(1.0))
     assert angle_to_subspace([0.0, 0.3, -0.2], span) == pytest.approx(0.0, abs=1e-7)
     assert angle_to_subspace([1.0, 0.0, 0.0], span) == pytest.approx(np.pi / 2, abs=1e-7)
     with pytest.raises(ValueError):
@@ -616,7 +617,7 @@ def test_f_perp_rejects_rank_one_frame():
     traj = integrate_trajectory(frame, u, [0.0, 0.0])
     tf = tangent_flow(frame, u, traj)
     with pytest.raises(DegenerateSpanError):
-        build_f_perp(frame, traj, tf, 1.0)
+        span_profile(frame, traj, tf, traj.node_index(1.0))
 
 
 def test_f_perp_rejects_vanishing_control(heisenberg):
@@ -627,12 +628,12 @@ def test_f_perp_rejects_vanishing_control(heisenberg):
     traj = integrate_trajectory(heisenberg, u, [0.0, 0.0, 0.0])
     tf = tangent_flow(heisenberg, u, traj)
     with pytest.raises(ValueError):
-        build_f_perp(heisenberg, traj, tf, 1.0)
+        span_profile(heisenberg, traj, tf, traj.node_index(1.0))
 
 
 def test_f_perp_basis_is_orthonormal(heisenberg):
     u, traj, tf = _line_setup(heisenberg)
-    span = build_f_perp(heisenberg, traj, tf, 0.7)
+    span = span_profile(heisenberg, traj, tf, traj.node_index(0.7))
     # the first rank columns are orthonormal, the zero padding is zero
     gram = span.basis.T @ span.basis
     expected = np.diag((np.arange(heisenberg.n) < span.rank).astype(float))

@@ -3,7 +3,7 @@ import pytest
 
 from srx import (ControlSignal, Domain, DomainExitError, GridMismatchError,
                  IntegrationError, hamiltonian_extremal, integrate_trajectory,
-                 push_forward, tangent_flow)
+                 tangent_flow)
 from srx.cli import _resolve_run
 from srx.core import _StackedPolys
 from srx.flows import (FLOW_BATCH, _rk4, write_tangent_flow_rows,
@@ -13,7 +13,7 @@ from srx.scenario import BUNDLED, load_scenario
 from conftest import (batched_oracle_stepper, batched_trajectory_states,
                       constant_control, make_quartic_frame,
                       make_random_poly_frame, sampled_control,
-                      smooth_perturbation)
+                      smooth_perturbation, two_point_map)
 
 
 def test_euclidean_straight_line(euclidean2):
@@ -80,7 +80,7 @@ def _joint_tangent_flow(frame, u, q0, substeps):
 
     def rhs(j, y):
         q, m = y[:n], y[n:].reshape(n, n)
-        a = np.einsum("i,iab->ab", u.samples[j], frame.jacobians(q))
+        a = np.einsum("i,iab->ab", u.samples[j], frame.derivatives(1, q))
         return np.concatenate([frame.field_matrix(q) @ u.samples[j],
                                (a @ m).ravel()])
 
@@ -225,13 +225,14 @@ def test_nonpositive_substeps_rejected(heisenberg, run, substeps):
         run(heisenberg, substeps)
 
 
-def test_push_forward_examples(heisenberg):
+def test_two_point_tangent_map_examples(heisenberg):
     u = constant_control([1.0, 0.0], n_cells=100)
     traj = integrate_trajectory(heisenberg, u, [0.0, 0.0, 0.0])
     tf = tangent_flow(heisenberg, u, traj)
-    assert np.array_equal(push_forward(tf, 0.1, 0.9, np.zeros(3)), np.zeros(3))
+    assert np.array_equal(two_point_map(tf, 10, 90, np.zeros(3)), np.zeros(3))
     tau, t = 0.3, 0.8
-    out = push_forward(tf, tau, t, [0.0, 1.0, tau / 2.0])
+    out = two_point_map(tf, traj.node_index(tau), traj.node_index(t),
+                        [0.0, 1.0, tau / 2.0])
     assert np.allclose(out, [0.0, 1.0, tau - t / 2.0], atol=1e-12)
 
 
@@ -241,10 +242,10 @@ def test_flow_composition(heisenberg):
     tf = tangent_flow(heisenberg, u, traj)
     rng = np.random.default_rng(5)
     for _ in range(10):
-        tau, sigma, t = sorted(rng.integers(0, 201, size=3) * (1.0 / 200))
+        tau, sigma, t = sorted(rng.integers(0, 201, size=3))
         v = rng.normal(size=3)
-        once = push_forward(tf, tau, t, v)
-        twice = push_forward(tf, sigma, t, push_forward(tf, tau, sigma, v))
+        once = two_point_map(tf, tau, t, v)
+        twice = two_point_map(tf, sigma, t, two_point_map(tf, tau, sigma, v))
         assert np.allclose(once, twice, rtol=1e-9, atol=1e-12)
 
 
@@ -364,15 +365,6 @@ def test_tangent_flow_flags_ill_conditioning():
     tf = tangent_flow(frame, u, traj)
     assert tf.ill_conditioned
     assert tf.max_condition > 1e12
-
-
-def test_push_forward_singular_matrix_raises():
-    import srx
-    grid = np.array([0.0, 1.0])
-    mats = np.stack([np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]])])
-    tf = srx.TangentFlow(grid, mats, np.inf, True)
-    with pytest.raises(srx.SingularFlowError):
-        push_forward(tf, 1.0, 0.0, [1.0, 1.0])
 
 
 def test_csv_row_layouts(heisenberg):

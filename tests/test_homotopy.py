@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from srx import (ControlSignal, Domain, GridMismatchError, SRFrame,
-                 decompose_variation, energy_comparison_check,
-                 estimate_constants, hamiltonian_extremal,
-                 integrate_trajectory, natural_homotopy,
-                 tangent_flow, variation_direct, variation_integral)
+                 control_inner, energy_comparison_check, estimate_constants,
+                 hamiltonian_extremal, integrate_trajectory, natural_homotopy,
+                 span_profile, tangent_flow, variation_direct,
+                 variation_integral)
 from srx.certify import bound_slacks
 from srx.core import _StackedPolys
+from srx.extremals import ACB_BOUND, max_velocity_derivative
 from srx.flows import _variational_flow
 from srx.homotopy import (_homotopy_cells, decomposition_residual_profile,
                           node_velocity)
@@ -68,7 +69,7 @@ def _member_loop(frame, controls, increments, q0, dt, substeps):
     """Reference: one member and its variation by a plain per-point RK4 loop."""
     def rhs(q, b, u_cell, du_cell):
         f = frame.field_matrix(q)
-        a = np.einsum("i,iab->ab", u_cell, frame.jacobians(q))
+        a = np.einsum("i,iab->ab", u_cell, frame.derivatives(1, q))
         return np.concatenate([f @ u_cell, f @ du_cell + a @ b])
 
     n = frame.n
@@ -196,6 +197,20 @@ def test_variation_matches_finite_differences(heisenberg):
 
 # -- decomposition --------------------------------------------------------------
 
+IN_SPAN_RTOL = 1e-6
+
+
+def _split(frame, u, du, traj, tf, t):
+    """b_0(t) = coefficient * velocity + residual at node t: the
+    coefficient, b_0(t), the residual and its relative span residual."""
+    m = traj.node_index(t)
+    coefficient = control_inner(u, du).cumulative[m]
+    b0 = variation_integral(frame, u, du, traj, tf).vectors[m]
+    residual = b0 - coefficient * node_velocity(frame, u, traj, m)
+    relative = decomposition_residual_profile(frame, u, du, traj, tf)[m]
+    return coefficient, b0, residual, relative
+
+
 def test_decompose_parallel_perturbation(euclidean2):
     alpha = -0.3
     u = constant_control([1.0, 0.0], n_cells=100)
@@ -203,20 +218,20 @@ def test_decompose_parallel_perturbation(euclidean2):
     traj = integrate_trajectory(euclidean2, u, [0.0, 0.0])
     tf = tangent_flow(euclidean2, u, traj)
     for t in (0.25, 1.0):
-        split = decompose_variation(euclidean2, u, du, traj, tf, t)
-        assert split.coefficient == pytest.approx(alpha * t, abs=1e-12)
-        assert np.allclose(split.residual, 0.0, atol=1e-12)
-        assert split.residual_in_span
-        assert split.hypothesis_verified
+        coefficient, _, residual, relative = _split(euclidean2, u, du, traj, tf, t)
+        assert coefficient == pytest.approx(alpha * t, abs=1e-12)
+        assert np.allclose(residual, 0.0, atol=1e-12)
+        assert relative <= IN_SPAN_RTOL
+    assert max_velocity_derivative(euclidean2, u, traj) <= ACB_BOUND
 
 
 def test_decompose_orthogonal_perturbation(heisenberg):
     u, traj, tf = _heisenberg_line(heisenberg)
     du = constant_control([0.0, 0.7], n_cells=500)
-    split = decompose_variation(heisenberg, u, du, traj, tf, 1.0)
-    assert split.coefficient == 0.0
-    assert split.residual_in_span
-    assert np.allclose(split.residual, split.b0_t, atol=1e-15)
+    coefficient, b0, residual, relative = _split(heisenberg, u, du, traj, tf, 1.0)
+    assert coefficient == 0.0
+    assert relative <= IN_SPAN_RTOL
+    assert np.allclose(residual, b0, atol=1e-15)
 
 
 def test_decompose_mixed_perturbation_in_span(heisenberg):
@@ -224,17 +239,15 @@ def test_decompose_mixed_perturbation_in_span(heisenberg):
     rng = np.random.default_rng(17)
     du = smooth_perturbation(rng, n_cells=500, amplitude=0.8)
     for t in (0.3, 0.7, 1.0):
-        split = decompose_variation(heisenberg, u, du, traj, tf, t)
-        assert split.residual_in_span
-        assert split.relative_residual < 1e-6
+        *_, relative = _split(heisenberg, u, du, traj, tf, t)
+        assert relative < IN_SPAN_RTOL
 
 
 def test_decompose_zero_variation_counts_in_span(heisenberg):
     u, traj, tf = _heisenberg_line(heisenberg, n_cells=100)
     du = constant_control([0.0, 0.0], n_cells=100)
-    split = decompose_variation(heisenberg, u, du, traj, tf, 0.5)
-    assert split.residual_in_span
-    assert split.relative_residual == 0.0
+    *_, relative = _split(heisenberg, u, du, traj, tf, 0.5)
+    assert relative == 0.0
 
 
 def test_decompose_flags_unverified_regularity(heisenberg):
@@ -244,10 +257,7 @@ def test_decompose_flags_unverified_regularity(heisenberg):
     samples[n_cells // 2 :, 1] = 1.0
     u = ControlSignal(1.0, samples)
     traj = integrate_trajectory(heisenberg, u, [0.0, 0.0, 0.0])
-    tf = tangent_flow(heisenberg, u, traj)
-    du = constant_control([0.0, 0.1], n_cells=n_cells)
-    split = decompose_variation(heisenberg, u, du, traj, tf, 1.0)
-    assert not split.hypothesis_verified
+    assert not max_velocity_derivative(heisenberg, u, traj) <= ACB_BOUND
 
 
 def test_residual_profile_matches_the_per_node_split():
@@ -264,14 +274,17 @@ def test_residual_profile_matches_the_per_node_split():
     profile = decomposition_residual_profile(frame, u, du, traj, tf,
                                              sigma_tol=1e-3)
     velocities = node_velocity(frame, u, traj, np.arange(traj.grid.size))
+    b0 = variation_integral(frame, u, du, traj, tf).vectors
+    phi_cum = control_inner(u, du).cumulative
     assert profile[0] == 0.0
     for m in (0, 1, 137, 500, 999, 1000):
-        assert np.allclose(velocities[m], node_velocity(frame, u, traj, m),
-                           rtol=0.0, atol=1e-15)
-        split = decompose_variation(frame, u, du, traj, tf, traj.grid[m],
-                                    sigma_tol=1e-3)
-        assert profile[m] == pytest.approx(split.relative_residual,
-                                           rel=1e-12)
+        velocity = node_velocity(frame, u, traj, m)
+        assert np.allclose(velocities[m], velocity, rtol=0.0, atol=1e-15)
+        norm = np.linalg.norm(b0[m])
+        span = span_profile(frame, traj, tf, m, sigma_tol=1e-3)
+        expected = 0.0 if norm == 0.0 else \
+            float(span.residual(b0[m] - phi_cum[m] * velocity)) / norm
+        assert profile[m] == pytest.approx(expected, rel=1e-12)
 
 
 def test_variation_direct_rejects_off_grid_s(euclidean2):

@@ -1,8 +1,7 @@
 """srx: a numerical laboratory for local optimality of normal SR extremals."""
 
 from .core import (ControlSignal, Domain, FrameRankError, GridMismatchError,
-                   InnerProduct, PolyVectorField, SRFrame, SRXError, Trajectory,
-                   control_inner)
+                   PolyVectorField, SRFrame, SRXError, Trajectory, control_inner)
 from .flows import (DomainExitError, IntegrationError, TangentFlow,
                     integrate_trajectory, tangent_flow)
 from .extremals import (HamiltonianExtremal, NSREReport, NotNormalizedError,
@@ -22,8 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ControlSignal", "Domain", "FrameRankError", "GridMismatchError",
-    "InnerProduct", "PolyVectorField", "SRFrame", "SRXError", "Trajectory",
-    "control_inner",
+    "PolyVectorField", "SRFrame", "SRXError", "Trajectory", "control_inner",
     "DomainExitError", "IntegrationError", "TangentFlow",
     "integrate_trajectory", "tangent_flow",
     "HamiltonianExtremal", "NSREReport", "NotNormalizedError",

@@ -16,8 +16,10 @@ import numpy as np
 from .core import ControlSignal, Domain, SRFrame, SRXError, Trajectory, control_inner
 from .extremals import NSREReport, nsre_check, require_normalized
 from .flows import tangent_flow
-from .homotopy import Homotopy, _homotopy_cells, energy_comparison_check
+from .homotopy import N_S, Homotopy, _homotopy_cells, energy_comparison_check
 
+GRID_RESOLUTION = 21        # recorded in FrameConstants, see estimate_constants
+CONSTANTS_MARGIN = 1.1      # safety factor applied to C0..C3
 MARGIN_FACTOR = 0.999
 EPSILON_REL_TOL = 1e-6
 SLACK_TOL = 1e-9            # a separation or bound slack above -SLACK_TOL holds
@@ -56,8 +58,9 @@ class FrameConstants:
     margin: float
 
 
-def estimate_constants(frame: SRFrame, domain: Domain, grid_resolution: int = 21,
-                       margin: float = 1.1) -> FrameConstants:
+def estimate_constants(frame: SRFrame, domain: Domain,
+                       grid_resolution: int = GRID_RESOLUTION,
+                       margin: float = CONSTANTS_MARGIN) -> FrameConstants:
     """Bound C0..C3 over the domain closure from SRFrame.derivative_bounds.
 
     The entrywise bounds B of the values, Jacobians and second derivatives
@@ -171,7 +174,7 @@ def _streamed_extremes(frame: SRFrame, u: ControlSignal,
     folded cell by cell as the members advance, and the (B, n_s + 1, n)
     member endpoints.  No member history is kept."""
     n = frame.n
-    phi = np.abs(np.stack([control_inner(u, du).cumulative for du in deltas]))
+    phi = np.abs(np.stack([control_inner(u, du) for du in deltas]))
     _, cells = _homotopy_cells(frame, u, np.stack([du.samples for du in deltas]),
                                q0, n_s, domain, substeps)
     extremes = None
@@ -191,7 +194,7 @@ def bound_slacks(hom: Homotopy, u: ControlSignal, constants: FrameConstants,
     sqrt(T) psi |du| and T xi |du|^2, and the smallest slack of the angle
     lower bound |b_0(t)| >= c |integral_0^t phi|.
     """
-    phi = np.abs(control_inner(u, hom.delta_u).cumulative)
+    phi = np.abs(control_inner(u, hom.delta_u))
     extremes = _extremes(hom.trajectories[:, :, None], hom.variations[:, :, None],
                          phi[:, None], c)
     du = hom.delta_u
@@ -343,8 +346,8 @@ class Certificate:
 
 
 def build_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
-                      traj: Trajectory, *, grid_resolution: int = 21,
-                      margin: float = 1.1,
+                      traj: Trajectory, *, grid_resolution: int,
+                      margin: float = CONSTANTS_MARGIN,
                       margin_factor: float = MARGIN_FACTOR, seed: int = 0,
                       substeps: int = 1,
                       nsre_kwargs: dict | None = None
@@ -471,8 +474,8 @@ def _trials_per_batch(n_members: int, n_cells: int, n: int, k: int) -> int:
 
 def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
                        traj: Trajectory, cert: Certificate, *,
-                       n_trials: int = 200, base_seed: int = 0,
-                       t_prime: float | None = None, n_s: int = 16,
+                       n_trials: int, base_seed: int = 0,
+                       t_prime: float | None = None, n_s: int = N_S,
                        substeps: int = 1) -> VerificationReport:
     """Monte-Carlo check of the certificate on the restricted horizon.
 

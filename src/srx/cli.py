@@ -54,6 +54,14 @@ def _resolve_run(scenario: Scenario) -> tuple[ControlSignal, Trajectory, dict]:
     return ext.control, ext.trajectory, {"hamiltonian": record}
 
 
+def _left_domain(traj: Trajectory) -> bool:
+    """Whether traj left the domain; if so, names its first exit on stderr."""
+    if traj.left_domain:
+        print(f"trajectory left the domain at t={traj.first_exit_time:.6g}",
+              file=sys.stderr)
+    return traj.left_domain
+
+
 def cmd_integrate(scenario: Scenario, out: Path) -> int:
     u, traj, _ = _resolve_run(scenario)
     header, rows = write_trajectory_rows(traj)
@@ -64,11 +72,7 @@ def cmd_integrate(scenario: Scenario, out: Path) -> int:
         header, rows = write_tangent_flow_rows(tf)
         write_csv(out / "tangent_flow.csv", header, map(np.ndarray.tolist, rows),
                   scenario.sha256, scenario.name)
-    if traj.left_domain:
-        print(f"trajectory left the domain at t={traj.first_exit_time:.6g}",
-              file=sys.stderr)
-        return EXIT_FAILED
-    return EXIT_OK
+    return EXIT_FAILED if _left_domain(traj) else EXIT_OK
 
 
 def cmd_nsre_check(scenario: Scenario, out: Path) -> int:
@@ -77,7 +81,7 @@ def cmd_nsre_check(scenario: Scenario, out: Path) -> int:
                         **scenario.nsre_kwargs())
     write_json(out / "nsre_report.json", {**report.to_json_dict(), **extra},
                scenario.sha256, scenario.name)
-    if traj.left_domain or report.status == "failed":
+    if _left_domain(traj) or report.status == "failed":
         return EXIT_FAILED
     if report.status == "inconclusive":
         return EXIT_INCONCLUSIVE

@@ -243,7 +243,7 @@ class SRFrame:
         """n x k matrix whose columns are X_1(q), ..., X_k(q)."""
         return self.field_matrix_many(self._point(q))
 
-    def check_independence(self, domain: "Domain", resolution: int = 5) -> float:
+    def check_independence(self, domain: "Domain", resolution: int) -> float:
         """Smallest singular value of the field matrix over a sampled grid.
 
         The grid is evaluated FRAME_CHECK_CHUNK points at a time.  Raises
@@ -487,29 +487,16 @@ def require_same_grid(u: ControlSignal, v: ControlSignal) -> None:
             f"({v.horizon}, {v.n_cells}, {v.k})")
 
 
-@dataclass(frozen=True, eq=False)
-class InnerProduct:
-    """Cellwise inner product of two controls and its running integral.
+def control_inner(u: ControlSignal, delta: ControlSignal) -> np.ndarray:
+    """Running integral of the pointwise scalar product phi = <u, delta>.
 
-    values[j] = <u_j, du_j>; cumulative[m] = integral over [0, m*dt], exact
-    for piecewise-constant cells.
+    Returns the (N_t + 1,) array whose entry m is the integral of phi over
+    [0, m*dt], exact for piecewise-constant cells; the last entry is the
+    integral over the whole horizon.
     """
-
-    values: np.ndarray      # (N_t,)
-    cumulative: np.ndarray  # (N_t + 1,)
-    dt: float
-
-    @property
-    def total(self) -> float:
-        return float(self.cumulative[-1])
-
-
-def control_inner(u: ControlSignal, delta: ControlSignal) -> InnerProduct:
-    """Pointwise scalar product phi of two controls plus its exact running integral."""
     require_same_grid(u, delta)
     values = np.einsum("jk,jk->j", u.samples, delta.samples)
-    cumulative = np.concatenate([[0.0], np.cumsum(values) * u.dt])
-    return InnerProduct(values, cumulative, u.dt)
+    return np.concatenate([[0.0], np.cumsum(values) * u.dt])
 
 
 def node_index(grid: np.ndarray, t: float) -> int:
@@ -525,26 +512,35 @@ def node_index(grid: np.ndarray, t: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States of a controlled trajectory on the control grid."""
+    """States of a controlled trajectory on the control grid.
 
-    grid: np.ndarray     # (N_t + 1,)
+    first_exit_time is the first grid time whose state is not inside the
+    domain, or None when every state is (or no domain was given).  It is
+    the one record of a domain exit: `left_domain` is derived from it, as
+    `grid` is from the control and `q0` from the states.
+    """
+
     states: np.ndarray   # (N_t + 1, n)
     control: ControlSignal
-    q0: np.ndarray
-    left_domain: bool = False
     first_exit_time: float | None = None
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
         s = np.asarray(self.states, dtype=float)
-        q0 = np.asarray(self.q0, dtype=float)
-        if s.shape[0] != g.shape[0] or g.shape[0] != self.control.n_cells + 1:
-            raise ValueError("grid/states/control sizes are inconsistent")
-        if not np.array_equal(s[0], q0):
-            raise ValueError("states[0] must equal q0")
-        object.__setattr__(self, "grid", g)
+        if s.shape[0] != self.control.n_cells + 1:
+            raise ValueError("states/control sizes are inconsistent")
         object.__setattr__(self, "states", s)
-        object.__setattr__(self, "q0", q0)
+
+    @property
+    def grid(self) -> np.ndarray:
+        return self.control.grid
+
+    @property
+    def q0(self) -> np.ndarray:
+        return self.states[0]
+
+    @property
+    def left_domain(self) -> bool:
+        return self.first_exit_time is not None
 
     @property
     def n(self) -> int:
@@ -564,5 +560,4 @@ class Trajectory:
     def window(self, j0: int, j1: int) -> "Trajectory":
         """Nodes j0..j1 as a trajectory rebased to time zero."""
         control = self.control.window(j0, j1)
-        states = self.states[j0:j1 + 1].copy()
-        return Trajectory(control.grid, states, control, states[0].copy())
+        return Trajectory(self.states[j0:j1 + 1].copy(), control)

@@ -13,13 +13,14 @@ import numpy as np
 
 from .core import (NORMALIZED_TOL, ControlSignal, Domain, SRFrame, SRXError,
                    Trajectory)
-from .flows import (FLOW_BATCH, DomainExitError, IntegrationError, TangentFlow,
+from .flows import (FLOW_BATCH, IntegrationError, TangentFlow,
                     _marked_trajectory, _rk4_row, tangent_flow)
 
 SIGMA_TOL = 1e-8
 THETA_MIN = 1e-3
 ACB_BOUND = 50.0
-TAU_RANGES = ("0..t", "0..T")
+TAU_RANGE = "0..t"          # tau up to the node itself
+TAU_RANGES = (TAU_RANGE, "0..T")
 SPAN_BATCH = 256            # nodes per batched SVD, bounds the temporaries
 _CONSERVATION_TOL = 1e-6    # default bound on the oracle's level drift
 _LEVEL_TOL = 1e-9           # bound on |2H - 1| at the initial covector
@@ -159,7 +160,7 @@ def _prefix_factors(rows: np.ndarray) -> np.ndarray:
 
 
 def span_profile(frame: SRFrame, traj: Trajectory, tf: TangentFlow,
-                 nodes=None, *, tau_range: str = "0..t", sample_stride: int = 1,
+                 nodes=None, *, tau_range: str = TAU_RANGE, sample_stride: int = 1,
                  sigma_tol: float = SIGMA_TOL) -> OrthoDistribution:
     """Numerical flow-invariant orthogonal spans at the grid nodes `nodes`.
 
@@ -308,7 +309,7 @@ class NSREReport:
 def nsre_check(frame: SRFrame, u: ControlSignal, traj: Trajectory,
                tf: TangentFlow | None = None, *,
                acb_bound: float = ACB_BOUND, theta_min: float = THETA_MIN,
-               sigma_tol: float = SIGMA_TOL, tau_range: str = "0..t",
+               sigma_tol: float = SIGMA_TOL, tau_range: str = TAU_RANGE,
                sample_stride: int = 1, substeps: int = 1) -> NSREReport:
     """Run the two-condition normal-extremal test.
 
@@ -351,9 +352,12 @@ class HamiltonianExtremal:
     """Normal extremal generated by the standard Hamiltonian construction."""
 
     trajectory: Trajectory
-    control: ControlSignal
     costates: np.ndarray       # (N_t + 1, n)
     norm_drift: float          # worst |raw control norm - 1| before renormalizing
+
+    @property
+    def control(self) -> ControlSignal:
+        return self.trajectory.control
 
 
 def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
@@ -378,6 +382,8 @@ def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
     scaled to exactly unit norm, so downstream normalized-control checks
     hold.  At a given n_cells the error is that of two half steps per cell
     at n_cells / 2; substeps=2 halves the step at twice the cost.
+    A domain exit does not stop the run: as in integrate_trajectory, the
+    trajectory is marked with its first exit time.
     """
     q0 = np.asarray(q0, dtype=float)
     p0 = np.asarray(p0, dtype=float)
@@ -412,9 +418,5 @@ def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
             f"Hamiltonian level drifted by {drift:.3e} (> {conservation_tol:.1e}); "
             "refine the grid or substeps")
     control = ControlSignal(horizon, raw / norms[:, None])
-
-    traj = _marked_trajectory(control.grid, states, control, domain)
-    if traj.left_domain:
-        raise DomainExitError(
-            f"extremal left the domain at t={traj.first_exit_time:.6g}")
-    return HamiltonianExtremal(traj, control, costates, drift)
+    return HamiltonianExtremal(_marked_trajectory(states, control, domain),
+                               costates, drift)

@@ -109,17 +109,15 @@ def _checked_start(frame: SRFrame, q0, domain: Domain | None,
     return q0
 
 
-def _marked_trajectory(grid: np.ndarray, states: np.ndarray, u: ControlSignal,
+def _marked_trajectory(states: np.ndarray, u: ControlSignal,
                        domain: Domain | None) -> Trajectory:
     """Trajectory of integrated states, marked with its first domain exit."""
     first_exit = None
     if domain is not None:
         outside = domain.boundary_distances(states) <= 0.0
         if outside.any():
-            first_exit = float(grid[np.argmax(outside)])
-    return Trajectory(grid, states, u, states[0],
-                      left_domain=first_exit is not None,
-                      first_exit_time=first_exit)
+            first_exit = float(u.grid[np.argmax(outside)])
+    return Trajectory(states, u, first_exit)
 
 
 def integrate_trajectory(frame: SRFrame, u: ControlSignal, q0,
@@ -127,9 +125,9 @@ def integrate_trajectory(frame: SRFrame, u: ControlSignal, q0,
                          substeps: int = 1) -> Trajectory:
     """Integrate dq/dt = sum_i u^i(t) X_i(q) from q0 over the control grid.
 
-    Domain exits do not stop the run: the trajectory is marked `left_domain`
-    with the first exit time, and downstream certification treats it as
-    invalid.  A non-finite state raises IntegrationError.
+    Domain exits do not stop the run: the trajectory is marked with its
+    first exit time, and downstream certification treats it as invalid.
+    A non-finite state raises IntegrationError.
     """
     q0 = _checked_start(frame, q0, domain, substeps)
     n, row = frame.n, frame._stack(0).row
@@ -146,7 +144,7 @@ def integrate_trajectory(frame: SRFrame, u: ControlSignal, q0,
         return rhs
 
     states = _rk4_row(cell_rhs, q0, u.dt / substeps, substeps, u.n_cells)
-    return _marked_trajectory(u.grid, states, u, domain)
+    return _marked_trajectory(states, u, domain)
 
 
 def _variational_flow(frame: SRFrame, y0: np.ndarray, cell_rows, h: float,
@@ -191,7 +189,10 @@ class TangentFlow:
     grid: np.ndarray          # (N_t + 1,)
     matrices: np.ndarray      # (N_t + 1, n, n)
     max_condition: float
-    ill_conditioned: bool
+
+    @property
+    def ill_conditioned(self) -> bool:
+        return self.max_condition > COND_LIMIT
 
 
 def tangent_flow(frame: SRFrame, u: ControlSignal, base: Trajectory,
@@ -247,9 +248,7 @@ def tangent_flow(frame: SRFrame, u: ControlSignal, base: Trajectory,
         j = int(np.argmin(finite))
         raise IntegrationError(f"tangent map became non-finite at t={j * u.dt:.6g}")
 
-    conds = np.linalg.cond(mats)
-    max_cond = float(np.max(conds))
-    return TangentFlow(base.grid, mats, max_cond, max_cond > COND_LIMIT)
+    return TangentFlow(base.grid, mats, float(np.max(np.linalg.cond(mats))))
 
 
 def write_trajectory_rows(traj: Trajectory) -> tuple[list[str], np.ndarray]:

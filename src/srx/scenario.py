@@ -17,8 +17,9 @@ import numpy as np
 
 from .core import (ControlSignal, Domain, FrameRankError, PolyVectorField,
                    SRFrame, SRXError)
-from .certify import MARGIN_FACTOR
-from .extremals import ACB_BOUND, SIGMA_TOL, TAU_RANGES, THETA_MIN
+from .certify import CONSTANTS_MARGIN, GRID_RESOLUTION, MARGIN_FACTOR
+from .extremals import ACB_BOUND, SIGMA_TOL, TAU_RANGE, TAU_RANGES, THETA_MIN
+from .homotopy import N_S
 
 BUNDLED = ("euclidean_line", "heisenberg_line", "heisenberg_arc", "jump_control",
            "martinet_arc", "cartan_arc")
@@ -27,22 +28,22 @@ TOLERANCE_DEFAULTS = {
     "acb_bound": ACB_BOUND,
     "theta_min": THETA_MIN,
     "sigma_tol": SIGMA_TOL,
-    "tau_range": "0..t",
+    "tau_range": TAU_RANGE,
     "frame_grid": 5,
 }
 
 CERTIFY_DEFAULTS = {
-    "grid_resolution": 21,
-    "margin": 1.1,
+    "grid_resolution": GRID_RESOLUTION,
+    "margin": CONSTANTS_MARGIN,
     "margin_factor": MARGIN_FACTOR,
     "T_prime": None,
     "n_trials": 200,
-    "N_s": 16,
+    "N_s": N_S,
 }
 
 INTEGRATOR_DEFAULTS = {"substeps": 1, "emit_tangent_flow": False}
 
-HOMOTOPY_DEFAULTS = {"N_s": 16, "delta_u": None}
+HOMOTOPY_DEFAULTS = {"N_s": N_S, "delta_u": None}
 
 
 def _integer(v) -> bool:

@@ -409,16 +409,17 @@ def test_control_inner_examples():
     u = constant_control([1.0, 0.0], n_cells=100)
     du = constant_control([-2.0, 0.0], n_cells=100)
     phi = control_inner(u, du)
-    assert np.allclose(phi.values, -2.0)
-    assert phi.total == pytest.approx(-2.0, abs=1e-13)
+    assert phi.shape == (101,) and phi[0] == 0.0
+    assert np.allclose(np.diff(phi) / u.dt, -2.0)
+    assert phi[-1] == pytest.approx(-2.0, abs=1e-13)
 
     du_perp = constant_control([0.0, 5.0], n_cells=100)
-    assert np.all(control_inner(u, du_perp).values == 0.0)
+    assert np.all(control_inner(u, du_perp) == 0.0)
 
     du_mix = constant_control([1.0, 1.0], n_cells=100)
     phi = control_inner(u, du_mix)
-    assert np.allclose(phi.values, 1.0)
-    assert phi.total == pytest.approx(1.0, abs=1e-13)
+    assert np.allclose(np.diff(phi) / u.dt, 1.0)
+    assert phi[-1] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_control_inner_grid_mismatch():
@@ -437,7 +438,7 @@ def test_l2_expansion_identity():
         u = ControlSignal(1.5, rng.normal(size=(n_cells, k)))
         du = ControlSignal(1.5, rng.normal(size=(n_cells, k)))
         lhs = u.perturbed(du).l2_norm_sq()
-        rhs = u.l2_norm_sq() + du.l2_norm_sq() + 2.0 * control_inner(u, du).total
+        rhs = u.l2_norm_sq() + du.l2_norm_sq() + 2.0 * control_inner(u, du)[-1]
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 

@@ -600,12 +600,22 @@ def test_hamiltonian_rejects_off_level_start(heisenberg):
         hamiltonian_extremal(heisenberg, [0.0, 0.0, 0.0], [2.0, 0.0, 0.0], 1.0, 10)
 
 
-def test_hamiltonian_domain_exit_raises(heisenberg):
-    from srx import Domain, DomainExitError
+def test_hamiltonian_domain_exit_is_marked(heisenberg):
+    # the oracle marks its trajectory as integrate_trajectory does, where
+    # it used to raise DomainExitError and leave no trajectory to write
+    from srx import Domain
+    args = (heisenberg, [0.0, 0.0, 0.0], [1.0, 0.0, 2.0], 1.0, 100)
     tight = Domain([-0.1, -0.1, -0.1], [0.1, 0.1, 0.1])
-    with pytest.raises(DomainExitError):
-        hamiltonian_extremal(heisenberg, [0.0, 0.0, 0.0], [1.0, 0.0, 2.0],
-                             1.0, 100, domain=tight)
+    ext = hamiltonian_extremal(*args, domain=tight)
+    assert ext.trajectory.left_domain
+    inside = tight.boundary_distances(ext.trajectory.states) > 0.0
+    first = int(np.argmin(inside))
+    assert inside[:first].all() and first > 0
+    assert ext.trajectory.first_exit_time == ext.trajectory.grid[first]
+    free = hamiltonian_extremal(*args)
+    assert not free.trajectory.left_domain
+    assert np.array_equal(ext.trajectory.states, free.trajectory.states)
+    assert ext.control is ext.trajectory.control
 
 
 def test_f_perp_rejects_rank_one_frame():

@@ -204,7 +204,7 @@ def _split(frame, u, du, traj, tf, t):
     """b_0(t) = coefficient * velocity + residual at node t: the
     coefficient, b_0(t), the residual and its relative span residual."""
     m = traj.node_index(t)
-    coefficient = control_inner(u, du).cumulative[m]
+    coefficient = control_inner(u, du)[m]
     b0 = variation_integral(frame, u, du, traj, tf).vectors[m]
     residual = b0 - coefficient * node_velocity(frame, u, traj, m)
     relative = decomposition_residual_profile(frame, u, du, traj, tf)[m]
@@ -275,7 +275,7 @@ def test_residual_profile_matches_the_per_node_split():
                                              sigma_tol=1e-3)
     velocities = node_velocity(frame, u, traj, np.arange(traj.grid.size))
     b0 = variation_integral(frame, u, du, traj, tf).vectors
-    phi_cum = control_inner(u, du).cumulative
+    phi_cum = control_inner(u, du)
     assert profile[0] == 0.0
     for m in (0, 1, 137, 500, 999, 1000):
         velocity = node_velocity(frame, u, traj, m)

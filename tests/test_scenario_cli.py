@@ -625,6 +625,33 @@ def test_cli_certify_control_leaving_the_domain_writes_the_reason(tmp_path):
     assert cert["reason"] == "trajectory leaves the domain at t=0.5"
 
 
+@pytest.mark.parametrize("scenario, upper, at", [
+    ("heisenberg_line", 0.5, "0.5"), ("heisenberg_arc", 0.2, "0.206")],
+    ids=["control", "hamiltonian"])
+@pytest.mark.parametrize("command, written", [
+    ("integrate", "trajectory.csv"), ("nsre-check", "nsre_report.json"),
+    ("certify", "certificate.json")])
+def test_cli_trajectory_leaving_the_domain_writes_its_file(
+        tmp_path, capsys, scenario, upper, at, command, written):
+    # the Hamiltonian oracle used to raise on a domain exit, so each command
+    # exited 3 with no file; nsre-check named no exit time on stderr
+    data = _load_bundled_dict(scenario)
+    data["domain"]["upper"][0] = upper
+    out = tmp_path / "out"
+    assert main([command, "--config", _write_scenario(tmp_path, data),
+                 "--out", str(out)]) == 3
+    assert sorted(p.name for p in out.iterdir()) == [written]
+    err = capsys.readouterr().err
+    if command == "certify":
+        cert = json.loads((out / written).read_text())
+        assert cert["certified"] is False
+        assert cert["reason"] == f"trajectory leaves the domain at t={at}"
+        assert ("hamiltonian" in cert) == (scenario == "heisenberg_arc")
+        assert err == f"not certifiable: {cert['reason']}\n"
+    else:
+        assert err == f"trajectory left the domain at t={at}\n"
+
+
 # -- tangent_flow.csv -----------------------------------------------------------
 
 def test_cli_integrate_emits_the_tangent_flow(tmp_path):

@@ -13,14 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ControlSignal, Domain, SRFrame, SRXError, Trajectory, control_inner
+from .core import (CONSTANTS_MARGIN, GRID_RESOLUTION, MARGIN_FACTOR, N_S, ControlSignal,
+                   Domain, SRFrame, SRXError, Trajectory, control_inner)
 from .extremals import NSREReport, nsre_check, require_normalized
 from .flows import tangent_flow
-from .homotopy import N_S, Homotopy, _homotopy_cells, energy_comparison_check
+from .homotopy import Homotopy, _homotopy_cells, energy_comparison_check
 
-GRID_RESOLUTION = 21        # recorded in FrameConstants, see estimate_constants
-CONSTANTS_MARGIN = 1.1      # safety factor applied to C0..C3
-MARGIN_FACTOR = 0.999
 EPSILON_REL_TOL = 1e-6
 SLACK_TOL = 1e-9            # a separation or bound slack above -SLACK_TOL holds
 AMP_RANGE = (0.05, 0.7)     # range of the sampler's Gaussian draw amplitude

@@ -31,6 +31,17 @@ ExponentTable = dict[tuple[int, ...], float]
 
 FRAME_CHECK_CHUNK = 4096    # grid points per batch of the frame-independence check
 FRAME_SV_TOL = 1e-10        # smallest field-matrix singular value accepted
+NORMALIZED_TOL = 1e-12
+# defaults of the pipeline modules, kept here so that srx.scenario imports only core
+SIGMA_TOL = 1e-8
+THETA_MIN = 1e-3
+ACB_BOUND = 50.0
+TAU_RANGE = "0..t"          # tau up to the node itself
+TAU_RANGES = (TAU_RANGE, "0..T")
+N_S = 16                    # homotopy members past s = 0
+GRID_RESOLUTION = 21        # recorded in FrameConstants, see estimate_constants
+CONSTANTS_MARGIN = 1.1      # safety factor applied to C0..C3
+MARGIN_FACTOR = 0.999
 
 
 def _differentiate(table: ExponentTable, axis: int) -> ExponentTable:
@@ -401,9 +412,6 @@ class Domain:
             index = np.unravel_index(np.arange(start, min(start + chunk, total)),
                                      (resolution,) * self.n)
             yield np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
-
-
-NORMALIZED_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,16 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (NORMALIZED_TOL, ControlSignal, Domain, SRFrame, SRXError,
+from .core import (ACB_BOUND, NORMALIZED_TOL, SIGMA_TOL, TAU_RANGE, TAU_RANGES,
+                   THETA_MIN, ControlSignal, Domain, SRFrame, SRXError,
                    Trajectory)
 from .flows import (FLOW_BATCH, IntegrationError, TangentFlow,
                     _marked_trajectory, _rk4_row, tangent_flow)
 
-SIGMA_TOL = 1e-8
-THETA_MIN = 1e-3
-ACB_BOUND = 50.0
-TAU_RANGE = "0..t"          # tau up to the node itself
-TAU_RANGES = (TAU_RANGE, "0..T")
 SPAN_BATCH = 256            # nodes per batched SVD, bounds the temporaries
 _CONSERVATION_TOL = 1e-6    # default bound on the oracle's level drift
 _LEVEL_TOL = 1e-9           # bound on |2H - 1| at the initial covector

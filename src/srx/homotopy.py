@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ControlSignal, Domain, SRFrame, Trajectory, control_inner,
-                   require_same_grid)
-from .extremals import SIGMA_TOL, span_profile
+from .core import (N_S, SIGMA_TOL, ControlSignal, Domain, SRFrame, Trajectory,
+                   control_inner, require_same_grid)
+from .extremals import span_profile
 from .flows import TangentFlow, _checked_start, _variational_flow
 
 COMPARISON_TOL = 1e-12      # slack allowed in the energy-comparison checks
-N_S = 16                    # homotopy members past s = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,12 +240,13 @@ def energy_comparison_check(u: ControlSignal, du: ControlSignal
                             ) -> EnergyComparison:
     require_same_grid(u, du)
     lhs = -float(control_inner(u, du)[-1])
-    rhs = 0.5 * du.l2_norm_sq()
+    du2 = du.l2_norm_sq()
+    rhs = 0.5 * du2
     slack = lhs - rhs
     e_old = u.energy()
     e_new = u.perturbed(du).energy()
     applicable = e_new <= e_old + COMPARISON_TOL * max(1.0, e_old)
-    du_l2 = du.l2_norm()
+    du_l2 = math.sqrt(du2)
     return EnergyComparison(applicable, lhs, rhs, slack,
                             slack >= -COMPARISON_TOL, du_l2,
                             du_l2 <= 2.0 * math.sqrt(u.horizon) + COMPARISON_TOL)

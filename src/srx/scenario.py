@@ -6,7 +6,6 @@ an extremal), integrator settings, tolerances, and per-command sections.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -15,11 +14,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (ControlSignal, Domain, FrameRankError, PolyVectorField,
+from .core import (ACB_BOUND, CONSTANTS_MARGIN, GRID_RESOLUTION, MARGIN_FACTOR,
+                   N_S, SIGMA_TOL, TAU_RANGE, TAU_RANGES, THETA_MIN,
+                   ControlSignal, Domain, FrameRankError, PolyVectorField,
                    SRFrame, SRXError)
-from .certify import CONSTANTS_MARGIN, GRID_RESOLUTION, MARGIN_FACTOR
-from .extremals import ACB_BOUND, SIGMA_TOL, TAU_RANGE, TAU_RANGES, THETA_MIN
-from .homotopy import N_S
+
+try:    # CPython's built-in SHA-256: hashlib would load OpenSSL (~3.5 MB RSS)
+    from _sha2 import sha256 as _new_sha256         # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _new_sha256   # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _new_sha256
 
 BUNDLED = ("euclidean_line", "heisenberg_line", "heisenberg_arc", "jump_control",
            "martinet_arc", "cartan_arc")
@@ -367,5 +373,5 @@ def load_scenario(path_or_name: str) -> Scenario:
         data = json.loads(raw_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ScenarioError(f"scenario is not valid JSON: {err}") from err
-    sha = hashlib.sha256(raw_bytes).hexdigest()
+    sha = _new_sha256(raw_bytes).hexdigest()
     return parse_scenario(data, sha, name_hint=path.stem)

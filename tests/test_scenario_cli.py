@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import inspect
 import json
@@ -12,8 +13,8 @@ import pytest
 import srx
 from srx.cli import _resolve_run, main
 from srx.io import write_json
-from srx.scenario import (ScenarioError, bundled_scenario_path, load_scenario,
-                          parse_scenario)
+from srx.scenario import (BUNDLED, ScenarioError, bundled_scenario_path,
+                          load_scenario, parse_scenario)
 
 
 def _load_bundled_dict(name):
@@ -256,17 +257,29 @@ def test_segment_off_grid_rejected(tmp_path):
     assert main(["integrate", "--config", path, "--out", str(tmp_path)]) == 2
 
 
+def _child_env():
+    """The environment of a fresh interpreter that imports this srx."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(srx.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+
+
+def _run_python(code):
+    """stdout of `code` run in a fresh interpreter.
+
+    Footprint checks need their own process: pytest's may already hold the
+    modules they look for.
+    """
+    return subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_cli_imports_only_stdlib_and_numpy(tmp_path):
     # numpy is the only runtime dependency.  Site hooks may import more into
     # any interpreter, so a bare one is the baseline, not a fixed list.
     listing = "import sys; print(*sorted({m.split('.')[0] for m in sys.modules}))"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(srx.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
 
     def top_level_modules(code):
-        return set(subprocess.run([sys.executable, "-c", f"{code}; {listing}"],
-                                  env=env, capture_output=True, text=True,
-                                  check=True).stdout.split())
+        return set(_run_python(f"{code}; {listing}").split())
 
     bare = top_level_modules("pass")
     run = top_level_modules(
@@ -275,6 +288,59 @@ def test_cli_imports_only_stdlib_and_numpy(tmp_path):
     assert (tmp_path / "nsre_report.json").exists()
     assert "numpy" in run
     assert run - bare - set(sys.stdlib_module_names) - {"srx", "numpy"} == set()
+
+
+@pytest.mark.parametrize("command, name", [("integrate", "heisenberg_arc"),
+                                           ("nsre-check", "heisenberg_arc"),
+                                           ("homotopy", "heisenberg_line")])
+def test_commands_without_sampling_do_not_load_openssl(tmp_path, command, name):
+    # hashlib loads OpenSSL's _hashlib (about 3.5 MB of resident memory) only
+    # to hash the scenario file; verification's numpy.random loads it anyway
+    loaded = _run_python(
+        f"import sys; from srx.cli import main; code = main([{command!r}, "
+        f"'--config', {name!r}, '--out', {str(tmp_path)!r}]); "
+        "print(code, '_hashlib' in sys.modules)")
+    assert loaded.split() == ["0", "False"]
+
+
+def test_scenario_import_loads_only_core():
+    loaded = _run_python(
+        "import sys; import srx.scenario; "
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'srx')); "
+        "from srx import nsre_check; import srx.extremals; "
+        "print(nsre_check is srx.extremals.nsre_check)")
+    assert loaded.splitlines() == ["srx srx.core srx.scenario", "True"]
+
+
+def _hashlib_sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_scenario_hash_is_the_sha256_of_the_file(tmp_path):
+    for name in BUNDLED:
+        assert load_scenario(name).sha256 == \
+            _hashlib_sha256(bundled_scenario_path(name))
+    data = _load_bundled_dict("heisenberg_line")
+    data["seed"] = 7
+    path = _write_scenario(tmp_path, data)
+    assert load_scenario(path).sha256 == _hashlib_sha256(path)
+    out = tmp_path / "out"
+    assert main(["integrate", "--config", path, "--out", str(out)]) == 0
+    header = (out / "trajectory.csv").read_text().splitlines()[0]
+    assert header == (f"# srx {srx.__version__} scenario=heisenberg_line "
+                      f"sha256={_hashlib_sha256(path)}")
+
+
+def test_scenario_hash_falls_back_to_hashlib(tmp_path):
+    # an interpreter without CPython's built-in SHA-256 modules hashes
+    # through hashlib, to the same digest
+    path = _write_scenario(tmp_path, _load_bundled_dict("martinet_arc"))
+    digest, loaded = _run_python(
+        "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+        "from srx.scenario import load_scenario; "
+        f"print(load_scenario({path!r}).sha256, '_hashlib' in sys.modules)"
+    ).split()
+    assert (digest, loaded) == (_hashlib_sha256(path), "True")
 
 
 def test_cli_malformed_config_exits_2(tmp_path):
@@ -586,9 +652,7 @@ def test_cli_negative_seed_flag_exits_2_before_loading(tmp_path, capsys,
 
 
 def _run_cli(*args):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(srx.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-m", "srx.cli", *args], env=env,
+    return subprocess.run([sys.executable, "-m", "srx.cli", *args], env=_child_env(),
                           capture_output=True, text=True)
 
 

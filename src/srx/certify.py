@@ -16,7 +16,6 @@ import numpy as np
 from .core import (CONSTANTS_MARGIN, GRID_RESOLUTION, MARGIN_FACTOR, N_S, ControlSignal,
                    Domain, SRFrame, SRXError, Trajectory, control_inner)
 from .extremals import NSREReport, nsre_check, require_normalized
-from .flows import tangent_flow
 from .homotopy import Homotopy, _homotopy_cells, energy_comparison_check
 
 EPSILON_REL_TOL = 1e-6
@@ -222,17 +221,25 @@ def compute_eta(traj: Trajectory, domain: Domain,
 
 @dataclass(frozen=True)
 class EpsilonResult:
-    """Radius together with the condition values it was checked against."""
+    """Radius with its inputs and condition values; the left-hand sides are
+    monotone, or compute_epsilon would have raised."""
 
     epsilon: float
     domain_lhs: float    # 4 * eps * zeta(eps)
-    domain_limit: float  # eta
     angle_lhs: float     # eps * xi(eps)
-    angle_limit: float   # c / 2
-    monotone_ok: bool
+    c: float
+    eta: float
     capped: bool
     t_max: float
     margin_factor: float
+
+    @property
+    def domain_limit(self) -> float:
+        return self.eta
+
+    @property
+    def angle_limit(self) -> float:
+        return 0.5 * self.c
 
     @property
     def domain_ok(self) -> bool:
@@ -244,8 +251,7 @@ class EpsilonResult:
 
     @property
     def holds(self) -> bool:
-        """Both conditions hold and their left-hand sides are monotone."""
-        return self.domain_ok and self.angle_ok and self.monotone_ok
+        return self.domain_ok and self.angle_ok
 
 
 def compute_epsilon(constants: FrameConstants, c: float, eta: float, k: int,
@@ -266,9 +272,8 @@ def compute_epsilon(constants: FrameConstants, c: float, eta: float, k: int,
         raise ValueError("t_max must be positive")
     if not 0.0 < margin_factor < 1.0:
         raise ValueError("margin_factor must lie in (0, 1)")
-    mono = all(math.isfinite(v) and v >= 0.0 for v in
-               (constants.C0, constants.C1, constants.C2, constants.C3))
-    if not mono:
+    if not all(math.isfinite(v) and v >= 0.0 for v in
+               (constants.C0, constants.C1, constants.C2, constants.C3)):
         raise SRXError("condition left-hand sides are not monotone; "
                        "constants are inconsistent")
 
@@ -295,23 +300,45 @@ def compute_epsilon(constants: FrameConstants, c: float, eta: float, k: int,
         eps, capped = lo, False
     if eps <= 0.0:
         raise NotCertifiableError("no positive radius satisfies the conditions")
-    return EpsilonResult(eps, domain_lhs(eps), eta, angle_lhs(eps), 0.5 * c,
-                         mono, capped, t_max, margin_factor)
+    return EpsilonResult(eps, domain_lhs(eps), angle_lhs(eps), c, eta, capped,
+                         t_max, margin_factor)
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Local-optimality certificate for one trajectory inside one domain."""
+    """Local-optimality certificate for one trajectory inside one domain;
+    c, eta, epsilon and the growth values at epsilon (k fields in R^n) are
+    derived from the conditions and the constants."""
 
     constants: FrameConstants
-    c: float
-    eta: float
-    epsilon: float
-    zeta_eps: float
-    psi_eps: float
-    xi_eps: float
     conditions: EpsilonResult
     seed: int
+    k: int
+    n: int
+
+    @property
+    def c(self) -> float:
+        return self.conditions.c
+
+    @property
+    def eta(self) -> float:
+        return self.conditions.eta
+
+    @property
+    def epsilon(self) -> float:
+        return self.conditions.epsilon
+
+    @property
+    def zeta_eps(self) -> float:
+        return zeta(self.epsilon, self.constants, self.k)
+
+    @property
+    def psi_eps(self) -> float:
+        return psi(self.epsilon, self.constants, self.k, self.n)
+
+    @property
+    def xi_eps(self) -> float:
+        return xi(self.epsilon, self.constants, self.k, self.n)
 
     def to_json_dict(self) -> dict:
         return {
@@ -331,7 +358,7 @@ class Certificate:
                 "angle": self.conditions.angle_ok,
                 "domain_lhs": self.conditions.domain_lhs,
                 "angle_lhs": self.conditions.angle_lhs,
-                "monotone_ok": self.conditions.monotone_ok,
+                "monotone_ok": True,
                 "capped": self.conditions.capped,
                 "t_max": self.conditions.t_max,
                 "margin_factor": self.conditions.margin_factor,
@@ -353,8 +380,7 @@ def build_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
     """Run the full chain: constants, NSRE test, tube radius, radius search."""
     require_normalized(u, "nsre_check")
     constants = estimate_constants(frame, domain, grid_resolution, margin)
-    tf = tangent_flow(frame, u, traj, substeps=substeps)
-    report = nsre_check(frame, u, traj, tf, **(nsre_kwargs or {}))
+    report = nsre_check(frame, u, traj, substeps=substeps, **(nsre_kwargs or {}))
     if report.status == "failed":
         raise NotCertifiableError("trajectory fails the NSRE regularity test",
                                   report)
@@ -364,13 +390,7 @@ def build_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
     eta = compute_eta(traj, domain, constants)
     result = compute_epsilon(constants, report.c, eta, frame.k, frame.n,
                              traj.horizon, margin_factor=margin_factor)
-    eps = result.epsilon
-    cert = Certificate(constants, report.c, eta, eps,
-                       zeta(eps, constants, frame.k),
-                       psi(eps, constants, frame.k, frame.n),
-                       xi(eps, constants, frame.k, frame.n),
-                       result, seed)
-    return cert, report
+    return Certificate(constants, result, seed, frame.k, frame.n), report
 
 
 def sample_admissible_perturbation(rng: np.random.Generator, u: ControlSignal
@@ -407,9 +427,12 @@ class TrialRecord:
     norm_du: float
     separation: float
     bound: float
-    slack: float
     violations: tuple[str, ...]
     rejected: int
+
+    @property
+    def slack(self) -> float:
+        return self.separation - self.bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,13 +530,12 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
         separation = Homotopy.endpoint_gap(ends)
         du2 = du.l2_norm_sq()
         bound = bound_coef * du2
-        slack = separation - bound
         bounds, b0_slack = _bounds(extremes, du2, frame.k, n, cert.constants, tp)
 
         violations: list[str] = []
         if not _inside(extremes, domain):
             violations.append("homotopy_left_domain")
-        if slack < -SLACK_TOL:
+        if separation - bound < -SLACK_TOL:
             violations.append("separation_bound")
         if separation <= 0.0:
             violations.append("separation_zero")
@@ -526,8 +548,7 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
             violations.append("energy_comparison")
 
         return TrialRecord(i, cert.seed + base_seed + i, math.sqrt(du2),
-                           separation, bound, slack, tuple(violations),
-                           rejected)
+                           separation, bound, tuple(violations), rejected)
 
     batch = _trials_per_batch(n_s + 1, m, n, frame.k)
     records: list[TrialRecord] = []

@@ -1,8 +1,9 @@
 """Command-line front end: integrate, nsre-check, homotopy, certify.
 
 Exit codes: 0 ok, 2 bad input (including a control that is not unit speed
-where the NSRE test needs one), 3 failed check (including domain exit and
-not-certifiable runs), 4 inconclusive, 5 numerical failure.
+or a rank-1 frame, where the NSRE test needs a unit-speed control and an
+orthogonal part), 3 failed check (including domain exit and not-certifiable
+runs), 4 inconclusive, 5 numerical failure.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ import numpy as np
 from .certify import (SLACK_TOL, NotCertifiableError, bound_slacks,
                       build_certificate, estimate_constants, verify_certificate)
 from .core import ControlSignal, SRXError, Trajectory
-from .extremals import (_CONSERVATION_TOL, NotNormalizedError,
-                        hamiltonian_extremal, nsre_check)
+from .extremals import (_CONSERVATION_TOL, DegenerateSpanError,
+                        NotNormalizedError, hamiltonian_extremal, nsre_check)
 from .flows import (DomainExitError, IntegrationError, integrate_trajectory,
                     tangent_flow, write_tangent_flow_rows, write_trajectory_rows)
 from .homotopy import (energy_comparison_check, natural_homotopy,
@@ -46,8 +47,7 @@ def _resolve_run(scenario: Scenario) -> tuple[ControlSignal, Trajectory, dict]:
     try:
         ext = hamiltonian_extremal(scenario.frame, scenario.q0, ham["p0"],
                                    ham["T"], ham["N_t"], scenario.substeps,
-                                   domain=scenario.domain,
-                                   conservation_tol=_CONSERVATION_TOL)
+                                   domain=scenario.domain)
     except ValueError as err:
         raise ScenarioError(str(err)) from err
     record = {"norm_drift": ext.norm_drift, "conservation_tol": _CONSERVATION_TOL}
@@ -88,11 +88,6 @@ def cmd_nsre_check(scenario: Scenario, out: Path) -> int:
     return EXIT_OK
 
 
-def _bound_entry(value: float, limit: float, applicable: bool) -> dict:
-    return {"max": value, "limit": limit, "slack": limit - value,
-            "applicable": applicable}
-
-
 def cmd_homotopy(scenario: Scenario, out: Path) -> int:
     if scenario.delta_u is None:
         raise ScenarioError("homotopy command needs homotopy.delta_u")
@@ -110,32 +105,32 @@ def cmd_homotopy(scenario: Scenario, out: Path) -> int:
               scenario.sha256, scenario.name)
 
     comparison = energy_comparison_check(u, du)
-    report = nsre_check(frame, u, traj, substeps=scenario.substeps,
-                        **scenario.nsre_kwargs()) if u.is_normalized() else None
+    c, nsre_status = 0.0, "not_normalized"
+    if u.is_normalized() and frame.k < 2:
+        nsre_status = "rank_one"
+    elif u.is_normalized():
+        report = nsre_check(frame, u, traj, substeps=scenario.substeps,
+                            **scenario.nsre_kwargs())
+        c, nsre_status = report.c, report.status
     constants = estimate_constants(frame, domain,
                                    scenario.certify["grid_resolution"],
                                    float(scenario.certify["margin"]))
-    c = report.c if report is not None else 0.0
     slacks, b0_slack = bound_slacks(hom, u, constants, c, u.horizon)
     in_domain = hom.in_domain
     applicable = {"spread": in_domain,
                   "variation": in_domain and comparison.applicable,
                   "drift": in_domain and comparison.applicable}
-    bounds = {name: _bound_entry(value, limit, applicable[name])
+    bounds = {name: {"max": value, "limit": limit, "slack": limit - value,
+                     "applicable": applicable[name]}
               for name, (value, limit) in slacks.items()}
     bounds["b0_lower"] = {"min_slack": b0_slack, "c": c,
-                          "applicable": report is not None and
-                          report.status == "certified"}
+                          "applicable": nsre_status == "certified"}
     payload = {
         "separation": hom.separation,
         "in_domain": in_domain,
-        "nsre_status": report.status if report is not None else "not_normalized",
-        "energy_comparison": {
-            "applicable": comparison.applicable,
-            "lhs": comparison.lhs, "rhs": comparison.rhs,
-            "slack": comparison.slack, "holds": comparison.holds,
-            "du_l2": comparison.du_l2, "bound2": comparison.bound2,
-        },
+        "nsre_status": nsre_status,
+        "energy_comparison": {key: getattr(comparison, key) for key in (
+            "applicable", "lhs", "rhs", "slack", "holds", "du_l2", "bound2")},
         "bounds": bounds,
     }
     write_json(out / "lemma_slacks.json", payload, scenario.sha256, scenario.name)
@@ -258,8 +253,9 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as err:
         print(f"scenario error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except NotNormalizedError as err:
-        print(f"unusable control: {err}", file=sys.stderr)
+    except (NotNormalizedError, DegenerateSpanError) as err:
+        what = "control" if isinstance(err, NotNormalizedError) else "frame"
+        print(f"unusable {what}: {err}", file=sys.stderr)
         return EXIT_INPUT
     except IntegrationError as err:
         print(f"numerical failure: {err}", file=sys.stderr)

@@ -453,14 +453,8 @@ class ControlSignal:
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_cells + 1)
 
-    def cell_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.samples, axis=1)
-
     def l2_norm_sq(self) -> float:
         return float(np.sum(self.samples ** 2) * self.dt)
-
-    def l2_norm(self) -> float:
-        return math.sqrt(self.l2_norm_sq())
 
     def energy(self) -> float:
         """0.5 * squared L2 norm over [0, horizon]."""
@@ -468,7 +462,7 @@ class ControlSignal:
 
     def speed_deviation(self) -> float:
         """Worst | |u_j| - 1 | over the cells; 0 for a unit-speed control."""
-        return float(np.max(np.abs(self.cell_norms() - 1.0)))
+        return float(np.max(np.abs(np.linalg.norm(self.samples, axis=1) - 1.0)))
 
     def is_normalized(self) -> bool:
         return self.speed_deviation() <= NORMALIZED_TOL
@@ -564,8 +558,3 @@ class Trajectory:
 
     def node_index(self, t: float) -> int:
         return node_index(self.grid, t)
-
-    def window(self, j0: int, j1: int) -> "Trajectory":
-        """Nodes j0..j1 as a trajectory rebased to time zero."""
-        control = self.control.window(j0, j1)
-        return Trajectory(self.states[j0:j1 + 1].copy(), control)

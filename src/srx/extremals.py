@@ -14,11 +14,11 @@ import numpy as np
 from .core import (ACB_BOUND, NORMALIZED_TOL, SIGMA_TOL, TAU_RANGE, TAU_RANGES,
                    THETA_MIN, ControlSignal, Domain, SRFrame, SRXError,
                    Trajectory)
-from .flows import (FLOW_BATCH, IntegrationError, TangentFlow,
+from .flows import (COND_LIMIT, FLOW_BATCH, IntegrationError, TangentFlow,
                     _marked_trajectory, _rk4_row, tangent_flow)
 
 SPAN_BATCH = 256            # nodes per batched SVD, bounds the temporaries
-_CONSERVATION_TOL = 1e-6    # default bound on the oracle's level drift
+_CONSERVATION_TOL = 1e-6    # bound on the oracle's level drift
 _LEVEL_TOL = 1e-9           # bound on |2H - 1| at the initial covector
 
 
@@ -241,12 +241,10 @@ def max_velocity_derivative(frame: SRFrame, u: ControlSignal,
 
 @dataclass(frozen=True, eq=False)
 class NSREReport:
-    """Outcome of the geometric normal-extremal test on one trajectory."""
+    """Outcome of the geometric normal-extremal test on one trajectory: the
+    measurements and their tolerances, from which every verdict and c follow."""
 
     angles: np.ndarray
-    c: float
-    regularity_ok: bool
-    b2_ok: bool
     min_speed: float
     max_velocity_derivative: float
     acb_bound: float
@@ -257,7 +255,24 @@ class NSREReport:
     kept_ratio_min: float        # smallest sigma_r / sigma_1 over the nodes
     dropped_ratio_max: float     # largest sigma_{r+1} / sigma_1 over the nodes
     max_condition: float         # of the tangent flow
-    ill_conditioned: bool
+
+    @property
+    def regularity_ok(self) -> bool:
+        return self.max_velocity_derivative <= self.acb_bound
+
+    @property
+    def b2_ok(self) -> bool:
+        return bool(self.angles.min() > self.theta_min)
+
+    @property
+    def c(self) -> float:
+        if not (self.regularity_ok and self.b2_ok):
+            return 0.0
+        return float(np.abs(np.sin(self.angles)).min() * self.min_speed)
+
+    @property
+    def ill_conditioned(self) -> bool:
+        return self.max_condition > COND_LIMIT
 
     @property
     def min_angle_node(self) -> int:
@@ -326,21 +341,13 @@ def nsre_check(frame: SRFrame, u: ControlSignal, traj: Trajectory,
     node_velocities = np.einsum("jnk,jk->jn", frame.field_matrix_many(traj.states),
                                 _node_controls(u))
     min_speed = float(np.linalg.norm(node_velocities, axis=1).min())
-    max_dv = max_velocity_derivative(frame, u, traj)
-    regularity_ok = max_dv <= acb_bound
-
     spans = span_profile(frame, traj, tf, tau_range=tau_range,
                          sample_stride=sample_stride, sigma_tol=sigma_tol)
-    angles = angle_to_subspace(node_velocities, spans)
     kept, dropped = spans.cut_ratios
-
-    b2_ok = bool(angles.min() > theta_min)
-    c = float(np.abs(np.sin(angles)).min() * min_speed) \
-        if (regularity_ok and b2_ok) else 0.0
-    return NSREReport(angles, c, regularity_ok, b2_ok, min_speed, max_dv,
-                      acb_bound, theta_min, tau_range, spans.rank, sigma_tol,
-                      float(kept.min()), float(dropped.max()), tf.max_condition,
-                      tf.ill_conditioned)
+    return NSREReport(angle_to_subspace(node_velocities, spans), min_speed,
+                      max_velocity_derivative(frame, u, traj), acb_bound,
+                      theta_min, tau_range, spans.rank, sigma_tol,
+                      float(kept.min()), float(dropped.max()), tf.max_condition)
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,8 +364,7 @@ class HamiltonianExtremal:
 
 
 def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
-                         substeps: int = 1, domain: Domain | None = None,
-                         conservation_tol: float = _CONSERVATION_TOL
+                         substeps: int = 1, domain: Domain | None = None
                          ) -> HamiltonianExtremal:
     """Integrate the normal Hamiltonian system and sample its control.
 
@@ -374,7 +380,7 @@ def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
     Wanner, Solving ODEs I, II.6): (y_j + y_{j+1}) / 2 + h/8 (f_j - f_{j+1}),
     which is O(h^4) like the stepper; the slopes take one batched
     right-hand side per FLOW_BATCH nodes.  Level conservation keeps raw
-    midpoint norms within conservation_tol of 1 and the rows are then
+    midpoint norms within _CONSERVATION_TOL of 1 and the rows are then
     scaled to exactly unit norm, so downstream normalized-control checks
     hold.  At a given n_cells the error is that of two half steps per cell
     at n_cells / 2; substeps=2 halves the step at twice the cost.
@@ -409,9 +415,9 @@ def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
 
     norms = np.linalg.norm(raw, axis=1)
     drift = float(np.abs(norms - 1.0).max())
-    if drift > conservation_tol:
+    if drift > _CONSERVATION_TOL:
         raise IntegrationError(
-            f"Hamiltonian level drifted by {drift:.3e} (> {conservation_tol:.1e}); "
+            f"Hamiltonian level drifted by {drift:.3e} (> {_CONSERVATION_TOL:.1e}); "
             "refine the grid or substeps")
     control = ControlSignal(horizon, raw / norms[:, None])
     return HamiltonianExtremal(_marked_trajectory(states, control, domain),

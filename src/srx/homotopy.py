@@ -230,10 +230,16 @@ class EnergyComparison:
     applicable: bool
     lhs: float
     rhs: float
-    slack: float
-    holds: bool
     du_l2: float
     bound2: bool
+
+    @property
+    def slack(self) -> float:
+        return self.lhs - self.rhs
+
+    @property
+    def holds(self) -> bool:
+        return self.slack >= -COMPARISON_TOL
 
 
 def energy_comparison_check(u: ControlSignal, du: ControlSignal
@@ -241,12 +247,9 @@ def energy_comparison_check(u: ControlSignal, du: ControlSignal
     require_same_grid(u, du)
     lhs = -float(control_inner(u, du)[-1])
     du2 = du.l2_norm_sq()
-    rhs = 0.5 * du2
-    slack = lhs - rhs
     e_old = u.energy()
     e_new = u.perturbed(du).energy()
     applicable = e_new <= e_old + COMPARISON_TOL * max(1.0, e_old)
     du_l2 = math.sqrt(du2)
-    return EnergyComparison(applicable, lhs, rhs, slack,
-                            slack >= -COMPARISON_TOL, du_l2,
+    return EnergyComparison(applicable, lhs, 0.5 * du2, du_l2,
                             du_l2 <= 2.0 * math.sqrt(u.horizon) + COMPARISON_TOL)

@@ -30,27 +30,6 @@ except ImportError:
 BUNDLED = ("euclidean_line", "heisenberg_line", "heisenberg_arc", "jump_control",
            "martinet_arc", "cartan_arc")
 
-TOLERANCE_DEFAULTS = {
-    "acb_bound": ACB_BOUND,
-    "theta_min": THETA_MIN,
-    "sigma_tol": SIGMA_TOL,
-    "tau_range": TAU_RANGE,
-    "frame_grid": 5,
-}
-
-CERTIFY_DEFAULTS = {
-    "grid_resolution": GRID_RESOLUTION,
-    "margin": CONSTANTS_MARGIN,
-    "margin_factor": MARGIN_FACTOR,
-    "T_prime": None,
-    "n_trials": 200,
-    "N_s": N_S,
-}
-
-INTEGRATOR_DEFAULTS = {"substeps": 1, "emit_tangent_flow": False}
-
-HOMOTOPY_DEFAULTS = {"N_s": N_S, "delta_u": None}
-
 
 def _integer(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
@@ -70,7 +49,8 @@ _POSITIVE = (lambda v: _number(v) and v > 0, "a number > 0")
 _COUNT = (lambda v: _integer(v) and v >= 1, "an integer >= 1")
 
 
-# section -> key -> (predicate, description of the accepted values)
+# section -> key -> (predicate, description of the accepted values); in the
+# sections read by _section every key carries its default as a third item
 SECTION_CHECKS = {
     "frame": {
         "n": _COUNT,
@@ -86,29 +66,33 @@ SECTION_CHECKS = {
         "upper": (_numbers, "a list of numbers"),
     },
     "tolerances": {
-        "acb_bound": _POSITIVE,
-        "theta_min": (lambda v: _number(v) and v >= 0, "a number >= 0"),
-        "sigma_tol": (lambda v: _number(v) and 0 < v < 1, "a number in (0, 1)"),
-        "tau_range": (lambda v: v in TAU_RANGES, f"one of {TAU_RANGES}"),
-        "frame_grid": (lambda v: _integer(v) and v >= 2, "an integer >= 2"),
+        "acb_bound": (*_POSITIVE, ACB_BOUND),
+        "theta_min": (lambda v: _number(v) and v >= 0, "a number >= 0", THETA_MIN),
+        "sigma_tol": (lambda v: _number(v) and 0 < v < 1, "a number in (0, 1)",
+                      SIGMA_TOL),
+        "tau_range": (lambda v: v in TAU_RANGES, f"one of {TAU_RANGES}", TAU_RANGE),
+        "frame_grid": (lambda v: _integer(v) and v >= 2, "an integer >= 2", 5),
     },
     "certify": {
-        "grid_resolution": (lambda v: _integer(v) and v >= 2, "an integer >= 2"),
-        "margin": (lambda v: _number(v) and v >= 1, "a number >= 1"),
+        "grid_resolution": (lambda v: _integer(v) and v >= 2, "an integer >= 2",
+                            GRID_RESOLUTION),
+        "margin": (lambda v: _number(v) and v >= 1, "a number >= 1",
+                   CONSTANTS_MARGIN),
         "margin_factor": (lambda v: _number(v) and 0 < v < 1,
-                          "a number in (0, 1)"),
+                          "a number in (0, 1)", MARGIN_FACTOR),
         "T_prime": (lambda v: v is None or (_number(v) and v > 0),
-                    "null or a number > 0"),
-        "n_trials": _COUNT,
-        "N_s": _COUNT,
+                    "null or a number > 0", None),
+        "n_trials": (*_COUNT, 200),
+        "N_s": (*_COUNT, N_S),
     },
     "integrator": {
-        "substeps": _COUNT,
-        "emit_tangent_flow": (lambda v: isinstance(v, bool), "true or false"),
+        "substeps": (*_COUNT, 1),
+        "emit_tangent_flow": (lambda v: isinstance(v, bool), "true or false",
+                              False),
     },
     "homotopy": {
-        "N_s": _COUNT,
-        "delta_u": (lambda v: isinstance(v, dict), "a control spec object"),
+        "N_s": (*_COUNT, N_S),
+        "delta_u": (lambda v: isinstance(v, dict), "a control spec object", None),
     },
     # control specs (the scenario control and homotopy.delta_u)
     "control": {
@@ -146,13 +130,14 @@ def _checked(spec, name: str, kind: str | None = None) -> dict:
     unknown = set(spec) - set(checks)
     _require(not unknown, f"unknown {name} keys: {sorted(unknown)}")
     for key, value in spec.items():
-        accepts, what = checks[key]
+        accepts, what = checks[key][:2]
         _require(accepts(value), f"{name}.{key} must be {what}, got {value!r}")
     return spec
 
 
-def _section(data: dict, name: str, defaults: dict) -> dict:
+def _section(data: dict, name: str) -> dict:
     """Section `name` of the scenario over its defaults, every given key checked."""
+    defaults = {key: check[2] for key, check in SECTION_CHECKS[name].items()}
     return {**defaults, **_checked(data.get(name, {}), name)}
 
 
@@ -272,9 +257,8 @@ class Scenario:
     out_dir: str | None = None
 
     def nsre_kwargs(self) -> dict:
-        t = self.tolerances
-        return {"acb_bound": t["acb_bound"], "theta_min": t["theta_min"],
-                "sigma_tol": t["sigma_tol"], "tau_range": t["tau_range"]}
+        return {key: self.tolerances[key]
+                for key in ("acb_bound", "theta_min", "sigma_tol", "tau_range")}
 
 
 def parse_scenario(data: dict, sha256: str, name_hint: str = "scenario") -> Scenario:
@@ -300,10 +284,10 @@ def parse_scenario(data: dict, sha256: str, name_hint: str = "scenario") -> Scen
     q0 = _array(data["q0"], (frame.n,), f"q0 must be a list of {frame.n} numbers")
     _require(domain.contains(q0), "q0 must lie in the domain interior")
 
-    tolerances = _section(data, "tolerances", TOLERANCE_DEFAULTS)
-    integrator = _section(data, "integrator", INTEGRATOR_DEFAULTS)
-    hom = _section(data, "homotopy", HOMOTOPY_DEFAULTS)
-    certify = _section(data, "certify", CERTIFY_DEFAULTS)
+    tolerances = _section(data, "tolerances")
+    integrator = _section(data, "integrator")
+    hom = _section(data, "homotopy")
+    certify = _section(data, "certify")
 
     has_control = "control" in data
     has_ham = "hamiltonian" in data

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from srx import (Domain, Homotopy, NotCertifiableError, PolyVectorField,
-                 SRFrame, SRXError, build_certificate, compute_epsilon,
-                 compute_eta, estimate_constants, hamiltonian_extremal,
-                 integrate_trajectory, natural_homotopy, psi,
+                 SRFrame, SRXError, Trajectory, build_certificate,
+                 compute_epsilon, compute_eta, estimate_constants,
+                 hamiltonian_extremal, integrate_trajectory, natural_homotopy, psi,
                  sample_admissible_perturbation, verify_certificate, xi, zeta)
-from srx import certify
+from srx import certify, extremals
 from srx.certify import FrameConstants, bound_slacks
 from srx.scenario import BUNDLED, load_scenario
 
@@ -198,7 +198,9 @@ def test_epsilon_euclidean_closed_form():
     result = compute_epsilon(c, 1.0, 1.0, 2, 2, 1.0)
     assert result.epsilon == pytest.approx(0.999 / (4.0 * math.sqrt(2.0)), abs=1e-6)
     assert result.domain_ok and result.angle_ok
-    assert result.monotone_ok and not result.capped
+    # compute_epsilon raises unless the left-hand sides are monotone, so a
+    # result needs no monotonicity flag; the JSON key is covered below
+    assert result.holds and not result.capped
 
 
 @pytest.mark.parametrize("bad", [-0.1, math.nan])
@@ -274,12 +276,34 @@ def test_certificate_heisenberg_line(heisenberg, line_certificate):
     assert set(data) >= {"C0", "C1", "C2", "C3", "margin", "c", "eta",
                          "epsilon", "conditions", "provenance"}
     assert data["provenance"]["seed"] == 42
+    assert data["conditions"]["monotone_ok"] is True
+
+
+def test_certificate_reads_its_values_from_its_conditions(line_certificate):
+    _, _, _, cert, report = line_certificate
+    moved = dataclasses.replace(
+        cert, conditions=dataclasses.replace(cert.conditions, c=0.5, eta=0.25,
+                                             epsilon=0.01))
+    assert (moved.c, moved.eta, moved.epsilon) == (0.5, 0.25, 0.01)
+    assert moved.conditions.angle_limit == 0.25
+    assert moved.conditions.domain_limit == 0.25
+    assert moved.xi_eps == xi(0.01, cert.constants, 2, 3)
+    data = moved.to_json_dict()
+    assert (data["c"], data["eta"], data["epsilon"]) == (0.5, 0.25, 0.01)
+    assert data["zeta_eps"] == zeta(0.01, cert.constants, 2)
+    assert data["psi_eps"] == psi(0.01, cert.constants, 2, 3)
+    # the NSRE verdict and c follow the threshold they are judged against
+    assert report.status == "certified" and report.c > 0.0
+    raised = dataclasses.replace(report, theta_min=math.pi)
+    assert raised.status == "inconclusive" and raised.c == 0.0
+    assert raised.regularity_ok and not raised.b2_ok
+    assert dataclasses.replace(report, acb_bound=-1.0).status == "failed"
 
 
 def test_certificate_restriction_invariance(heisenberg, line_certificate):
     box, u, traj, cert, _ = line_certificate
-    sub_traj = traj.window(100, 400)
     sub_u = u.window(100, 400)
+    sub_traj = Trajectory(traj.states[100:401], sub_u)
     sub_cert, _ = build_certificate(heisenberg, box, sub_u, sub_traj,
                                     grid_resolution=11, seed=42)
     assert sub_cert.eta >= cert.eta - 1e-12
@@ -300,6 +324,7 @@ def test_verification_zero_violations(heisenberg, line_certificate):
     assert report.n_trials == 25
     assert report.t_prime <= cert.epsilon
     assert report.worst_slack() > 0.0
+    assert all(t.slack == t.separation - t.bound for t in report.trials)
     header, rows = report.csv_rows()
     assert header == ["trial", "norm_du", "separation", "bound", "slack"]
     assert len(rows) == 25
@@ -342,7 +367,7 @@ def test_verification_catches_inflated_constant(heisenberg, line_certificate):
     # a certificate claiming a much larger angle constant must be caught
     box, u, traj, cert, _ = line_certificate
     from dataclasses import replace
-    bogus = replace(cert, c=250.0)
+    bogus = replace(cert, conditions=replace(cert.conditions, c=250.0))
     report = verify_certificate(heisenberg, box, u, traj, bogus,
                                 n_trials=10, base_seed=0)
     assert not report.ok
@@ -464,7 +489,7 @@ def test_certificate_rejects_a_non_unit_control_first(heisenberg, box3,
 
     u = constant_control([0.9, 1.2], n_cells=100)
     traj = integrate_trajectory(heisenberg, u, [0.0, 0.0, 0.0], domain=box3)
-    monkeypatch.setattr(certify, "tangent_flow", never)
+    monkeypatch.setattr(extremals, "tangent_flow", never)
     monkeypatch.setattr(certify, "estimate_constants", never)
     with pytest.raises(NotNormalizedError, match=r"is 5\.000e-01"):
         build_certificate(heisenberg, box3, u, traj, grid_resolution=5)
@@ -478,8 +503,8 @@ def test_sampler_always_admissible():
     for seed in range(300):
         du, _ = sample_admissible_perturbation(np.random.default_rng(seed), u)
         assert u.perturbed(du).energy() <= u.energy()
-        assert du.l2_norm() <= limit
-        assert du.l2_norm() > 0.0
+        assert math.sqrt(du.l2_norm_sq()) <= limit
+        assert math.sqrt(du.l2_norm_sq()) > 0.0
 
 
 def test_sampler_deterministic():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -322,6 +324,14 @@ def test_energy_comparison_not_applicable():
     result = energy_comparison_check(u, du)
     assert not result.applicable
     assert not result.holds
+
+
+def test_energy_comparison_verdict_follows_its_sides():
+    u = constant_control([1.0, 0.0], n_cells=10)
+    result = energy_comparison_check(u, constant_control([-0.5, 0.0], n_cells=10))
+    assert result.holds and result.slack == result.lhs - result.rhs
+    swapped = dataclasses.replace(result, lhs=result.rhs, rhs=result.lhs)
+    assert swapped.slack == -result.slack and not swapped.holds
 
 
 def test_energy_comparison_random_admissible(heisenberg):

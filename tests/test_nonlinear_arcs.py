@@ -9,10 +9,11 @@ import json
 import numpy as np
 import pytest
 
-from srx import (estimate_constants, hamiltonian_extremal, integrate_trajectory,
-                 natural_homotopy, nsre_check, tangent_flow, variation_direct,
-                 variation_integral)
+from srx import (estimate_constants, extremals, hamiltonian_extremal,
+                 integrate_trajectory, natural_homotopy, nsre_check, tangent_flow,
+                 variation_direct, variation_integral)
 from srx.cli import main
+from srx.flows import IntegrationError
 from srx.scenario import bundled_scenario_path, load_scenario
 
 from conftest import smooth_perturbation
@@ -144,6 +145,19 @@ def test_arc_control_matches_half_cell_route(name):
     reference = _half_cell_controls(scenario.frame, scenario.q0,
                                     np.asarray(ham["p0"]), ham["T"], ham["N_t"])
     assert np.abs(ext.control.samples - reference).max() <= 1e-12
+
+
+def test_level_drift_over_the_tolerance_is_a_numerical_failure(tmp_path,
+                                                               monkeypatch):
+    monkeypatch.setattr(extremals, "_CONSERVATION_TOL", 1e-300)
+    scenario = load_scenario("martinet_arc")
+    ham = scenario.hamiltonian
+    with pytest.raises(IntegrationError, match="Hamiltonian level drifted"):
+        hamiltonian_extremal(scenario.frame, scenario.q0, ham["p0"], ham["T"],
+                             ham["N_t"], scenario.substeps)
+    assert main(["nsre-check", "--config", "martinet_arc",
+                 "--out", str(tmp_path)]) == 5
+    assert not any(tmp_path.iterdir())
 
 
 def test_arc_reports_record_the_hamiltonian_level(tmp_path):

@@ -392,6 +392,30 @@ def test_cli_homotopy_reports_a_non_unit_control(tmp_path):
     assert slacks["nsre_status"] == "not_normalized"
 
 
+def test_cli_rank_one_frame(tmp_path, capsys):
+    # X_1 = d/dx has no orthogonal part to span: nsre-check and certify
+    # reject the frame as input, homotopy skips the NSRE test
+    cfg = _write_scenario(tmp_path, {
+        "frame": {"n": 2, "k": 1, "fields": [{"coeffs": {"0": {"0,0": 1.0}}}]},
+        "domain": {"lower": [-2.0, -2.0], "upper": [2.0, 2.0]},
+        "q0": [0.0, 0.0], "control": {"T": 1.0, "N_t": 50, "constant": [1.0]},
+        "homotopy": {"delta_u": {"constant": [-0.3]}}})
+    for command in ("nsre-check", "certify"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not any(out.iterdir())
+        assert capsys.readouterr().err == ("unusable frame: rank-1 distributions "
+                                           "have an empty orthogonal part\n")
+    out = tmp_path / "homotopy"
+    assert main(["homotopy", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "endpoints.csv", "homotopy.csv", "lemma_slacks.json"]
+    slacks = json.loads((out / "lemma_slacks.json").read_text())
+    assert slacks["nsre_status"] == "rank_one"
+    assert slacks["bounds"]["b0_lower"] == {"min_slack": 0.0, "c": 0.0,
+                                            "applicable": False}
+
+
 def test_cli_homotopy_euclidean(tmp_path):
     code = main(["homotopy", "--config", "euclidean_line", "--out", str(tmp_path)])
     assert code == 0

@@ -9,13 +9,16 @@ random energy-nonincreasing perturbations and records per-trial slacks.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
 from .core import (CONSTANTS_MARGIN, GRID_RESOLUTION, MARGIN_FACTOR, N_S, ControlSignal,
                    Domain, SRFrame, SRXError, Trajectory, control_inner)
-from .extremals import NSREReport, nsre_check, require_normalized
+from .extremals import (NSREReport, nsre_check, require_normalized,
+                        require_orthogonal_part)
 from .homotopy import Homotopy, _homotopy_cells, energy_comparison_check
 
 EPSILON_REL_TOL = 1e-6
@@ -379,6 +382,7 @@ def build_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
                       ) -> tuple[Certificate, NSREReport]:
     """Run the full chain: constants, NSRE test, tube radius, radius search."""
     require_normalized(u, "nsre_check")
+    require_orthogonal_part(frame)
     constants = estimate_constants(frame, domain, grid_resolution, margin)
     report = nsre_check(frame, u, traj, substeps=substeps, **(nsre_kwargs or {}))
     if report.status == "failed":
@@ -393,7 +397,36 @@ def build_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
     return Certificate(constants, result, seed, frame.k, frame.n), report
 
 
-def sample_admissible_perturbation(rng: np.random.Generator, u: ControlSignal
+class DrawSource(Protocol):
+    """The two draws the perturbation sampler takes: TrialDraws, or a numpy
+    Generator."""
+
+    def uniform(self, low: float, high: float) -> float: ...
+
+    def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray: ...
+
+
+class TrialDraws:
+    """Seeded draws of one verification trial from CPython's Mersenne Twister
+    (random.Random; Matsumoto & Nishimura, ACM TOMACS 1998), so verification
+    loads neither numpy.random nor, through it, OpenSSL."""
+
+    def __init__(self, seed: int):
+        # random.Random(-s) would silently draw the stream of seed s
+        if seed < 0:
+            raise ValueError(f"trial seed must be non-negative, got {seed}")
+        self._random = random.Random(seed)
+
+    def uniform(self, low: float, high: float) -> float:
+        return self._random.uniform(low, high)
+
+    def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
+        gauss = self._random.gauss
+        return np.array([gauss(0.0, 1.0) for _ in range(math.prod(shape))]
+                        ).reshape(shape)
+
+
+def sample_admissible_perturbation(rng: DrawSource, u: ControlSignal
                                    ) -> tuple[ControlSignal, int]:
     """Draw a random energy-nonincreasing perturbation of u.
 
@@ -402,6 +435,10 @@ def sample_admissible_perturbation(rng: np.random.Generator, u: ControlSignal
     strictly inside the interval where the perturbed energy does not exceed
     the original.  Draws whose orthogonal part is too large for any feasible
     parallel coefficient are rejected and counted.
+
+    rng is any DrawSource: uniform(low, high) returns one float and
+    standard_normal(shape) an array of independent N(0, 1) draws.
+    Verification passes TrialDraws; a numpy Generator works as well.
     """
     u2 = u.l2_norm_sq()
     rejected = 0
@@ -503,11 +540,11 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
     For every trial the perturbed homotopy must stay in the domain, the
     endpoint separation must meet (c/2 - T' xi(T')) * |du|^2, and all growth
     bounds (spread, variation, drift, the angle lower bound on b_0, and the
-    energy-comparison identity) must hold.  Trials are seeded base_seed +
-    trial and integrated in batches of whole trials sized by
-    VERIFY_BATCH_BYTES, whose member states are reduced cell by cell as
-    bound_slacks reduces a stored homotopy, so the report does not depend
-    on the batch layout.
+    energy-comparison identity) must hold.  Trial i draws from
+    TrialDraws(cert.seed + base_seed + i), the seed its record keeps.  Trials
+    are integrated in batches of whole trials sized by VERIFY_BATCH_BYTES,
+    whose member states are reduced cell by cell as bound_slacks reduces a
+    stored homotopy, so the report does not depend on the batch layout.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -555,7 +592,7 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
     for start in range(0, n_trials, batch):
         trials = range(start, min(start + batch, n_trials))
         draws = [sample_admissible_perturbation(
-            np.random.default_rng(cert.seed + base_seed + i), u_r) for i in trials]
+            TrialDraws(cert.seed + base_seed + i), u_r) for i in trials]
         extremes, ends = _streamed_extremes(frame, u_r, [du for du, _ in draws],
                                             traj.q0, n_s, domain, substeps,
                                             cert.c)

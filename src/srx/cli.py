@@ -106,12 +106,14 @@ def cmd_homotopy(scenario: Scenario, out: Path) -> int:
 
     comparison = energy_comparison_check(u, du)
     c, nsre_status = 0.0, "not_normalized"
-    if u.is_normalized() and frame.k < 2:
-        nsre_status = "rank_one"
-    elif u.is_normalized():
-        report = nsre_check(frame, u, traj, substeps=scenario.substeps,
-                            **scenario.nsre_kwargs())
-        c, nsre_status = report.c, report.status
+    if u.is_normalized():
+        try:
+            report = nsre_check(frame, u, traj, substeps=scenario.substeps,
+                                **scenario.nsre_kwargs())
+        except DegenerateSpanError:
+            nsre_status = "rank_one"
+        else:
+            c, nsre_status = report.c, report.status
     constants = estimate_constants(frame, domain,
                                    scenario.certify["grid_resolution"],
                                    float(scenario.certify["margin"]))

@@ -38,6 +38,13 @@ def require_normalized(u: ControlSignal, what: str) -> None:
             f"{u.speed_deviation():.3e} (tolerance {NORMALIZED_TOL:.0e})")
 
 
+def require_orthogonal_part(frame: SRFrame) -> None:
+    """Raise DegenerateSpanError unless the frame has rank k >= 2, so that
+    the control's orthogonal complement has a column."""
+    if frame.k < 2:
+        raise DegenerateSpanError("rank-1 distributions have an empty orthogonal part")
+
+
 def _dots(x: np.ndarray) -> np.ndarray:
     """x . x over the last axis, rounded as np.dot rounds one vector."""
     return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
@@ -184,8 +191,7 @@ def span_profile(frame: SRFrame, traj: Trajectory, tf: TangentFlow,
         raise ValueError("sample_stride must be an integer >= 1")
     if tau_range not in TAU_RANGES:
         raise ValueError(f"tau_range must be one of {TAU_RANGES}")
-    if frame.k < 2:
-        raise DegenerateSpanError("rank-1 distributions have an empty orthogonal part")
+    require_orthogonal_part(frame)
     n_nodes = traj.grid.shape[0]
     nodes = np.arange(n_nodes) if nodes is None else np.asarray(nodes, dtype=int)
     if np.any((nodes < 0) | (nodes >= n_nodes)):
@@ -335,6 +341,7 @@ def nsre_check(frame: SRFrame, u: ControlSignal, traj: Trajectory,
     gap around the sigma_tol cut and the tangent flow's conditioning.
     """
     require_normalized(u, "nsre_check")
+    require_orthogonal_part(frame)
     if tf is None:
         tf = tangent_flow(frame, u, traj, substeps=substeps)
 

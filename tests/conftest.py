@@ -14,6 +14,11 @@ def make_euclidean_frame(n=2):
     return SRFrame(tuple(fields), n, n)
 
 
+def make_rank_one_frame():
+    """X_1 = d/dx on R^2: a rank-1 frame, with no orthogonal part to span."""
+    return SRFrame((PolyVectorField(({(0, 0): 1.0}, {}), 2),), 2, 1)
+
+
 def make_heisenberg_frame():
     # X_1 = d/dx - (y/2) d/dz,  X_2 = d/dy + (x/2) d/dz
     x1 = PolyVectorField((

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -11,10 +12,11 @@ from srx import (Domain, Homotopy, NotCertifiableError, PolyVectorField,
                  hamiltonian_extremal, integrate_trajectory, natural_homotopy, psi,
                  sample_admissible_perturbation, verify_certificate, xi, zeta)
 from srx import certify, extremals
-from srx.certify import FrameConstants, bound_slacks
+from srx.certify import FrameConstants, TrialDraws, bound_slacks
 from srx.scenario import BUNDLED, load_scenario
 
-from conftest import constant_control, make_random_poly_frame
+from conftest import (constant_control, make_random_poly_frame,
+                      make_rank_one_frame)
 
 
 # -- constants ------------------------------------------------------------------
@@ -385,8 +387,9 @@ def test_verification_records_members_leaving_the_domain(heisenberg,
     u_r = u.restrict(round(report.t_prime / u.dt))
     expected = []
     for trial in report.trials:
-        du, _ = sample_admissible_perturbation(np.random.default_rng(trial.seed),
-                                               u_r)
+        # the recorded seed and |du| reproduce the trial's draw exactly
+        du, _ = sample_admissible_perturbation(TrialDraws(trial.seed), u_r)
+        assert math.sqrt(du.l2_norm_sq()) == trial.norm_du
         hom = natural_homotopy(heisenberg, u_r, du, traj.q0, report.n_s)
         expected.append(bool((thin.boundary_distances(hom.trajectories)
                               <= 0.0).any()))
@@ -495,13 +498,32 @@ def test_certificate_rejects_a_non_unit_control_first(heisenberg, box3,
         build_certificate(heisenberg, box3, u, traj, grid_resolution=5)
 
 
+def test_certificate_rejects_a_rank_one_frame_first(monkeypatch):
+    # the rank check comes before the constants and the tangent flow
+    from srx.extremals import DegenerateSpanError
+
+    def never(*args, **kwargs):
+        raise AssertionError("called before the rank check")
+
+    frame = make_rank_one_frame()
+    u = constant_control([1.0], n_cells=10)
+    traj = integrate_trajectory(frame, u, [0.0, 0.0])
+    monkeypatch.setattr(extremals, "tangent_flow", never)
+    monkeypatch.setattr(certify, "estimate_constants", never)
+    with pytest.raises(DegenerateSpanError, match="empty orthogonal part"):
+        build_certificate(frame, Domain([-2.0, -2.0], [2.0, 2.0]), u, traj,
+                          grid_resolution=5)
+
+
 # -- perturbation sampler --------------------------------------------------------------
 
 def test_sampler_always_admissible():
+    # from verification's draw source and from a numpy Generator alike
     u = constant_control([1.0, 0.0], horizon=0.05, n_cells=50)
     limit = 2.0 * math.sqrt(u.horizon)
-    for seed in range(300):
-        du, _ = sample_admissible_perturbation(np.random.default_rng(seed), u)
+    for draws, seed in itertools.product((TrialDraws, np.random.default_rng),
+                                         range(300)):
+        du, _ = sample_admissible_perturbation(draws(seed), u)
         assert u.perturbed(du).energy() <= u.energy()
         assert math.sqrt(du.l2_norm_sq()) <= limit
         assert math.sqrt(du.l2_norm_sq()) > 0.0
@@ -509,7 +531,24 @@ def test_sampler_always_admissible():
 
 def test_sampler_deterministic():
     u = constant_control([1.0, 0.0], n_cells=20)
-    a, ra = sample_admissible_perturbation(np.random.default_rng(7), u)
-    b, rb = sample_admissible_perturbation(np.random.default_rng(7), u)
+    a, ra = sample_admissible_perturbation(TrialDraws(7), u)
+    b, rb = sample_admissible_perturbation(TrialDraws(7), u)
     assert np.array_equal(a.samples, b.samples)
     assert ra == rb
+
+
+def test_trial_draws_stream_is_pinned():
+    # verification.csv depends on these exact values: a change in CPython's
+    # Mersenne Twister, uniform or gauss would show here first
+    draws = TrialDraws(0)
+    assert draws.uniform(*certify.AMP_RANGE) == 0.5988742034912813
+    normal = draws.standard_normal((2, 2))
+    assert normal.shape == (2, 2) and normal.dtype == np.float64
+    assert normal.tolist() == [[0.05219198828260849, -1.0434089742005737],
+                               [-0.06700651572905797, 1.1947466787499987]]
+
+
+def test_trial_draws_reject_a_negative_seed():
+    # random.Random(-1) would silently draw the stream of seed 1
+    with pytest.raises(ValueError, match="non-negative"):
+        TrialDraws(-1)

@@ -4,11 +4,13 @@ import pytest
 from srx import (angle_to_subspace, hamiltonian_extremal, integrate_trajectory,
                  nsre_check, orthogonal_control_complement, span_profile,
                  tangent_flow)
-from srx.extremals import NotNormalizedError, OrthoDistribution
+from srx import extremals
+from srx.extremals import DegenerateSpanError, NotNormalizedError, OrthoDistribution
 from srx.scenario import load_scenario
 
 from conftest import (constant_control, make_euclidean_frame,
-                      make_heisenberg_frame, sampled_control, two_point_map)
+                      make_heisenberg_frame, make_rank_one_frame,
+                      sampled_control, two_point_map)
 
 
 def _line_setup(heisenberg, n_cells=200):
@@ -618,16 +620,29 @@ def test_hamiltonian_domain_exit_is_marked(heisenberg):
     assert ext.control is ext.trajectory.control
 
 
-def test_f_perp_rejects_rank_one_frame():
-    from srx import PolyVectorField, SRFrame
-    from srx.extremals import DegenerateSpanError
-    f = PolyVectorField(({(0, 0): 1.0}, {}), 2)
-    frame = SRFrame((f,), 2, 1)
+def _rank_one_run():
+    """The rank-1 frame driven along x: frame, control and trajectory."""
+    frame = make_rank_one_frame()
     u = constant_control([1.0], n_cells=10)
-    traj = integrate_trajectory(frame, u, [0.0, 0.0])
+    return frame, u, integrate_trajectory(frame, u, [0.0, 0.0])
+
+
+def test_f_perp_rejects_rank_one_frame():
+    frame, u, traj = _rank_one_run()
     tf = tangent_flow(frame, u, traj)
     with pytest.raises(DegenerateSpanError):
         span_profile(frame, traj, tf, traj.node_index(1.0))
+
+
+def test_nsre_check_rejects_a_rank_one_frame_first(monkeypatch):
+    # the rank check comes before the tangent flow is integrated
+    def never(*args, **kwargs):
+        raise AssertionError("called before the rank check")
+
+    frame, u, traj = _rank_one_run()
+    monkeypatch.setattr(extremals, "tangent_flow", never)
+    with pytest.raises(DegenerateSpanError, match="empty orthogonal part"):
+        nsre_check(frame, u, traj)
 
 
 def test_f_perp_rejects_vanishing_control(heisenberg):

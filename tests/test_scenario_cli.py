@@ -292,15 +292,19 @@ def test_cli_imports_only_stdlib_and_numpy(tmp_path):
 
 @pytest.mark.parametrize("command, name", [("integrate", "heisenberg_arc"),
                                            ("nsre-check", "heisenberg_arc"),
-                                           ("homotopy", "heisenberg_line")])
-def test_commands_without_sampling_do_not_load_openssl(tmp_path, command, name):
-    # hashlib loads OpenSSL's _hashlib (about 3.5 MB of resident memory) only
-    # to hash the scenario file; verification's numpy.random loads it anyway
+                                           ("homotopy", "heisenberg_line"),
+                                           ("certify", "heisenberg_line")])
+def test_commands_load_neither_openssl_nor_numpy_random(tmp_path, command,
+                                                        name):
+    # hashlib would load OpenSSL's _hashlib (about 3.5 MB of resident memory)
+    # only to hash the scenario file, and numpy.random (6 MB with it) only to
+    # draw verification trials, which come from the standard library's
+    # random instead
     loaded = _run_python(
         f"import sys; from srx.cli import main; code = main([{command!r}, "
         f"'--config', {name!r}, '--out', {str(tmp_path)!r}]); "
-        "print(code, '_hashlib' in sys.modules)")
-    assert loaded.split() == ["0", "False"]
+        "print(code, '_hashlib' in sys.modules, 'numpy.random' in sys.modules)")
+    assert loaded.split() == ["0", "False", "False"]
 
 
 def test_scenario_import_loads_only_core():

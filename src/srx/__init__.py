@@ -7,7 +7,8 @@ __version__ = "0.1.0"
 # srx or srx.scenario loads no pipeline module
 _MODULE_OF = {name: module for module, names in {
     "core": "ControlSignal Domain FrameRankError GridMismatchError "
-            "PolyVectorField SRFrame SRXError Trajectory control_inner",
+            "NotCertifiableError PolyVectorField SRFrame SRXError Trajectory "
+            "control_inner",
     "flows": "DomainExitError IntegrationError TangentFlow "
              "integrate_trajectory tangent_flow",
     "extremals": "HamiltonianExtremal NSREReport NotNormalizedError "
@@ -16,7 +17,7 @@ _MODULE_OF = {name: module for module, names in {
     "homotopy": "EnergyComparison Homotopy VariationField "
                 "energy_comparison_check natural_homotopy variation_direct "
                 "variation_integral",
-    "certify": "Certificate EpsilonResult FrameConstants NotCertifiableError "
+    "certify": "Certificate EpsilonResult FrameConstants "
                "TrialRecord VerificationReport build_certificate "
                "compute_epsilon compute_eta estimate_constants psi "
                "sample_admissible_perturbation verify_certificate xi zeta",

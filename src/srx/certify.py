@@ -8,6 +8,7 @@ random energy-nonincreasing perturbations and records per-trial slacks.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -16,7 +17,8 @@ from typing import Protocol
 import numpy as np
 
 from .core import (CONSTANTS_MARGIN, GRID_RESOLUTION, MARGIN_FACTOR, N_S, ControlSignal,
-                   Domain, SRFrame, SRXError, Trajectory, control_inner)
+                   Domain, NotCertifiableError, SRFrame, SRXError, Trajectory,
+                   control_inner)
 from .extremals import (NSREReport, nsre_check, require_normalized,
                         require_orthogonal_part)
 from .homotopy import Homotopy, _homotopy_cells, energy_comparison_check
@@ -28,14 +30,7 @@ MAX_ATTEMPTS = 200          # sampler draws before it gives up
 # Memory budget of one verification batch: its du draws and one cell's
 # (q, b, u, du) member rows.  Batches hold whole trials, at least one.
 VERIFY_BATCH_BYTES = 1 << 18
-
-
-class NotCertifiableError(SRXError):
-    """No positive optimality radius can be certified for this run."""
-
-    def __init__(self, message: str, report: NSREReport | None = None):
-        super().__init__(message)
-        self.report = report
+NODE_BLOCK = 64             # nodes of a stored homotopy reduced at a time
 
 
 @dataclass(frozen=True)
@@ -116,6 +111,16 @@ def xi(t: float, constants: FrameConstants, k: int, n: int) -> float:
         + rk * (n * constants.C1 * p + constants.C2 * z))
 
 
+def _squares(x: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
+    """|x|^2 (or |x - x0|^2) over the last axis, summed left to right, as
+    np.linalg.norm sums up to 7 components."""
+    total = 0.0
+    for a in range(x.shape[-1]):
+        xa = x[..., a] if x0 is None else x[..., a] - x0[..., a]
+        total = total + xa * xa
+    return total
+
+
 def _extremes(q: np.ndarray, b: np.ndarray, phi: np.ndarray,
               c: float) -> np.ndarray:
     """Extremes of the bound quantities of H homotopies, as maxima.
@@ -125,22 +130,14 @@ def _extremes(q: np.ndarray, b: np.ndarray, phi: np.ndarray,
     holds the largest squared spread, variation and drift, minus the
     smallest b_0 slack |b_0(t)| - c |integral_0^t phi|, and q's per-axis
     minimum (negated) and maximum, so rows of node blocks fold by
-    np.maximum.  Squares are summed left to right, as np.linalg.norm sums
-    up to 7 components, and sqrt is monotone and correctly rounded: the
-    sqrt of a largest square is exactly the largest norm.
+    np.maximum.  sqrt is monotone and correctly rounded, so the sqrt of a
+    largest square (see _squares) is exactly the largest norm.
     """
-    def squares(x, x0=None):
-        total = 0.0
-        for a in range(x.shape[-1]):
-            xa = x[..., a] if x0 is None else x[..., a] - x0[..., a]
-            total = total + xa * xa
-        return total
-
-    variation = squares(b)
+    variation = _squares(b)
     slack = np.sqrt(variation[0]) - c * phi
     return np.column_stack([
-        squares(q, q[:1]).max(axis=(0, 1)), variation.max(axis=(0, 1)),
-        squares(b, b[:1]).max(axis=(0, 1)), -slack.min(axis=0),
+        _squares(q, q[:1]).max(axis=(0, 1)), variation.max(axis=(0, 1)),
+        _squares(b, b[:1]).max(axis=(0, 1)), -slack.min(axis=0),
         -q.min(axis=(0, 1)), q.max(axis=(0, 1))])
 
 
@@ -184,22 +181,56 @@ def _streamed_extremes(frame: SRFrame, u: ControlSignal,
     return extremes, y[..., :n].swapaxes(0, 1)
 
 
-def bound_slacks(hom: Homotopy, u: ControlSignal, constants: FrameConstants,
-                 c: float, horizon: float
-                 ) -> tuple[dict[str, tuple[float, float]], float]:
-    """The growth bounds of one homotopy of u, evaluated at `horizon`.
+@dataclass(frozen=True, eq=False)
+class FamilyExtremes:
+    """What the growth bounds and srx homotopy's report need of one stored
+    homotopy of u, so that the family itself can be freed.
+
+    extremes is the family's _extremes row with its b_0 entry taken at
+    c = 0; b0 and phi are member 0's |b_0(t)| and |integral_0^t phi| at the
+    N_t + 1 nodes, from which bound_slacks takes the b_0 slack for any c.
+    du2 is |du|^2; the family has k controls and n states.  in_domain and
+    separation are the homotopy's.
+    """
+
+    extremes: np.ndarray
+    b0: np.ndarray
+    phi: np.ndarray
+    du2: float
+    k: int
+    n: int
+    in_domain: bool
+    separation: float
+
+
+def family_extremes(hom: Homotopy, u: ControlSignal) -> FamilyExtremes:
+    """Reduce a stored homotopy of u to its FamilyExtremes, folding _extremes
+    over blocks of NODE_BLOCK nodes as verification folds cells, so the
+    temporaries do not grow with N_t."""
+    phi = np.abs(control_inner(u, hom.delta_u))
+    q, b = hom.trajectories[:, :, None], hom.variations[:, :, None]
+    extremes = functools.reduce(np.maximum, (
+        _extremes(q[:, lo:lo + NODE_BLOCK], b[:, lo:lo + NODE_BLOCK],
+                  phi[lo:lo + NODE_BLOCK, None], 0.0)[0]
+        for lo in range(0, phi.shape[0], NODE_BLOCK)))
+    du = hom.delta_u
+    return FamilyExtremes(extremes, np.sqrt(_squares(hom.variations[0])), phi,
+                          du.l2_norm_sq(), du.k, hom.trajectories.shape[2],
+                          hom.in_domain, hom.separation)
+
+
+def bound_slacks(family: FamilyExtremes, constants: FrameConstants, c: float,
+                 horizon: float) -> tuple[dict[str, tuple[float, float]], float]:
+    """The growth bounds of one homotopy, evaluated at `horizon`.
 
     Returns the spread, variation and drift bounds as name -> (largest value
     over the (s, t) grid, limit), with limits sqrt(T) zeta |du|,
     sqrt(T) psi |du| and T xi |du|^2, and the smallest slack of the angle
-    lower bound |b_0(t)| >= c |integral_0^t phi|.
+    lower bound |b_0(t)| >= c |integral_0^t phi|, in _extremes' arithmetic.
     """
-    phi = np.abs(control_inner(u, hom.delta_u))
-    extremes = _extremes(hom.trajectories[:, :, None], hom.variations[:, :, None],
-                         phi[:, None], c)
-    du = hom.delta_u
-    return _bounds(extremes[0], du.l2_norm_sq(), du.k, hom.trajectories.shape[2],
-                   constants, horizon)
+    extremes = family.extremes.copy()
+    extremes[3] = -(family.b0 - c * family.phi).min()
+    return _bounds(extremes, family.du2, family.k, family.n, constants, horizon)
 
 
 def compute_eta(traj: Trajectory, domain: Domain,

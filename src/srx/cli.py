@@ -4,6 +4,9 @@ Exit codes: 0 ok, 2 bad input (including a control that is not unit speed
 or a rank-1 frame, where the NSRE test needs a unit-speed control and an
 orthogonal part), 3 failed check (including domain exit and not-certifiable
 runs), 4 inconclusive, 5 numerical failure.
+
+srx.homotopy and srx.certify are imported by the two commands that use
+them, so integrate and nsre-check load neither.
 """
 from __future__ import annotations
 
@@ -13,15 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import (SLACK_TOL, NotCertifiableError, bound_slacks,
-                      build_certificate, estimate_constants, verify_certificate)
-from .core import ControlSignal, SRXError, Trajectory
+from .core import ControlSignal, NotCertifiableError, SRXError, Trajectory
 from .extremals import (_CONSERVATION_TOL, DegenerateSpanError,
                         NotNormalizedError, hamiltonian_extremal, nsre_check)
 from .flows import (DomainExitError, IntegrationError, integrate_trajectory,
                     tangent_flow, write_tangent_flow_rows, write_trajectory_rows)
-from .homotopy import (energy_comparison_check, natural_homotopy,
-                       write_homotopy_rows)
 from .io import write_csv, write_json
 from .scenario import Scenario, ScenarioError, load_scenario
 
@@ -88,21 +87,36 @@ def cmd_nsre_check(scenario: Scenario, out: Path) -> int:
     return EXIT_OK
 
 
+def _write_family(scenario: Scenario, u: ControlSignal, out: Path):
+    """Integrate the scenario's homotopy, write homotopy.csv and endpoints.csv,
+    and return the family's certify.FamilyExtremes.
+
+    The family itself dies with this call, so the NSRE test and the
+    constants that follow allocate beside the reduction only.
+    """
+    from .certify import family_extremes
+    from .homotopy import natural_homotopy, write_homotopy_rows
+    hom = natural_homotopy(scenario.frame, u, scenario.delta_u, scenario.q0,
+                           scenario.homotopy_n_s, scenario.domain,
+                           scenario.substeps)
+    header, rows = write_homotopy_rows(hom)
+    write_csv(out / "homotopy.csv", header, rows, scenario.sha256,
+              scenario.name)
+    write_csv(out / "endpoints.csv", ["s"] + header[2:2 + scenario.frame.n],
+              [[s, *e] for s, e in zip(hom.s_grid.tolist(), hom.endpoints.tolist())],
+              scenario.sha256, scenario.name)
+    return family_extremes(hom, u)
+
+
 def cmd_homotopy(scenario: Scenario, out: Path) -> int:
+    from .certify import SLACK_TOL, bound_slacks, estimate_constants
+    from .homotopy import energy_comparison_check
     if scenario.delta_u is None:
         raise ScenarioError("homotopy command needs homotopy.delta_u")
     u, traj, _ = _resolve_run(scenario)
     frame, domain = scenario.frame, scenario.domain
     du = scenario.delta_u
-    hom = natural_homotopy(frame, u, du, scenario.q0, scenario.homotopy_n_s,
-                           domain, scenario.substeps)
-
-    header, rows = write_homotopy_rows(hom)
-    write_csv(out / "homotopy.csv", header, map(np.ndarray.tolist, rows),
-              scenario.sha256, scenario.name)
-    write_csv(out / "endpoints.csv", ["s"] + header[2:2 + frame.n],
-              [[s, *e] for s, e in zip(hom.s_grid.tolist(), hom.endpoints.tolist())],
-              scenario.sha256, scenario.name)
+    family = _write_family(scenario, u, out)
 
     comparison = energy_comparison_check(u, du)
     c, nsre_status = 0.0, "not_normalized"
@@ -117,8 +131,8 @@ def cmd_homotopy(scenario: Scenario, out: Path) -> int:
     constants = estimate_constants(frame, domain,
                                    scenario.certify["grid_resolution"],
                                    float(scenario.certify["margin"]))
-    slacks, b0_slack = bound_slacks(hom, u, constants, c, u.horizon)
-    in_domain = hom.in_domain
+    slacks, b0_slack = bound_slacks(family, constants, c, u.horizon)
+    in_domain = family.in_domain
     applicable = {"spread": in_domain,
                   "variation": in_domain and comparison.applicable,
                   "drift": in_domain and comparison.applicable}
@@ -128,7 +142,7 @@ def cmd_homotopy(scenario: Scenario, out: Path) -> int:
     bounds["b0_lower"] = {"min_slack": b0_slack, "c": c,
                           "applicable": nsre_status == "certified"}
     payload = {
-        "separation": hom.separation,
+        "separation": family.separation,
         "in_domain": in_domain,
         "nsre_status": nsre_status,
         "energy_comparison": {key: getattr(comparison, key) for key in (
@@ -160,6 +174,7 @@ def _not_certifiable(scenario: Scenario, out: Path, err: NotCertifiableError,
 
 
 def cmd_certify(scenario: Scenario, out: Path) -> int:
+    from .certify import build_certificate, verify_certificate
     u, traj, extra = _resolve_run(scenario)
     if traj.left_domain:
         err = NotCertifiableError("trajectory leaves the domain at "

@@ -27,6 +27,20 @@ class FrameRankError(SRXError):
     """Frame fields are numerically linearly dependent somewhere in the domain."""
 
 
+class NotCertifiableError(SRXError):
+    """No positive optimality radius can be certified for this run.
+
+    report is the extremals.NSREReport of the NSRE test when that test
+    refused the run, else None.  Defined here, and re-exported by certify,
+    so that the command line maps it to its exit code without importing
+    certify.
+    """
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report
+
+
 ExponentTable = dict[tuple[int, ...], float]
 
 FRAME_CHECK_CHUNK = 4096    # grid points per batch of the frame-independence check

@@ -20,6 +20,7 @@ from .extremals import span_profile
 from .flows import TangentFlow, _checked_start, _variational_flow
 
 COMPARISON_TOL = 1e-12      # slack allowed in the energy-comparison checks
+ROW_BLOCK = 64              # nodes laid out at a time by write_homotopy_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +111,10 @@ def natural_homotopy(frame: SRFrame, u: ControlSignal, du: ControlSignal, q0,
     for j, y in enumerate(cells):
         ys[:, j] = y[:, 0]
     states, variations = ys[..., :frame.n], ys[..., frame.n:]
-    in_domain = domain is None or bool((domain.boundary_distances(states)
-                                        > 0.0).all())
+    # every state is inside the open box iff q's per-axis range is: for
+    # finite states, exactly boundary_distances > 0 at every node
+    in_domain = domain is None or (domain.contains(states.min(axis=(0, 1)))
+                                   and domain.contains(states.max(axis=(0, 1))))
     return Homotopy(s_grid, u.grid, states, variations, du, in_domain)
 
 
@@ -162,16 +165,31 @@ def variation_integral(frame: SRFrame, u: ControlSignal, du: ControlSignal,
     return VariationField(0.0, traj0.grid, vectors)
 
 
-def write_homotopy_rows(homotopy: Homotopy) -> tuple[list[str], np.ndarray]:
-    """Header and row data for the homotopy CSV layout s,t,q1..qn,b1..bn."""
+def write_homotopy_rows(homotopy: Homotopy) -> tuple[list[str], Iterator[list]]:
+    """Header and rows of the homotopy CSV layout s,t,q1..qn,b1..bn.
+
+    Rows come member by member, s-major, as lists of Python floats; each
+    block of ROW_BLOCK nodes is laid out when it is reached, so no copy of
+    the family is made, and each row is converted when it is taken, so its
+    floats are freed before the next row's are made.
+    """
     members, nodes, n = homotopy.trajectories.shape
     header = ["s", "t"] + [f"q{a + 1}" for a in range(n)] + \
              [f"b{a + 1}" for a in range(n)]
-    s = np.broadcast_to(homotopy.s_grid[:, None, None], (members, nodes, 1))
-    t = np.broadcast_to(homotopy.grid[None, :, None], (members, nodes, 1))
-    data = np.concatenate([s, t, homotopy.trajectories, homotopy.variations],
-                          axis=2)
-    return header, data.reshape(members * nodes, 2 + 2 * n)
+
+    def rows():
+        block = np.empty((min(ROW_BLOCK, nodes), 2 + 2 * n))
+        for i in range(members):
+            for lo in range(0, nodes, ROW_BLOCK):
+                hi = min(lo + ROW_BLOCK, nodes)
+                out = block[:hi - lo]
+                out[:, 0] = homotopy.s_grid[i]
+                out[:, 1] = homotopy.grid[lo:hi]
+                out[:, 2:2 + n] = homotopy.trajectories[i, lo:hi]
+                out[:, 2 + n:] = homotopy.variations[i, lo:hi]
+                yield from map(np.ndarray.tolist, out)
+
+    return header, rows()
 
 
 def node_velocity(frame: SRFrame, u: ControlSignal, traj: Trajectory,

@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 
 from srx import (Domain, Homotopy, NotCertifiableError, PolyVectorField,
-                 SRFrame, SRXError, Trajectory, build_certificate,
+                 SRFrame, SRXError, Trajectory, build_certificate, control_inner,
                  compute_epsilon, compute_eta, estimate_constants,
                  hamiltonian_extremal, integrate_trajectory, natural_homotopy, psi,
                  sample_admissible_perturbation, verify_certificate, xi, zeta)
 from srx import certify, extremals
-from srx.certify import FrameConstants, TrialDraws, bound_slacks
+from srx.certify import (FrameConstants, TrialDraws, bound_slacks,
+                          family_extremes)
 from srx.scenario import BUNDLED, load_scenario
 
 from conftest import (constant_control, make_random_poly_frame,
-                      make_rank_one_frame)
+                      make_rank_one_frame, sampled_control)
 
 
 # -- constants ------------------------------------------------------------------
@@ -419,7 +420,7 @@ def _stream_case(case, heisenberg):
 def test_streamed_reductions_equal_the_stored_homotopy(heisenberg, case):
     # verification keeps no member history: the cell-by-cell fold of a batch
     # must give exactly what bound_slacks, in_domain and separation give on
-    # the stored homotopy of each of its draws
+    # the stored homotopy of each of its draws, reduced by node blocks
     frame, domain, u_r, q0, substeps = _stream_case(case, heisenberg)
     draws = [sample_admissible_perturbation(np.random.default_rng(seed), u_r)[0]
              for seed in range(6)]
@@ -432,7 +433,7 @@ def test_streamed_reductions_equal_the_stored_homotopy(heisenberg, case):
         hom = natural_homotopy(frame, u_r, du, q0, 8, domain, substeps)
         assert certify._bounds(row, du.l2_norm_sq(), du.k, frame.n, constants,
                                u_r.horizon) == \
-            bound_slacks(hom, u_r, constants, c, u_r.horizon)
+            bound_slacks(family_extremes(hom, u_r), constants, c, u_r.horizon)
         assert certify._inside(row, domain) == hom.in_domain
         assert Homotopy.endpoint_gap(end) == hom.separation
         inside.append(hom.in_domain)
@@ -440,6 +441,35 @@ def test_streamed_reductions_equal_the_stored_homotopy(heisenberg, case):
         assert True in inside and False in inside
     else:
         assert all(inside)
+
+
+@pytest.mark.parametrize("node_block", [7, certify.NODE_BLOCK])
+def test_family_extremes_fold_node_blocks_exactly(heisenberg, monkeypatch,
+                                                  node_block):
+    # the stored family is reduced block by block of nodes; the fold must
+    # give exactly _extremes over the whole family, and the b_0 slack from
+    # member 0's profiles exactly its slack at any c.  This du puts the
+    # largest spread, variation and drift at the last node, in the last
+    # block, and gives every member its own |b_s(t)|.
+    monkeypatch.setattr(certify, "NODE_BLOCK", node_block)
+    u = constant_control([1.0, 0.0], n_cells=300)
+    du = sampled_control(lambda t: [-0.3, 0.9 * t], n_cells=300)
+    hom = natural_homotopy(heisenberg, u, du, np.zeros(3), 8)
+    family = family_extremes(hom, u)
+    phi = np.abs(control_inner(u, du))
+    q, b = hom.trajectories[:, :, None], hom.variations[:, :, None]
+    whole = certify._extremes(q, b, phi[:, None], 0.0)[0]
+    assert np.array_equal(family.extremes, whole)
+    spread = np.linalg.norm(hom.trajectories - hom.trajectories[0], axis=-1)
+    assert spread.argmax() % spread.shape[1] == 300
+    constants = estimate_constants(heisenberg, Domain([-2.0] * 3, [2.0] * 3), 5)
+    for c in (0.0, 0.3, 5.0):
+        _, b0_slack = bound_slacks(family, constants, c, u.horizon)
+        assert b0_slack == -certify._extremes(q, b, phi[:, None], c)[0, 3]
+    # at c = 5 the slack is negative, so it is not the 0 of t = 0
+    assert b0_slack < 0.0
+    assert (family.in_domain, family.separation) == (hom.in_domain,
+                                                      hom.separation)
 
 
 def test_verification_memory_does_not_grow_with_the_horizon(heisenberg,

@@ -8,12 +8,13 @@ from srx import (ControlSignal, Domain, GridMismatchError, SRFrame,
                  hamiltonian_extremal, integrate_trajectory, natural_homotopy,
                  span_profile, tangent_flow, variation_direct,
                  variation_integral)
-from srx.certify import bound_slacks
+from srx import homotopy
+from srx.certify import bound_slacks, family_extremes
 from srx.core import _StackedPolys
 from srx.extremals import ACB_BOUND, max_velocity_derivative
 from srx.flows import _variational_flow
 from srx.homotopy import (_homotopy_cells, decomposition_residual_profile,
-                          node_velocity)
+                          node_velocity, write_homotopy_rows)
 from srx.scenario import load_scenario
 
 from conftest import (constant_control, jet_variation_rhs, make_quartic_frame,
@@ -362,7 +363,8 @@ def test_spread_and_drift_matrices(heisenberg, box3):
     assert np.all(spread[:, 0] == 0.0) and np.all(drift[:, 0] == 0.0)
     # bound_slacks reports the maxima of these arrays
     constants = estimate_constants(heisenberg, box3, 5)
-    bounds, _ = bound_slacks(hom, u, constants, 1.0, u.horizon)
+    bounds, _ = bound_slacks(family_extremes(hom, u), constants, 1.0,
+                             u.horizon)
     assert bounds["spread"][0] == spread.max()
     assert bounds["drift"][0] == drift.max()
     assert bounds["variation"][0] == np.linalg.norm(hom.variations, axis=-1).max()
@@ -392,3 +394,66 @@ def test_homotopies_mark_domain_exit_per_family(heisenberg):
     # without a domain every family counts as inside
     assert all(natural_homotopy(heisenberg, u, du, [0.0, 0.0, 0.0],
                                 n_s=4).in_domain for du in (inside, leaving))
+
+
+def test_in_domain_equals_boundary_distances_at_every_node(heisenberg):
+    # in_domain tests the members' per-axis range against the box, which for
+    # finite states is exactly boundary_distances > 0 at every node.  The
+    # boxes are set from the computed states, so some put a member's
+    # maximum or minimum exactly on a face.
+    u = constant_control([1.0, 0.0], n_cells=80)
+    du = smooth_perturbation(np.random.default_rng(0), n_cells=80, amplitude=0.3)
+    q0 = [0.0, 0.0, 0.0]
+    states = natural_homotopy(heisenberg, u, du, q0, n_s=4).trajectories
+    low, high = states.min(axis=(0, 1)), states.max(axis=(0, 1))
+    assert low[2] < 0.0 < high[1]   # q0 stays interior to every box below
+    padded = (low - 1.0, high + 1.0)
+
+    def face(bounds, side, axis, value):
+        out = [bounds[0].copy(), bounds[1].copy()]
+        out[side][axis] = value
+        return Domain(*out)
+
+    boxes = [Domain(*padded),
+             face(padded, 1, 1, high[1]),
+             face(padded, 1, 1, np.nextafter(high[1], np.inf)),
+             face(padded, 0, 2, low[2]),
+             face(padded, 0, 2, np.nextafter(low[2], -np.inf))]
+    expected = [bool((box.boundary_distances(states) > 0.0).all())
+                for box in boxes]
+    assert expected == [True, False, True, False, True]
+    assert [natural_homotopy(heisenberg, u, du, q0, n_s=4, domain=box).in_domain
+            for box in boxes] == expected
+
+
+# -- homotopy CSV rows ---------------------------------------------------------------
+
+def _concatenated_rows(hom):
+    """The homotopy CSV rows laid out as one (members * nodes, 2 + 2n) array
+    that concatenates s, t, the states and the variations of every member."""
+    members, nodes, n = hom.trajectories.shape
+    s = np.broadcast_to(hom.s_grid[:, None, None], (members, nodes, 1))
+    t = np.broadcast_to(hom.grid[None, :, None], (members, nodes, 1))
+    data = np.concatenate([s, t, hom.trajectories, hom.variations], axis=2)
+    return data.reshape(members * nodes, 2 + 2 * n)
+
+
+@pytest.mark.parametrize("row_block", [8, homotopy.ROW_BLOCK])
+def test_homotopy_rows_equal_the_concatenated_layout(heisenberg, monkeypatch,
+                                                      row_block):
+    # 301 nodes end on a short block for either block size
+    monkeypatch.setattr(homotopy, "ROW_BLOCK", row_block)
+    u = constant_control([1.0, 0.0], n_cells=300)
+    du = smooth_perturbation(np.random.default_rng(9), n_cells=300, amplitude=0.2)
+    hom = natural_homotopy(heisenberg, u, du, [0.0, 0.0, 0.0], n_s=3)
+    header, rows = write_homotopy_rows(hom)
+    assert header == ["s", "t", "q1", "q2", "q3", "b1", "b2", "b3"]
+    rows = list(rows)
+    assert all(type(value) is float for row in rows for value in row)
+
+    def lines(values):
+        # the CSV writer prints each value's repr, so equal lines mean
+        # equal files
+        return [",".join(map(repr, row)) for row in values]
+
+    assert lines(rows) == lines(_concatenated_rows(hom).tolist())

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +308,40 @@ def test_commands_load_neither_openssl_nor_numpy_random(tmp_path, command,
     assert loaded.split() == ["0", "False", "False"]
 
 
+@pytest.mark.parametrize("command", ["integrate", "nsre-check"])
+def test_commands_load_only_the_modules_they_use(tmp_path, command):
+    # integrate and nsre-check build no homotopy and no certificate, so they
+    # import neither module; certify's NotCertifiableError lives in core
+    loaded = _run_python(
+        f"import sys; from srx.cli import main; code = main([{command!r}, "
+        f"'--config', 'heisenberg_arc', '--out', {str(tmp_path)!r}]); "
+        "print(code, 'srx.homotopy' in sys.modules, 'srx.certify' in sys.modules)")
+    assert loaded.split() == ["0", "False", "False"]
+
+
+def test_homotopy_memory_is_one_family(tmp_path):
+    # the command holds one stored family plus bounded blocks: homotopy.csv
+    # is written member by member, and the family is reduced to its maxima
+    # and member 0's profiles, and freed, before the NSRE test and the
+    # constants allocate.  Concatenating the rows copied the family, and the
+    # family outlived the NSRE test (3.1x the family's bytes).
+    data = _load_bundled_dict("heisenberg_line")
+    data["control"]["N_t"] = nodes = 5000
+    path = _write_scenario(tmp_path, data)
+    main(["homotopy", "--config", "heisenberg_line", "--out",
+          str(tmp_path / "warm")])
+    tracemalloc.start()
+    try:
+        code = main(["homotopy", "--config", path, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    members, n = data["homotopy"]["N_s"] + 1, data["frame"]["n"]
+    family = members * (nodes + 1) * 2 * n * 8
+    assert peak <= 1.5 * family
+
+
 def test_scenario_import_loads_only_core():
     loaded = _run_python(
         "import sys; import srx.scenario; "
@@ -516,16 +551,17 @@ def test_cli_certified_certificate_carries_the_nsre_summary(tmp_path):
 def test_cli_certified_requires_conditions(tmp_path, monkeypatch):
     # a radius that breaks the angle condition used to be certified as long
     # as every verification trial passed
-    import srx.cli
+    # certify is imported by the command that uses it, so patch it there
+    import srx.certify
     from dataclasses import replace
-    build = srx.cli.build_certificate
+    build = srx.certify.build_certificate
 
     def broken_angle(*args, **kwargs):
         cert, report = build(*args, **kwargs)
         cond = replace(cert.conditions, angle_lhs=2.0 * cert.conditions.angle_limit)
         return replace(cert, conditions=cond), report
 
-    monkeypatch.setattr(srx.cli, "build_certificate", broken_angle)
+    monkeypatch.setattr(srx.certify, "build_certificate", broken_angle)
     cfg = _quick_certify_scenario(tmp_path, n_trials=2, n_cells=200)
     assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 3
     cert = json.loads((tmp_path / "certificate.json").read_text())

@@ -12,7 +12,6 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -428,15 +427,6 @@ def build_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
     return Certificate(constants, result, seed, frame.k, frame.n), report
 
 
-class DrawSource(Protocol):
-    """The two draws the perturbation sampler takes: TrialDraws, or a numpy
-    Generator."""
-
-    def uniform(self, low: float, high: float) -> float: ...
-
-    def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray: ...
-
-
 class TrialDraws:
     """Seeded draws of one verification trial from CPython's Mersenne Twister
     (random.Random; Matsumoto & Nishimura, ACM TOMACS 1998), so verification
@@ -457,7 +447,7 @@ class TrialDraws:
                         ).reshape(shape)
 
 
-def sample_admissible_perturbation(rng: DrawSource, u: ControlSignal
+def sample_admissible_perturbation(rng, u: ControlSignal
                                    ) -> tuple[ControlSignal, int]:
     """Draw a random energy-nonincreasing perturbation of u.
 
@@ -467,8 +457,9 @@ def sample_admissible_perturbation(rng: DrawSource, u: ControlSignal
     the original.  Draws whose orthogonal part is too large for any feasible
     parallel coefficient are rejected and counted.
 
-    rng is any DrawSource: uniform(low, high) returns one float and
-    standard_normal(shape) an array of independent N(0, 1) draws.
+    rng has the two methods the sampler calls: uniform(low, high) returns
+    one float and standard_normal(shape) an array of independent N(0, 1)
+    draws.
     Verification passes TrialDraws; a numpy Generator works as well.
     """
     u2 = u.l2_norm_sq()

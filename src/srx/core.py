@@ -264,10 +264,6 @@ class SRFrame:
         """(..., n) points -> (..., n, k) field matrices, columns X_1..X_k."""
         return np.swapaxes(self.derivatives(0, points), -1, -2)
 
-    def field_matrix(self, q) -> np.ndarray:
-        """n x k matrix whose columns are X_1(q), ..., X_k(q)."""
-        return self.field_matrix_many(self._point(q))
-
     def check_independence(self, domain: "Domain", resolution: int) -> float:
         """Smallest singular value of the field matrix over a sampled grid.
 
@@ -289,14 +285,6 @@ class SRFrame:
         return smin
 
     # -- plumbing ---------------------------------------------------------
-
-    def _point(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if q.shape != (self.n,):
-            raise ValueError(f"point must have shape ({self.n},)")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("non-finite evaluation point")
-        return q
 
     def _tables(self, order: int) -> list[ExponentTable]:
         """Every derivative table of the given order.
@@ -405,11 +393,8 @@ class Domain:
         pts = np.asarray(points, dtype=float)
         return np.minimum(pts - self.lower, self.upper - pts).min(axis=-1)
 
-    def boundary_distance(self, q) -> float:
-        return float(self.boundary_distances(q))
-
     def contains(self, q) -> bool:
-        return self.boundary_distance(q) > 0.0
+        return float(self.boundary_distances(q)) > 0.0
 
     def grid_chunks(self, resolution: int, chunk: int) -> Iterator[np.ndarray]:
         """The inclusive grid, `resolution` points per axis, `chunk` at a time.

@@ -235,14 +235,13 @@ def span_profile(frame: SRFrame, traj: Trajectory, tf: TangentFlow,
                              ranks.reshape(nodes.shape))
 
 
-def max_velocity_derivative(frame: SRFrame, u: ControlSignal,
-                            traj: Trajectory) -> float:
-    """Largest difference quotient of cellwise velocities (ACB proxy)."""
-    if u.n_cells < 2:
+def max_velocity_derivative(node_velocities: np.ndarray, dt: float) -> float:
+    """Largest difference quotient of cellwise velocities (ACB proxy): all
+    but the last of nsre_check's node velocities, one per cell."""
+    if node_velocities.shape[0] < 3:
         return 0.0
-    mats = frame.field_matrix_many(traj.states[:-1])
-    vel = np.einsum("jnk,jk->jn", mats, u.samples)
-    return float(np.linalg.norm(np.diff(vel, axis=0) / u.dt, axis=1).max())
+    return float(np.linalg.norm(np.diff(node_velocities[:-1], axis=0) / dt,
+                                axis=1).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,7 +351,7 @@ def nsre_check(frame: SRFrame, u: ControlSignal, traj: Trajectory,
                          sample_stride=sample_stride, sigma_tol=sigma_tol)
     kept, dropped = spans.cut_ratios
     return NSREReport(angle_to_subspace(node_velocities, spans), min_speed,
-                      max_velocity_derivative(frame, u, traj), acb_bound,
+                      max_velocity_derivative(node_velocities, u.dt), acb_bound,
                       theta_min, tau_range, spans.rank, sigma_tol,
                       float(kept.min()), float(dropped.max()), tf.max_condition)
 
@@ -398,14 +397,16 @@ def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
     p0 = np.asarray(p0, dtype=float)
     if q0.shape != (frame.n,) or p0.shape != (frame.n,):
         raise ValueError(f"q0 and p0 must have shape ({frame.n},)")
+    if not (np.all(np.isfinite(q0)) and np.all(np.isfinite(p0))):
+        raise ValueError("q0 and p0 must be finite")
     if n_cells < 1:
         raise ValueError("n_cells must be >= 1")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
 
-    u0 = frame.field_matrix(q0).T @ p0
+    u0 = frame.field_matrix_many(q0).T @ p0
     level = float(np.dot(u0, u0))
-    if abs(level - 1.0) > _LEVEL_TOL:
+    if not abs(level - 1.0) <= _LEVEL_TOL:
         raise ValueError(f"initial covector is off the unit level: 2H = {level!r}")
 
     n = frame.n
@@ -422,7 +423,7 @@ def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
 
     norms = np.linalg.norm(raw, axis=1)
     drift = float(np.abs(norms - 1.0).max())
-    if drift > _CONSERVATION_TOL:
+    if not drift <= _CONSERVATION_TOL:
         raise IntegrationError(
             f"Hamiltonian level drifted by {drift:.3e} (> {_CONSERVATION_TOL:.1e}); "
             "refine the grid or substeps")

@@ -190,10 +190,6 @@ class TangentFlow:
     matrices: np.ndarray      # (N_t + 1, n, n)
     max_condition: float
 
-    @property
-    def ill_conditioned(self) -> bool:
-        return self.max_condition > COND_LIMIT
-
 
 def tangent_flow(frame: SRFrame, u: ControlSignal, base: Trajectory,
                  substeps: int = 1) -> TangentFlow:
@@ -214,8 +210,8 @@ def tangent_flow(frame: SRFrame, u: ControlSignal, base: Trajectory,
     time, column by column: column c of P_j is the variation of
     _variational_flow started from (q_j, e_c) with du = 0.  Then
     M_{j+1} = P_j M_j, anchored at t = 0.
-    Condition numbers above COND_LIMIT only set `ill_conditioned`; they do
-    not abort, since the flag is advisory for downstream rank decisions.
+    Condition numbers above COND_LIMIT do not abort: the NSRE report flags
+    them as `ill_conditioned`, advisory for downstream rank decisions.
     """
     require_same_grid(u, base.control)
     if substeps < 1:

@@ -28,8 +28,9 @@ class Homotopy:
     """Family of trajectories gamma_s driven by u + s*du, s on a uniform grid.
 
     trajectories[i] holds the states of member i and variations[i] its
-    variation field b_s, integrated together with it (see variation_direct
-    for the ODE).  in_domain is False if any member state leaves the domain.
+    variation field b_s, the solution of db/dt = f_du(gamma_s) +
+    Df_{u+s du}(gamma_s) b with b(0) = 0, integrated together with it.
+    in_domain is False if any member state leaves the domain.
     """
 
     s_grid: np.ndarray        # (n_s + 1,)
@@ -53,12 +54,6 @@ class Homotopy:
     def endpoint_gap(endpoints: np.ndarray) -> float:
         """|last - first| of the (n_s + 1, n) member endpoints."""
         return float(np.linalg.norm(endpoints[-1] - endpoints[0]))
-
-    def s_index(self, s: float) -> int:
-        idx = int(np.argmin(np.abs(self.s_grid - s)))
-        if abs(self.s_grid[idx] - s) > 1e-12:
-            raise ValueError(f"s={s} is not on the homotopy grid")
-        return idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,24 +114,22 @@ def natural_homotopy(frame: SRFrame, u: ControlSignal, du: ControlSignal, q0,
 
 
 def variation_direct(frame: SRFrame, u: ControlSignal, du: ControlSignal,
-                     homotopy: Homotopy, s: float,
-                     substeps: int = 1) -> VariationField:
+                     homotopy: Homotopy, s: float) -> VariationField:
     """Variation field at parameter s from its inhomogeneous linear ODE.
 
-    Integrates db/dt = f_du(gamma_s) + Df_{u+s du}(gamma_s) b with b(0) = 0,
-    re-running the member state alongside so the RK4 stages match the member
-    integration exactly.
+    This is the homotopy.variations row of member s, which natural_homotopy
+    integrated jointly with the member (see Homotopy for the ODE).  du must
+    be the family's increment and s a point of its s grid; otherwise
+    ValueError.
     """
     require_same_grid(u, du)
-    idx = homotopy.s_index(s)
-    s_val = float(homotopy.s_grid[idx])
-    cells = np.concatenate([u.perturbed(du, s_val).samples, du.samples],
-                           axis=1)
-    y0 = np.concatenate([homotopy.trajectories[0, 0], np.zeros(frame.n)])
-    ys = np.stack(tuple(_variational_flow(
-        frame, y0[None], lambda j: cells[None, j], u.dt / substeps, substeps,
-        u.n_cells)))
-    return VariationField(s_val, homotopy.grid, ys[:, 0, frame.n:])
+    if not np.array_equal(du.samples, homotopy.delta_u.samples):
+        raise ValueError("du is not the increment of this homotopy")
+    idx = int(np.argmin(np.abs(homotopy.s_grid - s)))
+    if not abs(homotopy.s_grid[idx] - s) <= 1e-12:
+        raise ValueError(f"s={s} is not on the homotopy grid")
+    return VariationField(float(homotopy.s_grid[idx]), homotopy.grid,
+                          homotopy.variations[idx])
 
 
 def variation_integral(frame: SRFrame, u: ControlSignal, du: ControlSignal,

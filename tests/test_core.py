@@ -46,11 +46,6 @@ def test_heisenberg_jacobians(heisenberg):
     assert np.array_equal(j2, expected)
 
 
-def test_nonfinite_point_rejected(heisenberg):
-    with pytest.raises(ValueError):
-        heisenberg.field_matrix([np.inf, 0.0, 0.0])
-
-
 def test_bad_exponent_tuple_rejected():
     with pytest.raises(ValueError):
         PolyVectorField(({(0, -1): 1.0}, {}), 2)
@@ -366,9 +361,9 @@ def test_derivative_bounds_match_the_pow_bounds(seed, n):
 
 def test_domain_distances():
     box = Domain([-1.0, -1.0], [1.0, 1.0])
-    assert box.boundary_distance([0.0, 0.0]) == 1.0
-    assert box.boundary_distance([0.5, 0.0]) == 0.5
-    assert box.boundary_distance([2.0, 0.0]) == -1.0
+    assert box.boundary_distances([0.0, 0.0]) == 1.0
+    assert box.boundary_distances([0.5, 0.0]) == 0.5
+    assert box.boundary_distances([2.0, 0.0]) == -1.0
     assert box.contains([0.9, -0.9])
     assert not box.contains([1.0, 0.0])
 

@@ -6,6 +6,7 @@ from srx import (angle_to_subspace, hamiltonian_extremal, integrate_trajectory,
                  tangent_flow)
 from srx import extremals
 from srx.extremals import DegenerateSpanError, NotNormalizedError, OrthoDistribution
+from srx.flows import COND_LIMIT
 from srx.scenario import load_scenario
 
 from conftest import (constant_control, make_euclidean_frame,
@@ -383,7 +384,8 @@ def test_nsre_report_span_diagnostics(heisenberg):
                                 "kept_ratio_min": report.kept_ratio_min,
                                 "dropped_ratio_max": report.dropped_ratio_max}
     assert data["tangent_flow"] == {"max_condition": tf.max_condition,
-                                    "ill_conditioned": tf.ill_conditioned}
+                                    "ill_conditioned":
+                                        tf.max_condition > COND_LIMIT}
 
 
 def test_node_velocity_conventions_on_jump_control():
@@ -585,7 +587,7 @@ def test_row_stepper_matches_the_batched_stepper(monkeypatch, name,
 
 def test_hamiltonian_level_conservation(heisenberg):
     def level(q, p):
-        f = heisenberg.field_matrix(q)
+        f = heisenberg.field_matrix_many(q)
         return float(np.sum((f.T @ p) ** 2))
 
     # covector solving F(q0)^T p0 = (0.8, 0.6): exactly on the unit level
@@ -600,6 +602,19 @@ def test_hamiltonian_level_conservation(heisenberg):
 def test_hamiltonian_rejects_off_level_start(heisenberg):
     with pytest.raises(ValueError):
         hamiltonian_extremal(heisenberg, [0.0, 0.0, 0.0], [2.0, 0.0, 0.0], 1.0, 10)
+
+
+@pytest.mark.parametrize("q0, p0", [
+    ([np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ([0.0, 0.0, np.inf], [1.0, 0.0, 0.0]),
+    ([0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]),
+    ([0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]),
+    ([0.0, 0.0, 0.0], [1.0, -np.inf, 0.0]),
+], ids=["nan-q0", "inf-q0", "nan-p0", "inf-p0", "neg-inf-p0"])
+def test_hamiltonian_rejects_nonfinite_start(heisenberg, q0, p0):
+    # a non-finite start must fail here, not inside the integration
+    with pytest.raises(ValueError, match="finite"):
+        hamiltonian_extremal(heisenberg, q0, p0, 1.0, 10)
 
 
 def test_hamiltonian_domain_exit_is_marked(heisenberg):

@@ -6,7 +6,7 @@ from srx import (ControlSignal, Domain, DomainExitError, GridMismatchError,
                  tangent_flow)
 from srx.cli import _resolve_run
 from srx.core import _StackedPolys
-from srx.flows import (FLOW_BATCH, _rk4, write_tangent_flow_rows,
+from srx.flows import (COND_LIMIT, FLOW_BATCH, _rk4, write_tangent_flow_rows,
                        write_trajectory_rows)
 from srx.scenario import BUNDLED, load_scenario
 
@@ -81,7 +81,7 @@ def _joint_tangent_flow(frame, u, q0, substeps):
     def rhs(j, y):
         q, m = y[:n], y[n:].reshape(n, n)
         a = np.einsum("i,iab->ab", u.samples[j], frame.derivatives(1, q))
-        return np.concatenate([frame.field_matrix(q) @ u.samples[j],
+        return np.concatenate([frame.field_matrix_many(q) @ u.samples[j],
                                (a @ m).ravel()])
 
     y = np.concatenate([q0, np.eye(n).ravel()])
@@ -284,14 +284,15 @@ def test_velocity_transport_identity(heisenberg):
             uc = 1.5 * u.samples[-1] - 0.5 * u.samples[-2]
         else:
             uc = 0.5 * (u.samples[m - 1] + u.samples[m])
-        return heisenberg.field_matrix(traj.states[m]) @ uc
+        return heisenberg.field_matrix_many(traj.states[m]) @ uc
 
     udot = np.diff(u.samples, axis=0) / dt          # value at interior nodes
     for j_tau, j_t, tol in ((0, 700, 5e-5), (100, 700, 1e-12), (250, 500, 1e-12)):
         pulled = np.empty((j_t - j_tau + 1, 3))
         for idx, m in enumerate(range(j_tau, j_t + 1)):
             du_node = udot[min(max(m - 1, 0), n_cells - 2)]
-            pulled[idx] = inv[m] @ (heisenberg.field_matrix(traj.states[m]) @ du_node)
+            pulled[idx] = inv[m] @ (
+                heisenberg.field_matrix_many(traj.states[m]) @ du_node)
         integral = mats[j_t] @ (np.trapezoid(pulled, dx=dt, axis=0))
         transported = mats[j_t] @ (inv[j_tau] @ velocity(j_tau))
         residual = velocity(j_t) - transported - integral
@@ -363,7 +364,7 @@ def test_tangent_flow_flags_ill_conditioning():
     u = constant_control([1.0], horizon=0.3, n_cells=30)
     traj = integrate_trajectory(frame, u, [0.5, 1e-8])
     tf = tangent_flow(frame, u, traj)
-    assert tf.ill_conditioned
+    assert tf.max_condition > COND_LIMIT
     assert tf.max_condition > 1e12
 
 

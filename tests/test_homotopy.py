@@ -11,7 +11,7 @@ from srx import (ControlSignal, Domain, GridMismatchError, SRFrame,
 from srx import homotopy
 from srx.certify import bound_slacks, family_extremes
 from srx.core import _StackedPolys
-from srx.extremals import ACB_BOUND, max_velocity_derivative
+from srx.extremals import ACB_BOUND, nsre_check
 from srx.flows import _variational_flow
 from srx.homotopy import (_homotopy_cells, decomposition_residual_profile,
                           node_velocity, write_homotopy_rows)
@@ -71,7 +71,7 @@ def test_homotopy_grid_mismatch(euclidean2):
 def _member_loop(frame, controls, increments, q0, dt, substeps):
     """Reference: one member and its variation by a plain per-point RK4 loop."""
     def rhs(q, b, u_cell, du_cell):
-        f = frame.field_matrix(q)
+        f = frame.field_matrix_many(q)
         a = np.einsum("i,iab->ab", u_cell, frame.derivatives(1, q))
         return np.concatenate([f @ u_cell, f @ du_cell + a @ b])
 
@@ -104,7 +104,7 @@ def test_batched_members_match_per_member_loop():
         states, variations = _member_loop(frame, us.samples, du.samples, q0,
                                           u.dt, 2)
         lone = integrate_trajectory(frame, us, q0, substeps=2)
-        direct = variation_direct(frame, u, du, hom, s, substeps=2)
+        direct = variation_direct(frame, u, du, hom, s)
         for got in (hom.trajectories[idx], lone.states):
             assert np.abs(got - states).max() <= 1e-13 * np.abs(states).max()
         for got in (hom.variations[idx], direct.vectors):
@@ -225,7 +225,7 @@ def test_decompose_parallel_perturbation(euclidean2):
         assert coefficient == pytest.approx(alpha * t, abs=1e-12)
         assert np.allclose(residual, 0.0, atol=1e-12)
         assert relative <= IN_SPAN_RTOL
-    assert max_velocity_derivative(euclidean2, u, traj) <= ACB_BOUND
+    assert nsre_check(euclidean2, u, traj).max_velocity_derivative <= ACB_BOUND
 
 
 def test_decompose_orthogonal_perturbation(heisenberg):
@@ -260,7 +260,8 @@ def test_decompose_flags_unverified_regularity(heisenberg):
     samples[n_cells // 2 :, 1] = 1.0
     u = ControlSignal(1.0, samples)
     traj = integrate_trajectory(heisenberg, u, [0.0, 0.0, 0.0])
-    assert not max_velocity_derivative(heisenberg, u, traj) <= ACB_BOUND
+    assert not nsre_check(heisenberg, u, traj).max_velocity_derivative <= \
+        ACB_BOUND
 
 
 def test_residual_profile_matches_the_per_node_split():
@@ -294,8 +295,22 @@ def test_variation_direct_rejects_off_grid_s(euclidean2):
     u = constant_control([1.0, 0.0], n_cells=20)
     du = constant_control([0.0, 1.0], n_cells=20)
     hom = natural_homotopy(euclidean2, u, du, [0.0, 0.0], n_s=4)
-    with pytest.raises(ValueError):
-        variation_direct(euclidean2, u, du, hom, 0.3)
+    for s in (0.3, float("nan")):
+        with pytest.raises(ValueError):
+            variation_direct(euclidean2, u, du, hom, s)
+
+
+def test_variation_direct_rejects_another_increment(euclidean2):
+    # the stored variations belong to the family's own du
+    u = constant_control([1.0, 0.0], n_cells=20)
+    du = constant_control([0.0, 1.0], n_cells=20)
+    hom = natural_homotopy(euclidean2, u, du, [0.0, 0.0], n_s=4)
+    other = constant_control([0.0, 0.5], n_cells=20)
+    with pytest.raises(ValueError, match="increment"):
+        variation_direct(euclidean2, u, other, hom, 0.5)
+    field = variation_direct(euclidean2, u, ControlSignal(
+        u.horizon, du.samples.copy()), hom, 0.5)
+    assert np.array_equal(field.vectors, hom.variations[2])
 
 
 # -- energy comparison ------------------------------------------------------------

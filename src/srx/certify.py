@@ -527,12 +527,6 @@ class VerificationReport:
     def worst_slack(self) -> float:
         return min(t.slack for t in self.trials)
 
-    def csv_rows(self) -> tuple[list[str], list[list]]:
-        header = ["trial", "norm_du", "separation", "bound", "slack"]
-        rows = [[t.trial, t.norm_du, t.separation, t.bound, t.slack]
-                for t in self.trials]
-        return header, rows
-
     def to_json_dict(self) -> dict:
         return {
             "t_prime": self.t_prime,

@@ -20,8 +20,8 @@ from .core import ControlSignal, NotCertifiableError, SRXError, Trajectory
 from .extremals import (_CONSERVATION_TOL, DegenerateSpanError,
                         NotNormalizedError, hamiltonian_extremal, nsre_check)
 from .flows import (DomainExitError, IntegrationError, integrate_trajectory,
-                    tangent_flow, write_tangent_flow_rows, write_trajectory_rows)
-from .io import write_csv, write_json
+                    tangent_flow)
+from .io import CSV_ROWS, write_csv, write_json
 from .scenario import Scenario, ScenarioError, load_scenario
 
 EXIT_OK = 0
@@ -61,15 +61,22 @@ def _left_domain(traj: Trajectory) -> bool:
     return traj.left_domain
 
 
+def _state_columns(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}{a + 1}" for a in range(n)]
+
+
 def cmd_integrate(scenario: Scenario, out: Path) -> int:
     u, traj, _ = _resolve_run(scenario)
-    header, rows = write_trajectory_rows(traj)
-    write_csv(out / "trajectory.csv", header, map(np.ndarray.tolist, rows),
+    n = scenario.frame.n
+    write_csv(out / "trajectory.csv", ["t"] + _state_columns("q", n),
+              [np.column_stack([traj.grid, traj.states])],
               scenario.sha256, scenario.name)
     if scenario.emit_tangent_flow:
         tf = tangent_flow(scenario.frame, u, traj, substeps=scenario.substeps)
-        header, rows = write_tangent_flow_rows(tf)
-        write_csv(out / "tangent_flow.csv", header, map(np.ndarray.tolist, rows),
+        # row-major m11, m12, ..., mnn
+        header = ["t"] + [f"m{a + 1}{b + 1}" for a in range(n) for b in range(n)]
+        write_csv(out / "tangent_flow.csv", header,
+                  [np.column_stack([tf.grid, tf.matrices.reshape(-1, n * n)])],
                   scenario.sha256, scenario.name)
     return EXIT_FAILED if _left_domain(traj) else EXIT_OK
 
@@ -87,6 +94,17 @@ def cmd_nsre_check(scenario: Scenario, out: Path) -> int:
     return EXIT_OK
 
 
+def _member_blocks(hom):
+    """homotopy.csv's s,t,q,b rows, member by member, in arrays of CSV_ROWS
+    nodes of one member, so no copy of the family is made."""
+    for i, s in enumerate(hom.s_grid):
+        for lo in range(0, hom.grid.size, CSV_ROWS):
+            t = hom.grid[lo:lo + CSV_ROWS]
+            yield np.column_stack([np.full(t.size, s), t,
+                                   hom.trajectories[i, lo:lo + CSV_ROWS],
+                                   hom.variations[i, lo:lo + CSV_ROWS]])
+
+
 def _write_family(scenario: Scenario, u: ControlSignal, out: Path):
     """Integrate the scenario's homotopy, write homotopy.csv and endpoints.csv,
     and return the family's certify.FamilyExtremes.
@@ -95,15 +113,16 @@ def _write_family(scenario: Scenario, u: ControlSignal, out: Path):
     constants that follow allocate beside the reduction only.
     """
     from .certify import family_extremes
-    from .homotopy import natural_homotopy, write_homotopy_rows
+    from .homotopy import natural_homotopy
     hom = natural_homotopy(scenario.frame, u, scenario.delta_u, scenario.q0,
                            scenario.homotopy_n_s, scenario.domain,
                            scenario.substeps)
-    header, rows = write_homotopy_rows(hom)
-    write_csv(out / "homotopy.csv", header, rows, scenario.sha256,
-              scenario.name)
-    write_csv(out / "endpoints.csv", ["s"] + header[2:2 + scenario.frame.n],
-              [[s, *e] for s, e in zip(hom.s_grid.tolist(), hom.endpoints.tolist())],
+    q = _state_columns("q", scenario.frame.n)
+    write_csv(out / "homotopy.csv",
+              ["s", "t"] + q + _state_columns("b", scenario.frame.n),
+              _member_blocks(hom), scenario.sha256, scenario.name)
+    write_csv(out / "endpoints.csv", ["s"] + q,
+              [np.column_stack([hom.s_grid, hom.endpoints])],
               scenario.sha256, scenario.name)
     return family_extremes(hom, u)
 
@@ -206,9 +225,12 @@ def cmd_certify(scenario: Scenario, out: Path) -> int:
     payload["nsre"] = report.to_json_dict(per_node=False)
     payload.update(extra)
     write_json(out / "certificate.json", payload, scenario.sha256, scenario.name)
-    header, rows = verification.csv_rows()
-    write_csv(out / "verification.csv", header, rows, scenario.sha256,
-              scenario.name)
+    # an object array, so trial stays an int
+    rows = np.array([[t.trial, t.norm_du, t.separation, t.bound, t.slack]
+                     for t in verification.trials], dtype=object)
+    write_csv(out / "verification.csv",
+              ["trial", "norm_du", "separation", "bound", "slack"], [rows],
+              scenario.sha256, scenario.name)
     if not cert.conditions.holds:
         print("the radius conditions do not hold at the certified radius",
               file=sys.stderr)

@@ -246,17 +246,3 @@ def tangent_flow(frame: SRFrame, u: ControlSignal, base: Trajectory,
 
     return TangentFlow(base.grid, mats, float(np.max(np.linalg.cond(mats))))
 
-
-def write_trajectory_rows(traj: Trajectory) -> tuple[list[str], np.ndarray]:
-    """Header and row data for the trajectory CSV layout t,q1,...,qn."""
-    header = ["t"] + [f"q{a + 1}" for a in range(traj.n)]
-    data = np.column_stack([traj.grid, traj.states])
-    return header, data
-
-
-def write_tangent_flow_rows(tf: TangentFlow) -> tuple[list[str], np.ndarray]:
-    """Header and row data for the tangent-flow CSV layout t,m11,...,mnn (row-major)."""
-    n = tf.matrices.shape[1]
-    header = ["t"] + [f"m{a + 1}{b + 1}" for a in range(n) for b in range(n)]
-    data = np.column_stack([tf.grid, tf.matrices.reshape(tf.matrices.shape[0], n * n)])
-    return header, data

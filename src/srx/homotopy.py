@@ -20,7 +20,6 @@ from .extremals import span_profile
 from .flows import TangentFlow, _checked_start, _variational_flow
 
 COMPARISON_TOL = 1e-12      # slack allowed in the energy-comparison checks
-ROW_BLOCK = 64              # nodes laid out at a time by write_homotopy_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,33 +155,6 @@ def variation_integral(frame: SRFrame, u: ControlSignal, du: ControlSignal,
     np.cumsum(increments, axis=0, out=pulled[1:])
     vectors = np.einsum("jab,jb->ja", tf.matrices, pulled)
     return VariationField(0.0, traj0.grid, vectors)
-
-
-def write_homotopy_rows(homotopy: Homotopy) -> tuple[list[str], Iterator[list]]:
-    """Header and rows of the homotopy CSV layout s,t,q1..qn,b1..bn.
-
-    Rows come member by member, s-major, as lists of Python floats; each
-    block of ROW_BLOCK nodes is laid out when it is reached, so no copy of
-    the family is made, and each row is converted when it is taken, so its
-    floats are freed before the next row's are made.
-    """
-    members, nodes, n = homotopy.trajectories.shape
-    header = ["s", "t"] + [f"q{a + 1}" for a in range(n)] + \
-             [f"b{a + 1}" for a in range(n)]
-
-    def rows():
-        block = np.empty((min(ROW_BLOCK, nodes), 2 + 2 * n))
-        for i in range(members):
-            for lo in range(0, nodes, ROW_BLOCK):
-                hi = min(lo + ROW_BLOCK, nodes)
-                out = block[:hi - lo]
-                out[:, 0] = homotopy.s_grid[i]
-                out[:, 1] = homotopy.grid[lo:hi]
-                out[:, 2:2 + n] = homotopy.trajectories[i, lo:hi]
-                out[:, 2 + n:] = homotopy.variations[i, lo:hi]
-                yield from map(np.ndarray.tolist, out)
-
-    return header, rows()
 
 
 def node_velocity(frame: SRFrame, u: ControlSignal, traj: Trajectory,

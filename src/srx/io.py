@@ -9,22 +9,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 
-
-def _native(obj):
-    """json.dumps hook for the numpy values a payload may hold."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+CSV_ROWS = 64               # rows formatted by one string operation
 
 
 def meta_block(scenario_hash: str, name: str) -> dict:
@@ -33,19 +20,27 @@ def meta_block(scenario_hash: str, name: str) -> dict:
 
 
 def write_json(path: Path, payload: dict, scenario_hash: str, name: str) -> None:
+    """Payload of Python values, streamed to the file after the meta block."""
     body = {"meta": meta_block(scenario_hash, name)}
     body.update(payload)
-    path.write_text(json.dumps(body, indent=2, default=_native) + "\n",
-                    encoding="utf-8")
+    with path.open("w", encoding="utf-8") as out:
+        json.dump(body, out, indent=2)
+        out.write("\n")
 
 
-def write_csv(path: Path, header: list[str], rows, scenario_hash: str,
+def write_csv(path: Path, header: list[str], blocks, scenario_hash: str,
               name: str) -> None:
-    """Rows of Python ints and floats (not numpy scalars), each written by repr.
+    """Write each 2-D array of blocks in turn, one CSV row per array row.
 
-    Lines are streamed to the file, so no copy of the text is held whole.
+    Every value is written by repr, the shortest text that parses back to
+    the same float (or int, in an object array), CSV_ROWS rows at a time,
+    so no copy of the text is held whole.
     """
+    line = ",".join(["%r"] * len(header)) + "\n"
     with path.open("w", encoding="utf-8") as out:
         out.write(f"# srx {__version__} scenario={name} sha256={scenario_hash}\n"
                   f"{','.join(header)}\n")
-        out.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        for block in blocks:
+            for lo in range(0, len(block), CSV_ROWS):
+                rows = block[lo:lo + CSV_ROWS]
+                out.write(line * len(rows) % tuple(rows.ravel().tolist()))

@@ -328,9 +328,6 @@ def test_verification_zero_violations(heisenberg, line_certificate):
     assert report.t_prime <= cert.epsilon
     assert report.worst_slack() > 0.0
     assert all(t.slack == t.separation - t.bound for t in report.trials)
-    header, rows = report.csv_rows()
-    assert header == ["trial", "norm_du", "separation", "bound", "slack"]
-    assert len(rows) == 25
 
 
 def test_verification_threads_reproducible(heisenberg, line_certificate):

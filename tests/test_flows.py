@@ -6,8 +6,7 @@ from srx import (ControlSignal, Domain, DomainExitError, GridMismatchError,
                  tangent_flow)
 from srx.cli import _resolve_run
 from srx.core import _StackedPolys
-from srx.flows import (COND_LIMIT, FLOW_BATCH, _rk4, write_tangent_flow_rows,
-                       write_trajectory_rows)
+from srx.flows import COND_LIMIT, FLOW_BATCH, _rk4
 from srx.scenario import BUNDLED, load_scenario
 
 from conftest import (batched_oracle_stepper, batched_trajectory_states,
@@ -367,15 +366,3 @@ def test_tangent_flow_flags_ill_conditioning():
     assert tf.max_condition > COND_LIMIT
     assert tf.max_condition > 1e12
 
-
-def test_csv_row_layouts(heisenberg):
-    u = constant_control([1.0, 0.0], n_cells=10)
-    traj = integrate_trajectory(heisenberg, u, [0.0, 0.0, 0.0])
-    header, data = write_trajectory_rows(traj)
-    assert header == ["t", "q1", "q2", "q3"]
-    assert data.shape == (11, 4)
-    tf = tangent_flow(heisenberg, u, traj)
-    header, data = write_tangent_flow_rows(tf)
-    assert header[:3] == ["t", "m11", "m12"]
-    assert len(header) == 10
-    assert data.shape == (11, 10)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -8,14 +9,14 @@ from srx import (ControlSignal, Domain, GridMismatchError, SRFrame,
                  hamiltonian_extremal, integrate_trajectory, natural_homotopy,
                  span_profile, tangent_flow, variation_direct,
                  variation_integral)
-from srx import homotopy
+from srx import cli, io
 from srx.certify import bound_slacks, family_extremes
 from srx.core import _StackedPolys
 from srx.extremals import ACB_BOUND, nsre_check
 from srx.flows import _variational_flow
 from srx.homotopy import (_homotopy_cells, decomposition_residual_profile,
-                          node_velocity, write_homotopy_rows)
-from srx.scenario import load_scenario
+                          node_velocity)
+from srx.scenario import bundled_scenario_path, load_scenario
 
 from conftest import (constant_control, jet_variation_rhs, make_quartic_frame,
                       sampled_control, smooth_perturbation)
@@ -441,7 +442,7 @@ def test_in_domain_equals_boundary_distances_at_every_node(heisenberg):
             for box in boxes] == expected
 
 
-# -- homotopy CSV rows ---------------------------------------------------------------
+# -- homotopy.csv ---------------------------------------------------------------------
 
 def _concatenated_rows(hom):
     """The homotopy CSV rows laid out as one (members * nodes, 2 + 2n) array
@@ -453,22 +454,28 @@ def _concatenated_rows(hom):
     return data.reshape(members * nodes, 2 + 2 * n)
 
 
-@pytest.mark.parametrize("row_block", [8, homotopy.ROW_BLOCK])
-def test_homotopy_rows_equal_the_concatenated_layout(heisenberg, monkeypatch,
+@pytest.mark.parametrize("row_block", [8, io.CSV_ROWS])
+def test_homotopy_rows_equal_the_concatenated_layout(tmp_path, monkeypatch,
                                                       row_block):
-    # 301 nodes end on a short block for either block size
-    monkeypatch.setattr(homotopy, "ROW_BLOCK", row_block)
-    u = constant_control([1.0, 0.0], n_cells=300)
+    # srx homotopy hands io.write_csv blocks of row_block nodes of one
+    # member; 301 nodes end on a short block for either block size
+    monkeypatch.setattr(cli, "CSV_ROWS", row_block)
+    monkeypatch.setattr(io, "CSV_ROWS", row_block)
     du = smooth_perturbation(np.random.default_rng(9), n_cells=300, amplitude=0.2)
-    hom = natural_homotopy(heisenberg, u, du, [0.0, 0.0, 0.0], n_s=3)
-    header, rows = write_homotopy_rows(hom)
-    assert header == ["s", "t", "q1", "q2", "q3", "b1", "b2", "b3"]
-    rows = list(rows)
-    assert all(type(value) is float for row in rows for value in row)
+    data = json.loads(bundled_scenario_path("heisenberg_line").read_text())
+    data["control"]["N_t"] = 300
+    data["homotopy"] = {"N_s": 3, "delta_u": {"samples": du.samples.tolist()}}
+    cfg = tmp_path / "case.json"
+    cfg.write_text(json.dumps(data))
+    cli.main(["homotopy", "--config", str(cfg), "--out", str(tmp_path)])
 
-    def lines(values):
-        # the CSV writer prints each value's repr, so equal lines mean
-        # equal files
-        return [",".join(map(repr, row)) for row in values]
-
-    assert lines(rows) == lines(_concatenated_rows(hom).tolist())
+    scenario = load_scenario(str(cfg))
+    u, _, _ = cli._resolve_run(scenario)
+    hom = natural_homotopy(scenario.frame, u, scenario.delta_u, scenario.q0,
+                           scenario.homotopy_n_s, scenario.domain,
+                           scenario.substeps)
+    lines = (tmp_path / "homotopy.csv").read_text().splitlines()
+    assert lines[1] == "s,t,q1,q2,q3,b1,b2,b3"
+    # the CSV writer prints each value's repr, so equal lines mean equal files
+    assert lines[2:] == [",".join(map(repr, row))
+                         for row in _concatenated_rows(hom).tolist()]

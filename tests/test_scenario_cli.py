@@ -13,7 +13,7 @@ import pytest
 
 import srx
 from srx.cli import _resolve_run, main
-from srx.io import write_json
+from srx.io import write_csv, write_json
 from srx.scenario import (BUNDLED, ScenarioError, bundled_scenario_path,
                           load_scenario, parse_scenario)
 
@@ -644,33 +644,39 @@ def test_cli_output_header_carries_version_and_hash(tmp_path):
     assert scenario.sha256 in first
 
 
-def test_write_json_writes_numpy_values_as_python_ones(tmp_path):
-    numpy_payload = {
-        "floats": [np.float64(0.1), np.float32(0.1), np.float64(-0.0)],
-        "specials": np.array([np.inf, -np.inf, np.nan]),
-        "ints": (np.int64(-3), np.int32(7), np.uint8(255)),
-        "flags": [np.bool_(True), np.bool_(False)],
-        "matrix": np.arange(6.0).reshape(2, 3) / 3.0,
-        "counts": np.arange(3),
-        "scalar": np.array(0.25),
-        "nested": {"pair": (np.float64(1e-300), (np.int64(2),))},
-    }
-    python_payload = {
-        "floats": [0.1, float(np.float32(0.1)), -0.0],
-        "specials": [float("inf"), float("-inf"), float("nan")],
-        "ints": [-3, 7, 255],
-        "flags": [True, False],
-        "matrix": (np.arange(6.0).reshape(2, 3) / 3.0).tolist(),
-        "counts": [0, 1, 2],
-        "scalar": 0.25,
-        "nested": {"pair": [1e-300, [2]]},
-    }
-    paths = tmp_path / "numpy.json", tmp_path / "python.json"
-    for path, payload in zip(paths, (numpy_payload, python_payload)):
-        write_json(path, payload, "0" * 64, "case")
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+def test_write_json_streams_the_json_dumps_text(tmp_path):
+    payload = {"floats": [0.1, -0.0, 1e-300, 5e-324],
+               "specials": [float("inf"), float("-inf"), float("nan")],
+               "ints": [-3, 7, 255], "flags": [True, False], "empty": [],
+               "nested": {"pair": [1e16, [2]], "none": None, "text": "é"}}
+    path = tmp_path / "report.json"
+    write_json(path, payload, "0" * 64, "case")
+    body = {"meta": {"tool": "srx", "version": srx.__version__,
+                     "scenario": "case", "scenario_hash": "0" * 64}, **payload}
+    assert path.read_text(encoding="utf-8") == json.dumps(body, indent=2) + "\n"
+    # payloads hold Python values only; numpy values are not converted
     with pytest.raises(TypeError, match="object"):
         write_json(tmp_path / "bad.json", {"x": object()}, "0" * 64, "case")
+
+
+def test_write_csv_writes_each_value_by_repr(tmp_path):
+    # blocks around CSV_ROWS end on full and short string operations
+    specials = [-0.0, 5e-324, 1e-300, 1e16, float("inf"), float("nan")]
+    rng = np.random.default_rng(3)
+    blocks = []
+    for rows in (1, 63, 64, 65, 301, 0):
+        block = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
+        block.ravel()[:len(specials)] = specials[:block.size]
+        blocks.append(block)
+    blocks.append(np.array([[i, value] for i, value in enumerate(specials + [0.1, -2.5])],
+                           dtype=object)[:, [0, 1, 1]])
+    path = tmp_path / "table.csv"
+    write_csv(path, ["a", "b", "c"], iter(blocks), "0" * 64, "case")
+    lines = [",".join(map(repr, row)) for block in blocks for row in block.tolist()]
+    assert "0,-0.0,-0.0" in lines and "3,1e+16,1e+16" in lines
+    assert path.read_text(encoding="utf-8") == (
+        f"# srx {srx.__version__} scenario=case sha256={'0' * 64}\na,b,c\n"
+        + "".join(line + "\n" for line in lines))
 
 
 def test_cli_seed_override_changes_provenance(tmp_path):
@@ -805,6 +811,62 @@ def test_cli_integrate_emits_the_tangent_flow(tmp_path):
     assert rows.shape == (u.n_cells + 1, 1 + n * n)
     assert np.array_equal(rows[:, 0], tf.grid)
     assert np.array_equal(rows[:, 1:].reshape(-1, n, n), tf.matrices)
+
+
+# -- every CSV reads back to the arrays it was written from ------------------------
+
+def _same_bits(a, b):
+    a, b = (np.ascontiguousarray(x, dtype=float) for x in (a, b))
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_cli_csv_outputs_read_back_bitwise(tmp_path, monkeypatch):
+    import srx.certify
+    import srx.homotopy
+    made = {}
+
+    def keep(module, name):
+        # the commands import these when they run, so they see the wrapper
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            made[name] = fn(*args, **kwargs)
+            return made[name]
+        monkeypatch.setattr(module, name, wrapper)
+
+    keep(srx.homotopy, "natural_homotopy")
+    keep(srx.certify, "verify_certificate")
+    cfg = _quick_certify_scenario(tmp_path, n_trials=3, n_cells=200)
+    for command in ("integrate", "homotopy", "certify"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+
+    def read(name, header):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[1] == header
+        return [line.split(",") for line in lines[2:]]
+
+    def floats(name, header):
+        return np.array([[float(x) for x in row] for row in read(name, header)])
+
+    u, traj, _ = _resolve_run(load_scenario(cfg))
+    assert _same_bits(floats("trajectory.csv", "t,q1,q2,q3"),
+                      np.column_stack([traj.grid, traj.states]))
+
+    hom = made["natural_homotopy"]
+    members, nodes, n = hom.trajectories.shape
+    rows = floats("homotopy.csv", "s,t,q1,q2,q3,b1,b2,b3").reshape(members, nodes, -1)
+    assert _same_bits(rows[:, :, 0], np.repeat(hom.s_grid[:, None], nodes, axis=1))
+    assert _same_bits(rows[:, :, 1], np.broadcast_to(hom.grid, (members, nodes)))
+    assert _same_bits(rows[:, :, 2:2 + n], hom.trajectories)
+    assert _same_bits(rows[:, :, 2 + n:], hom.variations)
+    assert _same_bits(floats("endpoints.csv", "s,q1,q2,q3"),
+                      np.column_stack([hom.s_grid, hom.endpoints]))
+
+    trials = made["verify_certificate"].trials
+    rows = read("verification.csv", "trial,norm_du,separation,bound,slack")
+    assert [int(row[0]) for row in rows] == [t.trial for t in trials] == [0, 1, 2]
+    assert _same_bits([[float(x) for x in row[1:]] for row in rows],
+                      [[t.norm_du, t.separation, t.bound, t.slack] for t in trials])
 
 
 # -- the library surface the benchmark tracer binds ------------------------------

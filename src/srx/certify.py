@@ -8,7 +8,6 @@ random energy-nonincreasing perturbations and records per-trial slacks.
 """
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -120,76 +119,33 @@ def _squares(x: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
     return total
 
 
-def _extremes(q: np.ndarray, b: np.ndarray, phi: np.ndarray,
-              c: float) -> np.ndarray:
+def _extremes(q: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Extremes of the bound quantities of H homotopies, as maxima.
 
     q and b are (M, T, H, n) member states and variations (member 0 has
-    s = 0) at T nodes, phi the (T, H) values |integral_0^t phi|.  Row h
-    holds the largest squared spread, variation and drift, minus the
-    smallest b_0 slack |b_0(t)| - c |integral_0^t phi|, and q's per-axis
-    minimum (negated) and maximum, so rows of node blocks fold by
-    np.maximum.  sqrt is monotone and correctly rounded, so the sqrt of a
-    largest square (see _squares) is exactly the largest norm.
+    s = 0) at T nodes.  Row h holds the largest squared spread, variation
+    and drift, and q's per-axis minimum (negated) and maximum, so rows of
+    node blocks fold by np.maximum.  sqrt is monotone and correctly rounded,
+    so the sqrt of a largest square (see _squares) is exactly the largest
+    norm.
     """
-    variation = _squares(b)
-    slack = np.sqrt(variation[0]) - c * phi
     return np.column_stack([
-        _squares(q, q[:1]).max(axis=(0, 1)), variation.max(axis=(0, 1)),
-        _squares(b, b[:1]).max(axis=(0, 1)), -slack.min(axis=0),
-        -q.min(axis=(0, 1)), q.max(axis=(0, 1))])
-
-
-def _bounds(extremes: np.ndarray, du2: float, k: int, n: int,
-            constants: FrameConstants, horizon: float
-            ) -> tuple[dict[str, tuple[float, float]], float]:
-    """bound_slacks' result from one row of _extremes and du2 = |du|^2."""
-    du_l2 = math.sqrt(du2)
-    root_t = math.sqrt(horizon)
-    spread, variation, drift = (math.sqrt(v) for v in extremes[:3].tolist())
-    bounds = {
-        "spread": (spread, root_t * zeta(horizon, constants, k) * du_l2),
-        "variation": (variation, root_t * psi(horizon, constants, k, n) * du_l2),
-        "drift": (drift, horizon * xi(horizon, constants, k, n) * du2),
-    }
-    return bounds, -float(extremes[3])
-
-
-def _inside(extremes: np.ndarray, domain: Domain) -> bool:
-    """Whether q's per-axis range in a row of _extremes lies in the open
-    box: for finite states, exactly boundary_distances > 0 at every node."""
-    low, high = np.split(extremes[4:], 2)
-    return domain.contains(-low) and domain.contains(high)
-
-
-def _streamed_extremes(frame: SRFrame, u: ControlSignal,
-                       deltas: list[ControlSignal], q0, n_s: int,
-                       domain: Domain, substeps: int, c: float
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """_extremes of the natural homotopies of u, one per increment in deltas,
-    folded cell by cell as the members advance, and the (B, n_s + 1, n)
-    member endpoints.  No member history is kept."""
-    n = frame.n
-    phi = np.abs(np.stack([control_inner(u, du) for du in deltas]))
-    _, cells = _homotopy_cells(frame, u, np.stack([du.samples for du in deltas]),
-                               q0, n_s, domain, substeps)
-    extremes = None
-    for j, y in enumerate(cells):
-        cell = _extremes(y[:, None, :, :n], y[:, None, :, n:], phi[None, :, j], c)
-        extremes = cell if extremes is None else np.maximum(extremes, cell)
-    return extremes, y[..., :n].swapaxes(0, 1)
+        _squares(q, q[:1]).max(axis=(0, 1)), _squares(b).max(axis=(0, 1)),
+        _squares(b, b[:1]).max(axis=(0, 1)), -q.min(axis=(0, 1)),
+        q.max(axis=(0, 1))])
 
 
 @dataclass(frozen=True, eq=False)
 class FamilyExtremes:
-    """What the growth bounds and srx homotopy's report need of one stored
-    homotopy of u, so that the family itself can be freed.
+    """What the growth bounds, the domain check and the separation bound
+    need of one homotopy of u, so that its member states need not be kept.
 
-    extremes is the family's _extremes row with its b_0 entry taken at
-    c = 0; b0 and phi are member 0's |b_0(t)| and |integral_0^t phi| at the
-    N_t + 1 nodes, from which bound_slacks takes the b_0 slack for any c.
-    du2 is |du|^2; the family has k controls and n states.  in_domain and
-    separation are the homotopy's.
+    extremes is the family's _extremes row; b0 and phi are member 0's
+    |b_0(t)| and |integral_0^t phi| at the N_t + 1 nodes, from which
+    bound_slacks takes the b_0 slack for any c.  du2 is |du|^2; the family
+    has k controls and n states.  in_domain is whether every member state
+    lies inside the open box, and separation is the endpoint gap
+    |gamma_1(T) - gamma_0(T)|.
     """
 
     extremes: np.ndarray
@@ -202,20 +158,47 @@ class FamilyExtremes:
     separation: float
 
 
-def family_extremes(hom: Homotopy, u: ControlSignal) -> FamilyExtremes:
-    """Reduce a stored homotopy of u to its FamilyExtremes, folding _extremes
-    over blocks of NODE_BLOCK nodes as verification folds cells, so the
-    temporaries do not grow with N_t."""
-    phi = np.abs(control_inner(u, hom.delta_u))
+def _fold_extremes(blocks, u: ControlSignal, deltas: list[ControlSignal],
+                   domain: Domain | None) -> list[FamilyExtremes]:
+    """The FamilyExtremes of the natural homotopies of u, one per increment
+    in deltas, from their (M, T, H, 2n) blocks of member states (q, b) in
+    time order, folded block by block so that no block is kept.
+
+    A family is in the domain iff q's per-axis range lies in the open box:
+    for finite states, exactly boundary_distances > 0 at every node.
+    """
+    phi = np.abs(np.stack([control_inner(u, du) for du in deltas], axis=1))
+    b0 = np.empty_like(phi)
+    extremes, lo = None, 0
+    for y in blocks:
+        n = y.shape[-1] // 2
+        q, b = y[..., :n], y[..., n:]
+        block = _extremes(q, b)
+        extremes = block if extremes is None else np.maximum(extremes, block)
+        b0[lo:lo + y.shape[1]] = np.sqrt(_squares(b[0]))
+        lo += y.shape[1]
+    ends = q[:, -1]
+
+    def inside(row):
+        low, high = np.split(row[3:], 2)
+        return domain is None or (domain.contains(-low) and domain.contains(high))
+
+    return [FamilyExtremes(row, b0[:, h], phi[:, h], du.l2_norm_sq(), du.k, n,
+                           inside(row),
+                           float(np.linalg.norm(ends[-1, h] - ends[0, h])))
+            for h, (du, row) in enumerate(zip(deltas, extremes))]
+
+
+def family_extremes(hom: Homotopy, u: ControlSignal,
+                    domain: Domain | None) -> FamilyExtremes:
+    """Reduce a stored homotopy of u to its FamilyExtremes, folding blocks
+    of NODE_BLOCK nodes as verification folds cells, so the temporaries do
+    not grow with N_t."""
     q, b = hom.trajectories[:, :, None], hom.variations[:, :, None]
-    extremes = functools.reduce(np.maximum, (
-        _extremes(q[:, lo:lo + NODE_BLOCK], b[:, lo:lo + NODE_BLOCK],
-                  phi[lo:lo + NODE_BLOCK, None], 0.0)[0]
-        for lo in range(0, phi.shape[0], NODE_BLOCK)))
-    du = hom.delta_u
-    return FamilyExtremes(extremes, np.sqrt(_squares(hom.variations[0])), phi,
-                          du.l2_norm_sq(), du.k, hom.trajectories.shape[2],
-                          hom.in_domain, hom.separation)
+    blocks = (np.concatenate([q[:, lo:lo + NODE_BLOCK], b[:, lo:lo + NODE_BLOCK]],
+                             axis=-1)
+              for lo in range(0, hom.grid.shape[0], NODE_BLOCK))
+    return _fold_extremes(blocks, u, [hom.delta_u], domain)[0]
 
 
 def bound_slacks(family: FamilyExtremes, constants: FrameConstants, c: float,
@@ -225,11 +208,18 @@ def bound_slacks(family: FamilyExtremes, constants: FrameConstants, c: float,
     Returns the spread, variation and drift bounds as name -> (largest value
     over the (s, t) grid, limit), with limits sqrt(T) zeta |du|,
     sqrt(T) psi |du| and T xi |du|^2, and the smallest slack of the angle
-    lower bound |b_0(t)| >= c |integral_0^t phi|, in _extremes' arithmetic.
+    lower bound |b_0(t)| >= c |integral_0^t phi|.
     """
-    extremes = family.extremes.copy()
-    extremes[3] = -(family.b0 - c * family.phi).min()
-    return _bounds(extremes, family.du2, family.k, family.n, constants, horizon)
+    k, n = family.k, family.n
+    du_l2 = math.sqrt(family.du2)
+    root_t = math.sqrt(horizon)
+    spread, variation, drift = (math.sqrt(v) for v in family.extremes[:3].tolist())
+    bounds = {
+        "spread": (spread, root_t * zeta(horizon, constants, k) * du_l2),
+        "variation": (variation, root_t * psi(horizon, constants, k, n) * du_l2),
+        "drift": (drift, horizon * xi(horizon, constants, k, n) * family.du2),
+    }
+    return bounds, float((family.b0 - c * family.phi).min())
 
 
 def compute_eta(traj: Trajectory, domain: Domain,
@@ -559,11 +549,15 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
     energy-comparison identity) must hold.  Trial i draws from
     TrialDraws(cert.seed + base_seed + i), the seed its record keeps.  Trials
     are integrated in batches of whole trials sized by VERIFY_BATCH_BYTES,
-    whose member states are reduced cell by cell as bound_slacks reduces a
-    stored homotopy, so the report does not depend on the batch layout.
+    whose member states _fold_extremes reduces cell by cell as the members
+    advance, as family_extremes reduces a stored homotopy by node blocks, so
+    the report does not depend on the batch layout.  t_prime, the target
+    horizon, is None or a finite number > 0.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if t_prime is not None and not (math.isfinite(t_prime) and t_prime > 0.0):
+        raise ValueError(f"t_prime must be a finite number > 0, got {t_prime!r}")
     dt = u.dt
     target = t_prime if t_prime is not None else min(cert.epsilon, 0.05)
     m = int(math.floor(target / dt + 1e-9))
@@ -579,18 +573,16 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
     bound_coef = 0.5 * cert.c - tp * xi(tp, cert.constants, frame.k, n)
 
     def trial_record(i: int, du: ControlSignal, rejected: int,
-                     extremes: np.ndarray, ends: np.ndarray) -> TrialRecord:
-        separation = Homotopy.endpoint_gap(ends)
-        du2 = du.l2_norm_sq()
-        bound = bound_coef * du2
-        bounds, b0_slack = _bounds(extremes, du2, frame.k, n, cert.constants, tp)
+                     family: FamilyExtremes) -> TrialRecord:
+        bound = bound_coef * family.du2
+        bounds, b0_slack = bound_slacks(family, cert.constants, cert.c, tp)
 
         violations: list[str] = []
-        if not _inside(extremes, domain):
+        if not family.in_domain:
             violations.append("homotopy_left_domain")
-        if separation - bound < -SLACK_TOL:
+        if family.separation - bound < -SLACK_TOL:
             violations.append("separation_bound")
-        if separation <= 0.0:
+        if family.separation <= 0.0:
             violations.append("separation_zero")
         violations += [f"{name}_bound" for name, (value, limit) in bounds.items()
                        if limit - value < -SLACK_TOL]
@@ -600,8 +592,8 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
         if not (comparison.applicable and comparison.holds and comparison.bound2):
             violations.append("energy_comparison")
 
-        return TrialRecord(i, cert.seed + base_seed + i, math.sqrt(du2),
-                           separation, bound, tuple(violations), rejected)
+        return TrialRecord(i, cert.seed + base_seed + i, math.sqrt(family.du2),
+                           family.separation, bound, tuple(violations), rejected)
 
     batch = _trials_per_batch(n_s + 1, m, n, frame.k)
     records: list[TrialRecord] = []
@@ -609,10 +601,10 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
         trials = range(start, min(start + batch, n_trials))
         draws = [sample_admissible_perturbation(
             TrialDraws(cert.seed + base_seed + i), u_r) for i in trials]
-        extremes, ends = _streamed_extremes(frame, u_r, [du for du, _ in draws],
-                                            traj.q0, n_s, domain, substeps,
-                                            cert.c)
-        records.extend(trial_record(i, du, rejected, row, end)
-                       for i, (du, rejected), row, end
-                       in zip(trials, draws, extremes, ends))
+        deltas = [du for du, _ in draws]
+        _, cells = _homotopy_cells(frame, u_r, np.stack([du.samples for du in deltas]),
+                                   traj.q0, n_s, domain, substeps)
+        families = _fold_extremes((y[:, None] for y in cells), u_r, deltas, domain)
+        records.extend(trial_record(i, du, rejected, family)
+                       for i, (du, rejected), family in zip(trials, draws, families))
     return VerificationReport(tuple(records), tp, bound_coef, base_seed, n_s)

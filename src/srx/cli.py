@@ -2,8 +2,9 @@
 
 Exit codes: 0 ok, 2 bad input (including a control that is not unit speed
 or a rank-1 frame, where the NSRE test needs a unit-speed control and an
-orthogonal part), 3 failed check (including domain exit and not-certifiable
-runs), 4 inconclusive, 5 numerical failure.
+orthogonal part) or an output file that cannot be written, 3 failed check
+(including domain exit and not-certifiable runs), 4 inconclusive, 5
+numerical failure.
 
 srx.homotopy and srx.certify are imported by the two commands that use
 them, so integrate and nsre-check load neither.
@@ -124,7 +125,7 @@ def _write_family(scenario: Scenario, u: ControlSignal, out: Path):
     write_csv(out / "endpoints.csv", ["s"] + q,
               [np.column_stack([hom.s_grid, hom.endpoints])],
               scenario.sha256, scenario.name)
-    return family_extremes(hom, u)
+    return family_extremes(hom, u, scenario.domain)
 
 
 def cmd_homotopy(scenario: Scenario, out: Path) -> int:
@@ -282,13 +283,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"cannot create output directory {out}: "
                   f"{err.strerror or err}", file=sys.stderr)
             return EXIT_INPUT
-        if args.command == "integrate":
-            return cmd_integrate(scenario, out)
-        if args.command == "nsre-check":
-            return cmd_nsre_check(scenario, out)
-        if args.command == "homotopy":
-            return cmd_homotopy(scenario, out)
-        return cmd_certify(scenario, out)
+        command = {"integrate": cmd_integrate, "nsre-check": cmd_nsre_check,
+                   "homotopy": cmd_homotopy, "certify": cmd_certify}[args.command]
+        try:
+            return command(scenario, out)
+        except OSError as err:
+            print(f"cannot write output file {err.filename}: "
+                  f"{err.strerror or err}", file=sys.stderr)
+            return EXIT_INPUT
     except ScenarioError as err:
         print(f"scenario error: {err}", file=sys.stderr)
         return EXIT_INPUT

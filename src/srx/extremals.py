@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ACB_BOUND, NORMALIZED_TOL, SIGMA_TOL, TAU_RANGE, TAU_RANGES,
-                   THETA_MIN, ControlSignal, Domain, SRFrame, SRXError,
-                   Trajectory)
+                   THETA_MIN, ControlSignal, Domain, GridMismatchError, SRFrame,
+                   SRXError, Trajectory)
 from .flows import (COND_LIMIT, FLOW_BATCH, IntegrationError, TangentFlow,
                     _marked_trajectory, _rk4_row, tangent_flow)
 
@@ -193,6 +193,9 @@ def span_profile(frame: SRFrame, traj: Trajectory, tf: TangentFlow,
         raise ValueError(f"tau_range must be one of {TAU_RANGES}")
     require_orthogonal_part(frame)
     n_nodes = traj.grid.shape[0]
+    if tf.grid.shape[0] != n_nodes:
+        raise GridMismatchError(f"tangent flow has {tf.grid.shape[0]} nodes, "
+                                f"the trajectory {n_nodes}")
     nodes = np.arange(n_nodes) if nodes is None else np.asarray(nodes, dtype=int)
     if np.any((nodes < 0) | (nodes >= n_nodes)):
         raise ValueError(f"nodes must lie in [0, {n_nodes - 1}]")

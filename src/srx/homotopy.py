@@ -29,7 +29,8 @@ class Homotopy:
     trajectories[i] holds the states of member i and variations[i] its
     variation field b_s, the solution of db/dt = f_du(gamma_s) +
     Df_{u+s du}(gamma_s) b with b(0) = 0, integrated together with it.
-    in_domain is False if any member state leaves the domain.
+    certify.family_extremes reduces it to its endpoint separation, domain
+    check and bound extremes.
     """
 
     s_grid: np.ndarray        # (n_s + 1,)
@@ -37,22 +38,11 @@ class Homotopy:
     trajectories: np.ndarray  # (n_s + 1, N_t + 1, n)
     variations: np.ndarray    # (n_s + 1, N_t + 1, n)
     delta_u: ControlSignal
-    in_domain: bool
 
     @property
     def endpoints(self) -> np.ndarray:
         """(n_s + 1, n) member endpoints, the endpoint curve s -> gamma_s(T)."""
         return self.trajectories[:, -1]
-
-    @property
-    def separation(self) -> float:
-        """Endpoint gap |gamma_1(T) - gamma_0(T)|."""
-        return self.endpoint_gap(self.endpoints)
-
-    @staticmethod
-    def endpoint_gap(endpoints: np.ndarray) -> float:
-        """|last - first| of the (n_s + 1, n) member endpoints."""
-        return float(np.linalg.norm(endpoints[-1] - endpoints[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,19 +87,18 @@ def _homotopy_cells(frame: SRFrame, u: ControlSignal, deltas: np.ndarray, q0,
 def natural_homotopy(frame: SRFrame, u: ControlSignal, du: ControlSignal, q0,
                      n_s: int = N_S, domain: Domain | None = None,
                      substeps: int = 1) -> Homotopy:
-    """Integrate the n_s + 1 members of the natural homotopy and their variations."""
+    """Integrate the n_s + 1 members of the natural homotopy and their variations.
+
+    domain, if given, is checked at q0; whether the members stay inside it
+    is certify.family_extremes' in_domain.
+    """
     require_same_grid(u, du)
     s_grid, cells = _homotopy_cells(frame, u, du.samples[None], q0, n_s,
                                     domain, substeps)
     ys = np.empty((s_grid.shape[0], u.n_cells + 1, 2 * frame.n))
     for j, y in enumerate(cells):
         ys[:, j] = y[:, 0]
-    states, variations = ys[..., :frame.n], ys[..., frame.n:]
-    # every state is inside the open box iff q's per-axis range is: for
-    # finite states, exactly boundary_distances > 0 at every node
-    in_domain = domain is None or (domain.contains(states.min(axis=(0, 1)))
-                                   and domain.contains(states.max(axis=(0, 1))))
-    return Homotopy(s_grid, u.grid, states, variations, du, in_domain)
+    return Homotopy(s_grid, u.grid, ys[..., :frame.n], ys[..., frame.n:], du)
 
 
 def variation_direct(frame: SRFrame, u: ControlSignal, du: ControlSignal,

@@ -6,14 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from srx import (Domain, Homotopy, NotCertifiableError, PolyVectorField,
-                 SRFrame, SRXError, Trajectory, build_certificate, control_inner,
+from srx import (Domain, NotCertifiableError, PolyVectorField, SRFrame,
+                 SRXError, Trajectory, build_certificate, control_inner,
                  compute_epsilon, compute_eta, estimate_constants,
                  hamiltonian_extremal, integrate_trajectory, natural_homotopy, psi,
                  sample_admissible_perturbation, verify_certificate, xi, zeta)
 from srx import certify, extremals
 from srx.certify import (FrameConstants, TrialDraws, bound_slacks,
                           family_extremes)
+from srx.homotopy import _homotopy_cells
 from srx.scenario import BUNDLED, load_scenario
 
 from conftest import (constant_control, make_random_poly_frame,
@@ -416,24 +417,29 @@ def _stream_case(case, heisenberg):
                                   "members_leave"])
 def test_streamed_reductions_equal_the_stored_homotopy(heisenberg, case):
     # verification keeps no member history: the cell-by-cell fold of a batch
-    # must give exactly what bound_slacks, in_domain and separation give on
-    # the stored homotopy of each of its draws, reduced by node blocks
+    # must give exactly the FamilyExtremes, and so the bound_slacks,
+    # in_domain and separation, of the stored homotopy of each of its draws,
+    # reduced by node blocks
     frame, domain, u_r, q0, substeps = _stream_case(case, heisenberg)
     draws = [sample_admissible_perturbation(np.random.default_rng(seed), u_r)[0]
              for seed in range(6)]
     constants = estimate_constants(frame, domain, 5)
     c = 0.8
-    extremes, ends = certify._streamed_extremes(frame, u_r, draws, q0, 8,
-                                                domain, substeps, c)
+    _, cells = _homotopy_cells(frame, u_r, np.stack([du.samples for du in draws]),
+                               q0, 8, domain, substeps)
+    streamed = certify._fold_extremes((y[:, None] for y in cells), u_r, draws,
+                                      domain)
     inside = []
-    for du, row, end in zip(draws, extremes, ends):
+    for du, family in zip(draws, streamed):
         hom = natural_homotopy(frame, u_r, du, q0, 8, domain, substeps)
-        assert certify._bounds(row, du.l2_norm_sq(), du.k, frame.n, constants,
-                               u_r.horizon) == \
-            bound_slacks(family_extremes(hom, u_r), constants, c, u_r.horizon)
-        assert certify._inside(row, domain) == hom.in_domain
-        assert Homotopy.endpoint_gap(end) == hom.separation
-        inside.append(hom.in_domain)
+        stored = family_extremes(hom, u_r, domain)
+        assert bound_slacks(family, constants, c, u_r.horizon) == \
+            bound_slacks(stored, constants, c, u_r.horizon)
+        assert (family.in_domain, family.separation) == (stored.in_domain,
+                                                          stored.separation)
+        for name in ("extremes", "b0", "phi"):
+            assert np.array_equal(getattr(family, name), getattr(stored, name))
+        inside.append(stored.in_domain)
     if case == "members_leave":
         assert True in inside and False in inside
     else:
@@ -452,21 +458,24 @@ def test_family_extremes_fold_node_blocks_exactly(heisenberg, monkeypatch,
     u = constant_control([1.0, 0.0], n_cells=300)
     du = sampled_control(lambda t: [-0.3, 0.9 * t], n_cells=300)
     hom = natural_homotopy(heisenberg, u, du, np.zeros(3), 8)
-    family = family_extremes(hom, u)
+    family = family_extremes(hom, u, None)
     phi = np.abs(control_inner(u, du))
     q, b = hom.trajectories[:, :, None], hom.variations[:, :, None]
-    whole = certify._extremes(q, b, phi[:, None], 0.0)[0]
+    whole = certify._extremes(q, b)[0]
     assert np.array_equal(family.extremes, whole)
     spread = np.linalg.norm(hom.trajectories - hom.trajectories[0], axis=-1)
     assert spread.argmax() % spread.shape[1] == 300
+    b0 = np.sqrt(certify._squares(hom.variations[0]))
+    assert np.array_equal(family.b0, b0) and np.array_equal(family.phi, phi)
     constants = estimate_constants(heisenberg, Domain([-2.0] * 3, [2.0] * 3), 5)
     for c in (0.0, 0.3, 5.0):
         _, b0_slack = bound_slacks(family, constants, c, u.horizon)
-        assert b0_slack == -certify._extremes(q, b, phi[:, None], c)[0, 3]
+        assert b0_slack == (b0 - c * phi).min()
     # at c = 5 the slack is negative, so it is not the 0 of t = 0
     assert b0_slack < 0.0
-    assert (family.in_domain, family.separation) == (hom.in_domain,
-                                                      hom.separation)
+    ends = hom.endpoints
+    assert family.in_domain
+    assert family.separation == float(np.linalg.norm(ends[-1] - ends[0]))
 
 
 def test_verification_memory_does_not_grow_with_the_horizon(heisenberg,
@@ -493,6 +502,17 @@ def test_verification_memory_does_not_grow_with_the_horizon(heisenberg,
     assert (short, long) == (12, 48)
     draw_growth = n_trials * (long - short) * (2 + 1) * 8
     assert long_peak - short_peak <= 4 * draw_growth
+
+
+@pytest.mark.parametrize("t_prime", [-1.0, 0.0, math.nan, math.inf])
+def test_verification_rejects_a_t_prime_that_is_not_finite_and_positive(
+        heisenberg, line_certificate, t_prime):
+    # -1 and 0 were refused as a radius below one control cell, NaN failed
+    # converting to an integer and inf overflowed
+    box, u, traj, cert, _ = line_certificate
+    with pytest.raises(ValueError, match="t_prime must be a finite number > 0"):
+        verify_certificate(heisenberg, box, u, traj, cert, n_trials=1,
+                           t_prime=t_prime)
 
 
 def test_certificate_refuses_jump_control(heisenberg, box3):

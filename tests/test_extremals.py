@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from srx import (angle_to_subspace, hamiltonian_extremal, integrate_trajectory,
-                 nsre_check, orthogonal_control_complement, span_profile,
-                 tangent_flow)
+from srx import (GridMismatchError, angle_to_subspace, hamiltonian_extremal,
+                 integrate_trajectory, nsre_check, orthogonal_control_complement,
+                 span_profile, tangent_flow)
 from srx import extremals
 from srx.extremals import DegenerateSpanError, NotNormalizedError, OrthoDistribution
 from srx.flows import COND_LIMIT
@@ -211,6 +211,17 @@ def test_nsre_rejects_bad_sampling(heisenberg, kwargs):
     u, traj, tf = _line_setup(heisenberg, n_cells=20)
     with pytest.raises(ValueError):
         nsre_check(heisenberg, u, traj, tf, **kwargs)
+
+
+def test_span_profile_rejects_a_tangent_flow_of_another_grid(heisenberg):
+    # used to fail inside numpy with "operands could not be broadcast"
+    u, traj, _ = _line_setup(heisenberg, n_cells=20)
+    _, _, other = _line_setup(heisenberg, n_cells=30)
+    with pytest.raises(GridMismatchError, match="tangent flow has 31 nodes, "
+                                                "the trajectory 21"):
+        span_profile(heisenberg, traj, other)
+    with pytest.raises(GridMismatchError, match="31 nodes"):
+        nsre_check(heisenberg, u, traj, other)
 
 
 def test_span_profile_node_subset(heisenberg):

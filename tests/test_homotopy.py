@@ -10,7 +10,7 @@ from srx import (ControlSignal, Domain, GridMismatchError, SRFrame,
                  span_profile, tangent_flow, variation_direct,
                  variation_integral)
 from srx import cli, io
-from srx.certify import bound_slacks, family_extremes
+from srx.certify import _fold_extremes, bound_slacks, family_extremes
 from srx.core import _StackedPolys
 from srx.extremals import ACB_BOUND, nsre_check
 from srx.flows import _variational_flow
@@ -37,7 +37,7 @@ def test_homotopy_zero_perturbation(euclidean2):
     hom = natural_homotopy(euclidean2, u, du, [0.0, 0.0], n_s=4)
     for member in hom.trajectories:
         assert np.array_equal(member, hom.trajectories[0])
-    assert hom.separation == 0.0
+    assert family_extremes(hom, u, None).separation == 0.0
 
 
 def test_homotopy_euclidean_endpoints(euclidean2):
@@ -46,7 +46,8 @@ def test_homotopy_euclidean_endpoints(euclidean2):
     hom = natural_homotopy(euclidean2, u, du, [0.0, 0.0], n_s=8)
     expected = np.column_stack([np.ones(9), hom.s_grid])
     assert np.allclose(hom.endpoints, expected, atol=1e-12)
-    assert hom.separation == pytest.approx(1.0, abs=1e-12)
+    separation = family_extremes(hom, u, None).separation
+    assert separation == pytest.approx(1.0, abs=1e-12)
 
 
 def test_homotopy_endpoint_expansion(heisenberg):
@@ -379,7 +380,7 @@ def test_spread_and_drift_matrices(heisenberg, box3):
     assert np.all(spread[:, 0] == 0.0) and np.all(drift[:, 0] == 0.0)
     # bound_slacks reports the maxima of these arrays
     constants = estimate_constants(heisenberg, box3, 5)
-    bounds, _ = bound_slacks(family_extremes(hom, u), constants, 1.0,
+    bounds, _ = bound_slacks(family_extremes(hom, u, None), constants, 1.0,
                              u.horizon)
     assert bounds["spread"][0] == spread.max()
     assert bounds["drift"][0] == drift.max()
@@ -397,8 +398,10 @@ def test_homotopies_mark_domain_exit_per_family(heisenberg):
     leaving = constant_control([0.0, 1.0], n_cells=80)
     homs = [natural_homotopy(heisenberg, u, du, [0.0, 0.0, 0.0], n_s=4,
                              domain=box) for du in (inside, leaving)]
-    assert [hom.in_domain for hom in homs] == [True, False]
-    # both families in one batch give each family's members exactly
+    assert [family_extremes(hom, u, box).in_domain for hom in homs] == \
+        [True, False]
+    # both families in one batch give each family's members exactly, and
+    # the fold of the batch marks each family as its own fold does
     s_grid, cells = _homotopy_cells(
         heisenberg, u, np.stack([inside.samples, leaving.samples]),
         [0.0, 0.0, 0.0], 4, box, 1)
@@ -407,13 +410,15 @@ def test_homotopies_mark_domain_exit_per_family(heisenberg):
         assert np.array_equal(hom.s_grid, s_grid)
         assert np.array_equal(hom.trajectories, ys[..., :3])
         assert np.array_equal(hom.variations, ys[..., 3:])
+    folded = _fold_extremes([batch.swapaxes(1, 2)], u, [inside, leaving], box)
+    assert [family.in_domain for family in folded] == [True, False]
     # without a domain every family counts as inside
-    assert all(natural_homotopy(heisenberg, u, du, [0.0, 0.0, 0.0],
-                                n_s=4).in_domain for du in (inside, leaving))
+    assert all(family_extremes(hom, u, None).in_domain for hom in homs)
 
 
 def test_in_domain_equals_boundary_distances_at_every_node(heisenberg):
-    # in_domain tests the members' per-axis range against the box, which for
+    # family_extremes' in_domain tests the members' per-axis range against
+    # the box, which for
     # finite states is exactly boundary_distances > 0 at every node.  The
     # boxes are set from the computed states, so some put a member's
     # maximum or minimum exactly on a face.
@@ -438,8 +443,8 @@ def test_in_domain_equals_boundary_distances_at_every_node(heisenberg):
     expected = [bool((box.boundary_distances(states) > 0.0).all())
                 for box in boxes]
     assert expected == [True, False, True, False, True]
-    assert [natural_homotopy(heisenberg, u, du, q0, n_s=4, domain=box).in_domain
-            for box in boxes] == expected
+    hom = natural_homotopy(heisenberg, u, du, q0, n_s=4)
+    assert [family_extremes(hom, u, box).in_domain for box in boxes] == expected
 
 
 # -- homotopy.csv ---------------------------------------------------------------------

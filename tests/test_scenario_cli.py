@@ -746,6 +746,17 @@ def test_cli_out_that_is_a_file_exits_2(tmp_path):
     assert out.read_text() == "keep me"
 
 
+@pytest.mark.parametrize("command, name", [("integrate", "trajectory.csv"),
+                                            ("certify", "certificate.json")])
+def test_cli_output_file_that_is_a_directory_exits_2(tmp_path, command, name):
+    # used to exit 1 with an IsADirectoryError traceback from the writer
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    run = _run_cli(command, "--config", "heisenberg_line", "--out", str(out))
+    assert run.returncode == 2
+    assert run.stderr == f"cannot write output file {out / name}: Is a directory\n"
+
+
 def test_cli_certify_control_leaving_the_domain_writes_the_reason(tmp_path):
     # used to exit 3 without writing any file
     data = _load_bundled_dict("heisenberg_line")

@@ -9,8 +9,7 @@ _MODULE_OF = {name: module for module, names in {
     "core": "ControlSignal Domain FrameRankError GridMismatchError "
             "NotCertifiableError PolyVectorField SRFrame SRXError Trajectory "
             "control_inner",
-    "flows": "DomainExitError IntegrationError TangentFlow "
-             "integrate_trajectory tangent_flow",
+    "flows": "IntegrationError TangentFlow integrate_trajectory tangent_flow",
     "extremals": "HamiltonianExtremal NSREReport NotNormalizedError "
                  "OrthoDistribution angle_to_subspace hamiltonian_extremal "
                  "nsre_check orthogonal_control_complement span_profile",

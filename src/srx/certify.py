@@ -17,8 +17,7 @@ import numpy as np
 from .core import (CONSTANTS_MARGIN, GRID_RESOLUTION, MARGIN_FACTOR, N_S, ControlSignal,
                    Domain, NotCertifiableError, SRFrame, SRXError, Trajectory,
                    control_inner)
-from .extremals import (NSREReport, nsre_check, require_normalized,
-                        require_orthogonal_part)
+from .extremals import NSREReport, nsre_check
 from .homotopy import Homotopy, _homotopy_cells, energy_comparison_check
 
 EPSILON_REL_TOL = 1e-6
@@ -84,29 +83,41 @@ def _check_horizon(t: float) -> float:
     return t
 
 
+def _exp(x: float) -> float:
+    """math.exp, or inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def zeta(t: float, constants: FrameConstants, k: int) -> float:
-    """Growth bound for the spread |gamma_s(t) - gamma_0(t)| per unit L2 norm."""
+    """Growth bound for the spread |gamma_s(t) - gamma_0(t)| per unit L2 norm;
+    inf where the exponential overflows."""
     t = _check_horizon(t)
     rk = math.sqrt(k)
-    return math.exp(rk * constants.C2 * t) * rk * constants.C0
+    return _exp(rk * constants.C2 * t) * rk * constants.C0
 
 
 def psi(t: float, constants: FrameConstants, k: int, n: int) -> float:
-    """Growth bound for the variation norm |b_s(t)| per unit L2 norm."""
+    """Growth bound for the variation norm |b_s(t)| per unit L2 norm; inf
+    where the exponential overflows."""
     t = _check_horizon(t)
     rk = math.sqrt(k)
-    return math.exp(3.0 * constants.C1 * rk * n * t) * constants.C0 * rk
+    return _exp(3.0 * constants.C1 * rk * n * t) * constants.C0 * rk
 
 
 def xi(t: float, constants: FrameConstants, k: int, n: int) -> float:
-    """Growth bound for the variation drift |b_s(t) - b_0(t)| per squared L2 norm."""
+    """Growth bound for the variation drift |b_s(t) - b_0(t)| per squared L2
+    norm; inf where an exponential overflows.  With C3 = 0 its C3 t zeta psi
+    term is 0 even where zeta psi is inf."""
     t = _check_horizon(t)
     rk = math.sqrt(k)
     z = zeta(t, constants, k)
     p = psi(t, constants, k, n)
-    return math.exp(rk * n * constants.C1 * t) * (
-        rk * n * constants.C3 * t * z * p
-        + rk * (n * constants.C1 * p + constants.C2 * z))
+    c3_term = rk * n * constants.C3 * t * z * p if constants.C3 else 0.0
+    return _exp(rk * n * constants.C1 * t) * (
+        c3_term + rk * (n * constants.C1 * p + constants.C2 * z))
 
 
 def _squares(x: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
@@ -400,10 +411,8 @@ def build_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
                       substeps: int = 1,
                       nsre_kwargs: dict | None = None
                       ) -> tuple[Certificate, NSREReport]:
-    """Run the full chain: constants, NSRE test, tube radius, radius search."""
-    require_normalized(u, "nsre_check")
-    require_orthogonal_part(frame)
-    constants = estimate_constants(frame, domain, grid_resolution, margin)
+    """Run the full chain: NSRE test (its guards of the control and frame
+    come first), constants, tube radius, radius search."""
     report = nsre_check(frame, u, traj, substeps=substeps, **(nsre_kwargs or {}))
     if report.status == "failed":
         raise NotCertifiableError("trajectory fails the NSRE regularity test",
@@ -411,6 +420,7 @@ def build_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
     if report.status == "inconclusive":
         raise NotCertifiableError("NSRE angle condition is inconclusive at this "
                                   "resolution", report)
+    constants = estimate_constants(frame, domain, grid_resolution, margin)
     eta = compute_eta(traj, domain, constants)
     result = compute_epsilon(constants, report.c, eta, frame.k, frame.n,
                              traj.horizon, margin_factor=margin_factor)

@@ -20,9 +20,8 @@ import numpy as np
 from .core import ControlSignal, NotCertifiableError, SRXError, Trajectory
 from .extremals import (_CONSERVATION_TOL, DegenerateSpanError,
                         NotNormalizedError, hamiltonian_extremal, nsre_check)
-from .flows import (DomainExitError, IntegrationError, integrate_trajectory,
-                    tangent_flow)
-from .io import CSV_ROWS, write_csv, write_json
+from .flows import IntegrationError, integrate_trajectory, tangent_flow
+from .io import write_csv, write_json
 from .scenario import Scenario, ScenarioError, load_scenario
 
 EXIT_OK = 0
@@ -96,14 +95,10 @@ def cmd_nsre_check(scenario: Scenario, out: Path) -> int:
 
 
 def _member_blocks(hom):
-    """homotopy.csv's s,t,q,b rows, member by member, in arrays of CSV_ROWS
-    nodes of one member, so no copy of the family is made."""
-    for i, s in enumerate(hom.s_grid):
-        for lo in range(0, hom.grid.size, CSV_ROWS):
-            t = hom.grid[lo:lo + CSV_ROWS]
-            yield np.column_stack([np.full(t.size, s), t,
-                                   hom.trajectories[i, lo:lo + CSV_ROWS],
-                                   hom.variations[i, lo:lo + CSV_ROWS]])
+    """homotopy.csv's s,t,q,b rows, one member's array at a time, so no copy
+    of the family is made."""
+    for s, q, b in zip(hom.s_grid, hom.trajectories, hom.variations):
+        yield np.column_stack([np.full(hom.grid.size, s), hom.grid, q, b])
 
 
 def _write_family(scenario: Scenario, u: ControlSignal, out: Path):
@@ -301,9 +296,6 @@ def main(argv: list[str] | None = None) -> int:
     except IntegrationError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except DomainExitError as err:
-        print(f"domain violation: {err}", file=sys.stderr)
-        return EXIT_FAILED
     except NotCertifiableError as err:
         print(f"not certifiable: {err}", file=sys.stderr)
         return EXIT_FAILED

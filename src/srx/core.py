@@ -500,17 +500,6 @@ def control_inner(u: ControlSignal, delta: ControlSignal) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(values) * u.dt])
 
 
-def node_index(grid: np.ndarray, t: float) -> int:
-    """Index of time t on a uniform grid; raises if t is not a grid node."""
-    if grid.shape[0] < 2:
-        raise GridMismatchError("grid must have at least two nodes")
-    dt = float(grid[1] - grid[0])
-    j = int(round(float(t) / dt))
-    if not 0 <= j < grid.shape[0] or abs(grid[j] - t) > 1e-6 * dt:
-        raise GridMismatchError(f"time {t} does not lie on the grid")
-    return j
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """States of a controlled trajectory on the control grid.
@@ -544,16 +533,9 @@ class Trajectory:
         return self.first_exit_time is not None
 
     @property
-    def n(self) -> int:
-        return self.states.shape[1]
-
-    @property
     def horizon(self) -> float:
         return self.control.horizon
 
     @property
     def endpoint(self) -> np.ndarray:
         return self.states[-1]
-
-    def node_index(self, t: float) -> int:
-        return node_index(self.grid, t)

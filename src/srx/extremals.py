@@ -7,6 +7,7 @@ directions through the tangent flow and rank-truncating an SVD.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ from .core import (ACB_BOUND, NORMALIZED_TOL, SIGMA_TOL, TAU_RANGE, TAU_RANGES,
                    THETA_MIN, ControlSignal, Domain, GridMismatchError, SRFrame,
                    SRXError, Trajectory)
 from .flows import (COND_LIMIT, FLOW_BATCH, IntegrationError, TangentFlow,
-                    _marked_trajectory, _rk4_row, tangent_flow)
+                    _checked_start, _marked_trajectory, _rk4_row, tangent_flow)
 
 SPAN_BATCH = 256            # nodes per batched SVD, bounds the temporaries
 _CONSERVATION_TOL = 1e-6    # bound on the oracle's level drift
@@ -393,19 +394,18 @@ def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
     scaled to exactly unit norm, so downstream normalized-control checks
     hold.  At a given n_cells the error is that of two half steps per cell
     at n_cells / 2; substeps=2 halves the step at twice the cost.
-    A domain exit does not stop the run: as in integrate_trajectory, the
-    trajectory is marked with its first exit time.
+    The start is checked as in integrate_trajectory, and a domain exit does
+    not stop the run: as there, the trajectory is marked with its first
+    exit time.
     """
-    q0 = np.asarray(q0, dtype=float)
+    q0 = _checked_start(frame, q0, domain, substeps)
     p0 = np.asarray(p0, dtype=float)
-    if q0.shape != (frame.n,) or p0.shape != (frame.n,):
-        raise ValueError(f"q0 and p0 must have shape ({frame.n},)")
-    if not (np.all(np.isfinite(q0)) and np.all(np.isfinite(p0))):
-        raise ValueError("q0 and p0 must be finite")
+    if p0.shape != (frame.n,) or not np.all(np.isfinite(p0)):
+        raise ValueError(f"p0 must be a finite vector of length {frame.n}")
     if n_cells < 1:
         raise ValueError("n_cells must be >= 1")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be a finite number > 0, got {horizon!r}")
 
     u0 = frame.field_matrix_many(q0).T @ p0
     level = float(np.dot(u0, u0))

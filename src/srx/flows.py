@@ -27,10 +27,6 @@ class IntegrationError(SRXError):
     """State blew up (non-finite) during integration."""
 
 
-class DomainExitError(SRXError):
-    """A required domain-containment condition failed."""
-
-
 COND_LIMIT = 1e12
 FLOW_BATCH = 256           # cells per batch of propagators, bounds the temporaries
 
@@ -99,13 +95,15 @@ def _non_finite(j: int, h: float, substeps: int) -> IntegrationError:
 
 def _checked_start(frame: SRFrame, q0, domain: Domain | None,
                    substeps: int) -> np.ndarray:
+    """q0 as a float vector; ValueError unless it is a finite start of
+    length frame.n inside domain (when one is given) and substeps >= 1."""
     q0 = np.asarray(q0, dtype=float)
     if q0.shape != (frame.n,) or not np.all(np.isfinite(q0)):
         raise ValueError(f"q0 must be a finite vector of length {frame.n}")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     if domain is not None and not domain.contains(q0):
-        raise DomainExitError("initial point lies outside the domain interior")
+        raise ValueError("initial point lies outside the domain interior")
     return q0
 
 
@@ -217,17 +215,16 @@ def tangent_flow(frame: SRFrame, u: ControlSignal, base: Trajectory,
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     n = frame.n
-    # row (j, c) of a batch starts at (q_j, e_c) with (u_j, 0): one cell
-    # later its b holds column c of P_j
-    cells = np.repeat(np.concatenate([u.samples, np.zeros_like(u.samples)],
-                                     axis=1), n, axis=0)
     mats = np.empty((u.n_cells + 1, n, n))
     mats[0] = np.eye(n)
     for lo in range(0, u.n_cells, FLOW_BATCH):
         hi = min(lo + FLOW_BATCH, u.n_cells)
+        # row (j, c) of a batch starts at (q_j, e_c) with (u_j, 0): one cell
+        # later its b holds column c of P_j
         y0 = np.concatenate([np.repeat(base.states[lo:hi], n, axis=0),
                              np.tile(np.eye(n), (hi - lo, 1))], axis=1)
-        rows = cells[lo * n:hi * n]
+        rows = np.zeros((y0.shape[0], 2 * frame.k))
+        rows[:, :frame.k] = np.repeat(u.samples[lo:hi], n, axis=0)
         try:
             *_, ends = _variational_flow(frame, y0, lambda _: rows,
                                          u.dt / substeps, substeps, 1)

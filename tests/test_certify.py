@@ -150,6 +150,19 @@ def test_growth_functions_monotone(heisenberg, box3):
         assert all(b >= a - 1e-12 for a, b in zip(seq[:-1], seq[1:]))
 
 
+@pytest.mark.parametrize("c1, c2, c3, zeta_inf, psi_inf", [
+    (1e3, 1e3, 0.0, True, True), (1e3, 1e3, 5.0, True, True),
+    (200.0, 1.0, 0.0, False, True), (1.0, 600.0, 0.0, True, False)])
+def test_growth_functions_are_inf_where_an_exponential_overflows(
+        c1, c2, c3, zeta_inf, psi_inf):
+    # these used to raise OverflowError from math.exp; with C3 = 0, xi's
+    # C3 t zeta psi term is 0, not 0 * inf = nan
+    c = FrameConstants(1.0, c1, c2, c3, 5, 1.0)
+    assert (zeta(1.0, c, 2) == math.inf) is zeta_inf
+    assert (psi(1.0, c, 2, 3) == math.inf) is psi_inf
+    assert xi(1.0, c, 2, 3) == math.inf
+
+
 def test_growth_functions_reject_negative_horizon():
     c = _euclid_constants()
     with pytest.raises(ValueError):

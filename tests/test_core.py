@@ -7,7 +7,6 @@ import pytest
 from srx import (ControlSignal, Domain, FrameRankError, GridMismatchError,
                  PolyVectorField, SRFrame, control_inner)
 from srx import core
-from srx.core import node_index
 from srx.scenario import BUNDLED, load_scenario
 
 from conftest import (constant_control, jet_variation_rhs, make_quartic_frame,
@@ -460,13 +459,3 @@ def test_control_window():
     assert w.n_cells == 20
     assert w.horizon == pytest.approx(0.5)
     assert np.array_equal(w.samples, u.samples[10:30])
-
-
-def test_node_index_lookup():
-    u = constant_control([1.0, 0.0], horizon=1.0, n_cells=1000)
-    grid = u.grid
-    assert node_index(grid, 0.0) == 0
-    assert node_index(grid, 0.25) == 250
-    assert node_index(grid, 1.0) == 1000
-    with pytest.raises(GridMismatchError):
-        node_index(grid, 0.2501)

@@ -75,7 +75,7 @@ def test_complement_batched_matches_rows(k):
 
 def test_f_perp_heisenberg_line(heisenberg):
     u, traj, tf = _line_setup(heisenberg)
-    span = span_profile(heisenberg, traj, tf, traj.node_index(1.0))
+    span = span_profile(heisenberg, traj, tf, 200)
     assert span.rank == 2
     # span is the y-z plane: e2 and e3 project onto it with no residual
     assert span.residual(np.array([0.0, 1.0, 0.0])) < 1e-10
@@ -87,15 +87,15 @@ def test_f_perp_euclidean_line(euclidean2):
     u = constant_control([1.0, 0.0], n_cells=100)
     traj = integrate_trajectory(euclidean2, u, [0.0, 0.0])
     tf = tangent_flow(euclidean2, u, traj)
-    for t in (0.25, 1.0):
-        span = span_profile(euclidean2, traj, tf, traj.node_index(t))
+    for node in (25, 100):                # t = 0.25 and 1
+        span = span_profile(euclidean2, traj, tf, node)
         assert span.rank == 1
         assert np.allclose(np.abs(span.basis[:, 0]), [0.0, 1.0], atol=1e-12)
 
 
 def test_f_perp_at_time_zero(heisenberg):
     u, traj, tf = _line_setup(heisenberg)
-    span = span_profile(heisenberg, traj, tf, traj.node_index(0.0))
+    span = span_profile(heisenberg, traj, tf, 0)
     assert span.rank == heisenberg.k - 1
 
 
@@ -105,30 +105,31 @@ def test_f_perp_monotone_span_growth(heisenberg):
     u = sampled_control(lambda t: [np.cos(0.8 * t), np.sin(0.8 * t)], n_cells=200)
     traj = integrate_trajectory(heisenberg, u, [0.2, -0.1, 0.0])
     tf = tangent_flow(heisenberg, u, traj)
-    t1, t2 = 0.4, 0.9
-    small = span_profile(heisenberg, traj, tf, traj.node_index(t1))
-    big = span_profile(heisenberg, traj, tf, traj.node_index(t2))
+    j1, j2 = 80, 180                      # t1 = 0.4, t2 = 0.9
+    small = span_profile(heisenberg, traj, tf, j1)
+    big = span_profile(heisenberg, traj, tf, j2)
     assert small.rank <= big.rank
     for col in range(small.rank):
-        moved = two_point_map(tf, traj.node_index(t1), traj.node_index(t2),
+        moved = two_point_map(tf, j1, j2,
                               small.basis[:, col])
         assert big.residual(moved) < 1e-8 * np.linalg.norm(moved)
 
 
 def test_f_perp_flow_invariance(heisenberg):
     u, traj, tf = _line_setup(heisenberg)
-    for tau, t in ((0.25, 0.75), (0.0, 1.0), (0.5, 0.6)):
-        earlier = span_profile(heisenberg, traj, tf, traj.node_index(tau))
-        later = span_profile(heisenberg, traj, tf, traj.node_index(t))
+    # (tau, t) = (0.25, 0.75), (0, 1) and (0.5, 0.6)
+    for j_tau, j_t in ((50, 150), (0, 200), (100, 120)):
+        earlier = span_profile(heisenberg, traj, tf, j_tau)
+        later = span_profile(heisenberg, traj, tf, j_t)
         for col in range(earlier.rank):
-            moved = two_point_map(tf, traj.node_index(tau), traj.node_index(t),
+            moved = two_point_map(tf, j_tau, j_t,
                                   earlier.basis[:, col])
             assert later.residual(moved) < 1e-6 * np.linalg.norm(moved)
 
 
 def test_angle_examples(heisenberg):
     u, traj, tf = _line_setup(heisenberg)
-    span = span_profile(heisenberg, traj, tf, traj.node_index(1.0))
+    span = span_profile(heisenberg, traj, tf, 200)
     assert angle_to_subspace([0.0, 0.3, -0.2], span) == pytest.approx(0.0, abs=1e-7)
     assert angle_to_subspace([1.0, 0.0, 0.0], span) == pytest.approx(np.pi / 2, abs=1e-7)
     with pytest.raises(ValueError):
@@ -628,9 +629,33 @@ def test_hamiltonian_rejects_nonfinite_start(heisenberg, q0, p0):
         hamiltonian_extremal(heisenberg, q0, p0, 1.0, 10)
 
 
+def test_hamiltonian_rejects_a_start_outside_the_domain(heisenberg):
+    # the oracle used to accept it and mark an exit at t = 0, where
+    # integrate_trajectory raises
+    from srx import Domain
+    box = Domain([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="outside the domain"):
+        hamiltonian_extremal(heisenberg, [1.5, 0.0, 0.0], [1.0, 0.0, 0.0], 1.0,
+                             10, domain=box)
+
+
+@pytest.mark.parametrize("horizon", [np.nan, np.inf, 0.0, -1.0])
+def test_hamiltonian_rejects_a_bad_horizon_before_integrating(
+        heisenberg, monkeypatch, horizon):
+    # NaN and inf used to end in IntegrationError, 0 and -1 in
+    # ControlSignal's ValueError, each after the whole integration
+    def never(*args):
+        raise AssertionError("integrated before the horizon check")
+
+    monkeypatch.setattr(extremals, "_rk4_row", never)
+    with pytest.raises(ValueError, match="horizon must be a finite number > 0"):
+        hamiltonian_extremal(heisenberg, [0.0, 0.0, 0.0], [1.0, 0.0, 2.0],
+                             horizon, 10)
+
+
 def test_hamiltonian_domain_exit_is_marked(heisenberg):
     # the oracle marks its trajectory as integrate_trajectory does, where
-    # it used to raise DomainExitError and leave no trajectory to write
+    # it used to raise an error and leave no trajectory to write
     from srx import Domain
     args = (heisenberg, [0.0, 0.0, 0.0], [1.0, 0.0, 2.0], 1.0, 100)
     tight = Domain([-0.1, -0.1, -0.1], [0.1, 0.1, 0.1])
@@ -657,7 +682,7 @@ def test_f_perp_rejects_rank_one_frame():
     frame, u, traj = _rank_one_run()
     tf = tangent_flow(frame, u, traj)
     with pytest.raises(DegenerateSpanError):
-        span_profile(frame, traj, tf, traj.node_index(1.0))
+        span_profile(frame, traj, tf, 10)
 
 
 def test_nsre_check_rejects_a_rank_one_frame_first(monkeypatch):
@@ -679,12 +704,12 @@ def test_f_perp_rejects_vanishing_control(heisenberg):
     traj = integrate_trajectory(heisenberg, u, [0.0, 0.0, 0.0])
     tf = tangent_flow(heisenberg, u, traj)
     with pytest.raises(ValueError):
-        span_profile(heisenberg, traj, tf, traj.node_index(1.0))
+        span_profile(heisenberg, traj, tf, 10)
 
 
 def test_f_perp_basis_is_orthonormal(heisenberg):
     u, traj, tf = _line_setup(heisenberg)
-    span = span_profile(heisenberg, traj, tf, traj.node_index(0.7))
+    span = span_profile(heisenberg, traj, tf, 140)
     # the first rank columns are orthonormal, the zero padding is zero
     gram = span.basis.T @ span.basis
     expected = np.diag((np.arange(heisenberg.n) < span.rank).astype(float))

@@ -1,9 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from srx import (ControlSignal, Domain, DomainExitError, GridMismatchError,
-                 IntegrationError, hamiltonian_extremal, integrate_trajectory,
-                 tangent_flow)
+from srx import (ControlSignal, Domain, GridMismatchError, IntegrationError,
+                 hamiltonian_extremal, integrate_trajectory, tangent_flow)
 from srx.cli import _resolve_run
 from srx.core import _StackedPolys
 from srx.flows import COND_LIMIT, FLOW_BATCH, _rk4
@@ -67,10 +68,24 @@ def test_tangent_flow_heisenberg_closed_form(heisenberg):
     traj = integrate_trajectory(heisenberg, u, [0.0, 0.0, 0.0])
     tf = tangent_flow(heisenberg, u, traj)
     assert np.array_equal(tf.matrices[0], np.eye(3))
-    for t in (0.25, 0.5, 1.0):
+    for node in (25, 50, 100):
         expected = np.eye(3)
-        expected[2, 1] = -t / 2.0
-        assert np.allclose(tf.matrices[traj.node_index(t)], expected, atol=1e-12)
+        expected[2, 1] = -traj.grid[node] / 2.0
+        assert np.allclose(tf.matrices[node], expected, atol=1e-12)
+
+
+def test_tangent_flow_memory_is_below_twice_its_maps(heisenberg):
+    # the (u_j, 0) rows of every cell used to be built at once, an
+    # (n N_t, 2k) array with a zeros copy and a concatenation: 2.9x the maps
+    u = constant_control([1.0, 0.0], n_cells=20000)
+    traj = integrate_trajectory(heisenberg, u, [0.0, 0.0, 0.0])
+    tracemalloc.start()
+    try:
+        tf = tangent_flow(heisenberg, u, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * tf.matrices.nbytes
 
 
 def _joint_tangent_flow(frame, u, q0, substeps):
@@ -229,9 +244,8 @@ def test_two_point_tangent_map_examples(heisenberg):
     traj = integrate_trajectory(heisenberg, u, [0.0, 0.0, 0.0])
     tf = tangent_flow(heisenberg, u, traj)
     assert np.array_equal(two_point_map(tf, 10, 90, np.zeros(3)), np.zeros(3))
-    tau, t = 0.3, 0.8
-    out = two_point_map(tf, traj.node_index(tau), traj.node_index(t),
-                        [0.0, 1.0, tau / 2.0])
+    tau, t = 0.3, 0.8                     # nodes 30 and 80
+    out = two_point_map(tf, 30, 80, [0.0, 1.0, tau / 2.0])
     assert np.allclose(out, [0.0, 1.0, tau - t / 2.0], atol=1e-12)
 
 
@@ -304,7 +318,7 @@ def test_domain_exit_marking(euclidean2):
     traj = integrate_trajectory(euclidean2, u, [0.0, 0.0], domain=box)
     assert traj.left_domain
     assert traj.first_exit_time == pytest.approx(1.0, abs=0.03)
-    with pytest.raises(DomainExitError):
+    with pytest.raises(ValueError, match="outside the domain"):
         integrate_trajectory(euclidean2, u, [5.0, 0.0], domain=box)
 
 

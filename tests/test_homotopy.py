@@ -205,10 +205,9 @@ def test_variation_matches_finite_differences(heisenberg):
 IN_SPAN_RTOL = 1e-6
 
 
-def _split(frame, u, du, traj, tf, t):
-    """b_0(t) = coefficient * velocity + residual at node t: the
+def _split(frame, u, du, traj, tf, m):
+    """b_0(t) = coefficient * velocity + residual at node m: the
     coefficient, b_0(t), the residual and its relative span residual."""
-    m = traj.node_index(t)
     coefficient = control_inner(u, du)[m]
     b0 = variation_integral(frame, u, du, traj, tf).vectors[m]
     residual = b0 - coefficient * node_velocity(frame, u, traj, m)
@@ -222,9 +221,9 @@ def test_decompose_parallel_perturbation(euclidean2):
     du = constant_control([alpha, 0.0], n_cells=100)
     traj = integrate_trajectory(euclidean2, u, [0.0, 0.0])
     tf = tangent_flow(euclidean2, u, traj)
-    for t in (0.25, 1.0):
-        coefficient, _, residual, relative = _split(euclidean2, u, du, traj, tf, t)
-        assert coefficient == pytest.approx(alpha * t, abs=1e-12)
+    for m in (25, 100):
+        coefficient, _, residual, relative = _split(euclidean2, u, du, traj, tf, m)
+        assert coefficient == pytest.approx(alpha * traj.grid[m], abs=1e-12)
         assert np.allclose(residual, 0.0, atol=1e-12)
         assert relative <= IN_SPAN_RTOL
     assert nsre_check(euclidean2, u, traj).max_velocity_derivative <= ACB_BOUND
@@ -233,7 +232,7 @@ def test_decompose_parallel_perturbation(euclidean2):
 def test_decompose_orthogonal_perturbation(heisenberg):
     u, traj, tf = _heisenberg_line(heisenberg)
     du = constant_control([0.0, 0.7], n_cells=500)
-    coefficient, b0, residual, relative = _split(heisenberg, u, du, traj, tf, 1.0)
+    coefficient, b0, residual, relative = _split(heisenberg, u, du, traj, tf, 500)
     assert coefficient == 0.0
     assert relative <= IN_SPAN_RTOL
     assert np.allclose(residual, b0, atol=1e-15)
@@ -243,15 +242,15 @@ def test_decompose_mixed_perturbation_in_span(heisenberg):
     u, traj, tf = _heisenberg_line(heisenberg)
     rng = np.random.default_rng(17)
     du = smooth_perturbation(rng, n_cells=500, amplitude=0.8)
-    for t in (0.3, 0.7, 1.0):
-        *_, relative = _split(heisenberg, u, du, traj, tf, t)
+    for m in (150, 350, 500):             # t = 0.3, 0.7 and 1
+        *_, relative = _split(heisenberg, u, du, traj, tf, m)
         assert relative < IN_SPAN_RTOL
 
 
 def test_decompose_zero_variation_counts_in_span(heisenberg):
     u, traj, tf = _heisenberg_line(heisenberg, n_cells=100)
     du = constant_control([0.0, 0.0], n_cells=100)
-    *_, relative = _split(heisenberg, u, du, traj, tf, 0.5)
+    *_, relative = _split(heisenberg, u, du, traj, tf, 50)
     assert relative == 0.0
 
 
@@ -462,9 +461,9 @@ def _concatenated_rows(hom):
 @pytest.mark.parametrize("row_block", [8, io.CSV_ROWS])
 def test_homotopy_rows_equal_the_concatenated_layout(tmp_path, monkeypatch,
                                                       row_block):
-    # srx homotopy hands io.write_csv blocks of row_block nodes of one
-    # member; 301 nodes end on a short block for either block size
-    monkeypatch.setattr(cli, "CSV_ROWS", row_block)
+    # srx homotopy hands io.write_csv one member's rows at a time, which it
+    # formats row_block rows at a time; 301 nodes end on a short block for
+    # either block size
     monkeypatch.setattr(io, "CSV_ROWS", row_block)
     du = smooth_perturbation(np.random.default_rng(9), n_cells=300, amplitude=0.2)
     data = json.loads(bundled_scenario_path("heisenberg_line").read_text())

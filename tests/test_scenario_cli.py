@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -509,6 +510,39 @@ def test_cli_homotopy_admissible_heisenberg(tmp_path):
         if entry["applicable"] and "slack" in entry:
             assert entry["slack"] >= -1e-9
     assert slacks["bounds"]["b0_lower"]["min_slack"] >= -1e-9
+
+
+def _overflow_copy(tmp_path, coefficient, **control):
+    """heisenberg_line with its two z coefficients set to -+coefficient, so
+    that the growth bounds' exponentials overflow."""
+    data = _load_bundled_dict("heisenberg_line")
+    fields = data["frame"]["fields"]
+    fields[0]["coeffs"]["2"]["0,1,0"] = -coefficient
+    fields[1]["coeffs"]["2"]["1,0,0"] = coefficient
+    data["control"].update(control)
+    return _write_scenario(tmp_path, data)
+
+
+def test_cli_certify_with_overflowing_growth_bounds_exits_3(tmp_path, capsys):
+    # used to exit 1 with an OverflowError traceback from zeta
+    cfg = _overflow_copy(tmp_path, 1000.0, N_t=10**4)
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == ("not certifiable: certified radius is "
+                                       "below one control cell; refine the grid\n")
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert["certified"] is False and cert["epsilon"] > 0.0
+
+
+def test_cli_homotopy_with_overflowing_growth_bounds_exits_0(tmp_path):
+    # used to exit 1 with an OverflowError traceback from psi
+    cfg = _overflow_copy(tmp_path, 100.0)
+    assert main(["homotopy", "--config", cfg, "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "lemma_slacks.json").read_text()
+    assert '"limit": Infinity' in text
+    bounds = json.loads(text)["bounds"]
+    for name in ("variation", "drift"):
+        assert bounds[name]["limit"] == math.inf
+        assert bounds[name]["slack"] == math.inf
 
 
 def _quick_certify_scenario(tmp_path, n_trials=6, n_cells=500):

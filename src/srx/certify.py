@@ -78,8 +78,8 @@ def estimate_constants(frame: SRFrame, domain: Domain,
 
 def _check_horizon(t: float) -> float:
     t = float(t)
-    if t < 0.0:
-        raise ValueError("horizon must be nonnegative")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"horizon must be a finite number >= 0, got {t!r}")
     return t
 
 

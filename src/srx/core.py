@@ -345,9 +345,9 @@ class SRFrame:
 
     def _stack(self, key) -> _StackedPolys:
         """The stack of one derivative order, "hamiltonian" (the partials of
-        H, over 2n variables) or "variation" (the right-hand side of a state
-        with one variation of it, over 2n + 2k variables; every batched RK4
-        integration steps on it).
+        H, over 2n variables), "variation" (a state with one variation of
+        it, over 2n + 2k variables; every batched RK4 integration steps on
+        it) or "drift" (its dq/dt rows, over the n + k variables (q, u)).
 
         Built once per key and cached.
         """
@@ -356,6 +356,11 @@ class SRFrame:
                 tables, dim = self._hamiltonian_tables(), 2 * self.n
             elif key == "variation":
                 tables, dim = self._variation_tables(), 2 * (self.n + self.k)
+            elif key == "drift":    # drop the b and du exponents
+                n, k = self.n, self.k
+                tables = [{e[:n] + e[2 * n:2 * n + k]: c for e, c in t.items()}
+                          for t in self._variation_tables()[:n]]
+                dim = n + k
             else:
                 tables, dim = self._tables(key), self.n
             self._stacks[key] = _StackedPolys(tables, dim)

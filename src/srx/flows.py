@@ -8,9 +8,9 @@ systems step on numpy arrays through `_rk4`, a generator of the cell-end
 states, whose one right-hand side is the variational system of
 `_variational_flow`: a state with one variation of it, which gives both the
 homotopy members with their variation fields and the columns of the
-tangent-flow cell propagators.  A single system (the base trajectory, the
-Hamiltonian oracle) steps on Python floats through `_rk4_row`, which does
-the same arithmetic without a numpy call per stage.
+tangent-flow cell propagators.  One system (the base trajectory on the
+"drift" stack, the Hamiltonian oracle on "hamiltonian") steps on a stack's
+row function through `_rk4_row`: _rk4's arithmetic on Python floats.
 """
 from __future__ import annotations
 
@@ -128,18 +128,11 @@ def integrate_trajectory(frame: SRFrame, u: ControlSignal, q0,
     A non-finite state raises IntegrationError.
     """
     q0 = _checked_start(frame, q0, domain, substeps)
-    n, row = frame.n, frame._stack(0).row
+    row = frame._stack("drift").row
 
     def cell_rhs(j):
-        # sum_i u_i X_i(q), summed from 0.0 over i as the matmul sums it
         u_j = u.samples[j].tolist()
-
-        def rhs(q):
-            values, out = row(q), [0.0] * n
-            for i, c in enumerate(u_j):
-                out = [o + c * v for o, v in zip(out, values[i * n:])]
-            return out
-        return rhs
+        return lambda q: row(q + u_j)
 
     states = _rk4_row(cell_rhs, q0, u.dt / substeps, substeps, u.n_cells)
     return _marked_trajectory(states, u, domain)

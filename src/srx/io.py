@@ -34,7 +34,7 @@ def write_csv(path: Path, header: list[str], blocks, scenario_hash: str,
 
     Every value is written by repr, the shortest text that parses back to
     the same float (or int, in an object array), CSV_ROWS rows at a time,
-    so no copy of the text is held whole.
+    so no copy of the text is held whole, and no block is held once written.
     """
     line = ",".join(["%r"] * len(header)) + "\n"
     with path.open("w", encoding="utf-8") as out:
@@ -44,3 +44,4 @@ def write_csv(path: Path, header: list[str], blocks, scenario_hash: str,
             for lo in range(0, len(block), CSV_ROWS):
                 rows = block[lo:lo + CSV_ROWS]
                 out.write(line * len(rows) % tuple(rows.ravel().tolist()))
+            block = rows = None     # freed before the next block is built

@@ -173,6 +173,18 @@ def test_growth_functions_reject_negative_horizon():
         xi(-0.1, c, 2, 2)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("growth, dims", [(zeta, (2,)), (psi, (2, 3)),
+                                          (xi, (2, 3))],
+                         ids=["zeta", "psi", "xi"])
+def test_growth_functions_reject_a_horizon_that_is_not_finite(growth, dims, t):
+    # a t < 0 check alone lets nan through, and with C2 = 0 zeta(inf) and
+    # xi(inf) would be nan (0 * inf inside the exponent)
+    for c in (_euclid_constants(), FrameConstants(1.0, 1.0, 1.0, 1.0, 5, 1.0)):
+        with pytest.raises(ValueError, match=repr(t)):
+            growth(t, c, *dims)
+
+
 # -- tube radius -------------------------------------------------------------------
 
 def test_eta_center_of_unit_box(euclidean2):

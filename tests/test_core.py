@@ -304,6 +304,24 @@ def test_variation_stack_monomials(name, distinct):
     assert np.count_nonzero(weights) == terms
 
 
+@pytest.mark.parametrize("frame", [
+    *(load_scenario(name).frame for name in BUNDLED),
+    *(make_random_poly_frame(np.random.default_rng(20 + n), n=n)
+      for n in (3, 4, 5)),
+], ids=[*BUNDLED, "random_n3", "random_n4", "random_n5"])
+def test_drift_row_is_the_variation_rows_dq_part(frame):
+    # the base trajectory's "drift" stack is the "variation" stack's dq/dt
+    # rows over (q, u): at b = 0, du = 0 the two row functions form the
+    # same products and add the same terms in the same order
+    n, k = frame.n, frame.k
+    drift = frame._stack("drift")
+    assert drift.n == n + k and drift.weights.shape[1] == n
+    variation = frame._stack("variation").row
+    for p in _test_points(np.random.default_rng(n), (64,), n + k).tolist():
+        q, u = p[:n], p[n:]
+        assert drift.row(p) == variation(q + [0.0] * n + u + [0.0] * k)[:n]
+
+
 @pytest.mark.parametrize("shape", [(0,), (5,), (4, 6)])
 def test_zero_term_stacks_return_zeros(heisenberg, euclidean2, shape):
     for frame, order in ((heisenberg, 2), (euclidean2, 1)):

@@ -713,6 +713,21 @@ def test_write_csv_writes_each_value_by_repr(tmp_path):
         + "".join(line + "\n" for line in lines))
 
 
+def test_write_csv_holds_one_block_at_a_time(tmp_path):
+    # neither the loop variable nor its last row view may keep a written
+    # block alive while the generator builds the next one
+    shape = (10_000, 16)
+    blocks = (np.full(shape, float(i)) for i in range(4))
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "blocks.csv", [f"c{i}" for i in range(shape[1])],
+                  blocks, "0" * 64, "case")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (shape[0] * shape[1] * 8) < 1.5
+
+
 def test_cli_seed_override_changes_provenance(tmp_path):
     cfg = _quick_certify_scenario(tmp_path, n_trials=2, n_cells=200)
     out = tmp_path / "s"

@@ -16,7 +16,7 @@ _MODULE_OF = {name: module for module, names in {
     "homotopy": "EnergyComparison Homotopy VariationField "
                 "energy_comparison_check natural_homotopy variation_direct "
                 "variation_integral",
-    "certify": "Certificate EpsilonResult FrameConstants "
+    "certify": "Certificate FrameConstants "
                "TrialRecord VerificationReport build_certificate "
                "compute_epsilon compute_eta estimate_constants psi "
                "sample_admissible_perturbation verify_certificate xi zeta",

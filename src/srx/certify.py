@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -254,10 +254,15 @@ def compute_eta(traj: Trajectory, domain: Domain,
 
 
 @dataclass(frozen=True)
-class EpsilonResult:
-    """Radius with its inputs and condition values; the left-hand sides are
-    monotone, or compute_epsilon would have raised."""
+class Certificate:
+    """Local-optimality certificate for one trajectory inside one domain (k
+    fields in R^n): the radius epsilon that compute_epsilon found from the
+    constants, c, eta, t_max and margin_factor, with the condition left-hand
+    sides at epsilon (monotone, or compute_epsilon would have raised).  seed
+    is the base of the verification trial seeds; the growth values at
+    epsilon derive from the constants."""
 
+    constants: FrameConstants
     epsilon: float
     domain_lhs: float    # 4 * eps * zeta(eps)
     angle_lhs: float     # eps * xi(eps)
@@ -266,32 +271,69 @@ class EpsilonResult:
     capped: bool
     t_max: float
     margin_factor: float
-
-    @property
-    def domain_limit(self) -> float:
-        return self.eta
-
-    @property
-    def angle_limit(self) -> float:
-        return 0.5 * self.c
+    k: int
+    n: int
+    seed: int
 
     @property
     def domain_ok(self) -> bool:
-        return self.domain_lhs < self.domain_limit
+        return self.domain_lhs < self.eta
 
     @property
     def angle_ok(self) -> bool:
-        return self.angle_lhs < self.angle_limit
+        return self.angle_lhs < 0.5 * self.c
 
     @property
     def holds(self) -> bool:
         return self.domain_ok and self.angle_ok
 
+    @property
+    def zeta_eps(self) -> float:
+        return zeta(self.epsilon, self.constants, self.k)
+
+    @property
+    def psi_eps(self) -> float:
+        return psi(self.epsilon, self.constants, self.k, self.n)
+
+    @property
+    def xi_eps(self) -> float:
+        return xi(self.epsilon, self.constants, self.k, self.n)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "C0": self.constants.C0,
+            "C1": self.constants.C1,
+            "C2": self.constants.C2,
+            "C3": self.constants.C3,
+            "margin": self.constants.margin,
+            "c": self.c,
+            "eta": self.eta,
+            "epsilon": self.epsilon,
+            "zeta_eps": self.zeta_eps,
+            "psi_eps": self.psi_eps,
+            "xi_eps": self.xi_eps,
+            "conditions": {
+                "domain": self.domain_ok,
+                "angle": self.angle_ok,
+                "domain_lhs": self.domain_lhs,
+                "angle_lhs": self.angle_lhs,
+                "monotone_ok": True,
+                "capped": self.capped,
+                "t_max": self.t_max,
+                "margin_factor": self.margin_factor,
+            },
+            "provenance": {
+                "grid": self.constants.grid_resolution,
+                "seed": self.seed,
+            },
+        }
+
 
 def compute_epsilon(constants: FrameConstants, c: float, eta: float, k: int,
                     n: int, t_max: float, *,
-                    margin_factor: float = MARGIN_FACTOR) -> EpsilonResult:
-    """Largest radius satisfying 4*eps*zeta(eps) < eta and eps*xi(eps) < c/2.
+                    margin_factor: float = MARGIN_FACTOR) -> Certificate:
+    """Largest radius satisfying 4*eps*zeta(eps) < eta and eps*xi(eps) < c/2,
+    as a Certificate with seed 0.
 
     With C0..C3 finite and nonnegative, which is checked, both left-hand
     sides are sums and products of nonnegative nondecreasing terms, so a
@@ -334,74 +376,8 @@ def compute_epsilon(constants: FrameConstants, c: float, eta: float, k: int,
         eps, capped = lo, False
     if eps <= 0.0:
         raise NotCertifiableError("no positive radius satisfies the conditions")
-    return EpsilonResult(eps, domain_lhs(eps), angle_lhs(eps), c, eta, capped,
-                         t_max, margin_factor)
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Local-optimality certificate for one trajectory inside one domain;
-    c, eta, epsilon and the growth values at epsilon (k fields in R^n) are
-    derived from the conditions and the constants."""
-
-    constants: FrameConstants
-    conditions: EpsilonResult
-    seed: int
-    k: int
-    n: int
-
-    @property
-    def c(self) -> float:
-        return self.conditions.c
-
-    @property
-    def eta(self) -> float:
-        return self.conditions.eta
-
-    @property
-    def epsilon(self) -> float:
-        return self.conditions.epsilon
-
-    @property
-    def zeta_eps(self) -> float:
-        return zeta(self.epsilon, self.constants, self.k)
-
-    @property
-    def psi_eps(self) -> float:
-        return psi(self.epsilon, self.constants, self.k, self.n)
-
-    @property
-    def xi_eps(self) -> float:
-        return xi(self.epsilon, self.constants, self.k, self.n)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "C0": self.constants.C0,
-            "C1": self.constants.C1,
-            "C2": self.constants.C2,
-            "C3": self.constants.C3,
-            "margin": self.constants.margin,
-            "c": self.c,
-            "eta": self.eta,
-            "epsilon": self.epsilon,
-            "zeta_eps": self.zeta_eps,
-            "psi_eps": self.psi_eps,
-            "xi_eps": self.xi_eps,
-            "conditions": {
-                "domain": self.conditions.domain_ok,
-                "angle": self.conditions.angle_ok,
-                "domain_lhs": self.conditions.domain_lhs,
-                "angle_lhs": self.conditions.angle_lhs,
-                "monotone_ok": True,
-                "capped": self.conditions.capped,
-                "t_max": self.conditions.t_max,
-                "margin_factor": self.conditions.margin_factor,
-            },
-            "provenance": {
-                "grid": self.constants.grid_resolution,
-                "seed": self.seed,
-            },
-        }
+    return Certificate(constants, eps, domain_lhs(eps), angle_lhs(eps), c, eta,
+                       capped, t_max, margin_factor, k, n, 0)
 
 
 def build_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
@@ -412,7 +388,8 @@ def build_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
                       nsre_kwargs: dict | None = None
                       ) -> tuple[Certificate, NSREReport]:
     """Run the full chain: NSRE test (its guards of the control and frame
-    come first), constants, tube radius, radius search."""
+    come first), constants, tube radius, radius search; the search's
+    Certificate is returned with the trial seed set."""
     report = nsre_check(frame, u, traj, substeps=substeps, **(nsre_kwargs or {}))
     if report.status == "failed":
         raise NotCertifiableError("trajectory fails the NSRE regularity test",
@@ -422,9 +399,9 @@ def build_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
                                   "resolution", report)
     constants = estimate_constants(frame, domain, grid_resolution, margin)
     eta = compute_eta(traj, domain, constants)
-    result = compute_epsilon(constants, report.c, eta, frame.k, frame.n,
-                             traj.horizon, margin_factor=margin_factor)
-    return Certificate(constants, result, seed, frame.k, frame.n), report
+    cert = compute_epsilon(constants, report.c, eta, frame.k, frame.n,
+                           traj.horizon, margin_factor=margin_factor)
+    return replace(cert, seed=seed), report
 
 
 class TrialDraws:

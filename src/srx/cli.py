@@ -215,7 +215,7 @@ def cmd_certify(scenario: Scenario, out: Path) -> int:
         return _not_certifiable(scenario, out, err,
                                 {**cert.to_json_dict(), **extra}, report)
 
-    payload = {"certified": verification.ok and cert.conditions.holds}
+    payload = {"certified": verification.ok and cert.holds}
     payload.update(cert.to_json_dict())
     payload["verification"] = verification.to_json_dict()
     payload["nsre"] = report.to_json_dict(per_node=False)
@@ -227,7 +227,7 @@ def cmd_certify(scenario: Scenario, out: Path) -> int:
     write_csv(out / "verification.csv",
               ["trial", "norm_du", "separation", "bound", "slack"], [rows],
               scenario.sha256, scenario.name)
-    if not cert.conditions.holds:
+    if not cert.holds:
         print("the radius conditions do not hold at the certified radius",
               file=sys.stderr)
         return EXIT_FAILED

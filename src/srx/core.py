@@ -475,14 +475,11 @@ class ControlSignal:
         require_same_grid(self, delta)
         return ControlSignal(self.horizon, self.samples + scale * delta.samples)
 
-    def window(self, j0: int, j1: int) -> "ControlSignal":
-        """Cells j0..j1-1 rebased to time zero."""
-        if not 0 <= j0 < j1 <= self.n_cells:
-            raise ValueError("invalid control window")
-        return ControlSignal((j1 - j0) * self.dt, self.samples[j0:j1].copy())
-
     def restrict(self, m: int) -> "ControlSignal":
-        return self.window(0, m)
+        """The first m cells, on [0, m * dt]."""
+        if not 0 < m <= self.n_cells:
+            raise ValueError("invalid control window")
+        return ControlSignal(m * self.dt, self.samples[:m].copy())
 
 
 def require_same_grid(u: ControlSignal, v: ControlSignal) -> None:

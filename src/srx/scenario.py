@@ -160,18 +160,25 @@ def _frame_from_spec(spec) -> SRFrame:
     fields = []
     for raw in spec["fields"]:
         coeffs = _checked(raw, "frame.fields[]", "field").get("coeffs", {})
-        tables: list[dict] = [{} for _ in range(n)]
+        tables: dict[int, dict] = {}
         for key, table in coeffs.items():
             _require(key.isdecimal() and int(key) < n,
                      f"coeffs key {key!r} must be an output coordinate 0..{n - 1}")
+            a = int(key)
+            _require(a not in tables,
+                     f"coeffs key {key!r} repeats output coordinate {a}")
             _require(isinstance(table, dict), f"coeffs[{key!r}] must be an object")
+            terms = tables[a] = {}
             for exp, coef in table.items():
                 powers = exp.split(",")
                 _require(len(powers) == n and all(p.isdecimal() for p in powers),
                          f"exponent {exp!r} must be {n} integers >= 0")
                 _require(_number(coef), f"coefficient {coef!r} must be a number")
-                tables[int(key)][tuple(map(int, powers))] = coef
-        fields.append(PolyVectorField(tuple(tables), n))
+                exponent = tuple(map(int, powers))
+                _require(exponent not in terms,
+                         f"exponent {exp!r} repeats an exponent of coeffs[{key!r}]")
+                terms[exponent] = coef
+        fields.append(PolyVectorField(tuple(tables.get(a, {}) for a in range(n)), n))
     try:
         return SRFrame(tuple(fields), n, spec["k"])
     except ValueError as err:
@@ -341,6 +348,16 @@ def bundled_scenario_path(name: str) -> Path:
     return Path(str(resources.files("srx").joinpath(f"scenarios/{name}.json")))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object as a dict; json itself would keep the last of a
+    repeated key."""
+    obj: dict = {}
+    for key, value in pairs:
+        _require(key not in obj, f"scenario repeats the key {key!r} in one object")
+        obj[key] = value
+    return obj
+
+
 def load_scenario(path_or_name: str) -> Scenario:
     path = Path(path_or_name)
     if not path.exists() and "/" not in path_or_name \
@@ -354,7 +371,7 @@ def load_scenario(path_or_name: str) -> Scenario:
         raise ScenarioError(f"cannot read scenario file {path}: "
                             f"{err.strerror or err}") from err
     try:
-        data = json.loads(raw_bytes.decode("utf-8"))
+        data = json.loads(raw_bytes.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ScenarioError(f"scenario is not valid JSON: {err}") from err
     sha = _new_sha256(raw_bytes).hexdigest()

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from srx import (Domain, NotCertifiableError, PolyVectorField, SRFrame,
-                 SRXError, Trajectory, build_certificate, control_inner,
+from srx import (ControlSignal, Domain, NotCertifiableError, PolyVectorField,
+                 SRFrame, SRXError, Trajectory, build_certificate, control_inner,
                  compute_epsilon, compute_eta, estimate_constants,
                  hamiltonian_extremal, integrate_trajectory, natural_homotopy, psi,
                  sample_admissible_perturbation, verify_certificate, xi, zeta)
@@ -300,7 +300,7 @@ def test_certificate_heisenberg_line(heisenberg, line_certificate):
     assert report.status == "certified"
     assert cert.c == pytest.approx(1.0, abs=1e-9)
     assert cert.epsilon > 0.0
-    assert cert.conditions.domain_ok and cert.conditions.angle_ok
+    assert cert.domain_ok and cert.angle_ok
     data = cert.to_json_dict()
     assert set(data) >= {"C0", "C1", "C2", "C3", "margin", "c", "eta",
                          "epsilon", "conditions", "provenance"}
@@ -310,12 +310,10 @@ def test_certificate_heisenberg_line(heisenberg, line_certificate):
 
 def test_certificate_reads_its_values_from_its_conditions(line_certificate):
     _, _, _, cert, report = line_certificate
-    moved = dataclasses.replace(
-        cert, conditions=dataclasses.replace(cert.conditions, c=0.5, eta=0.25,
-                                             epsilon=0.01))
+    moved = dataclasses.replace(cert, c=0.5, eta=0.25, epsilon=0.01)
     assert (moved.c, moved.eta, moved.epsilon) == (0.5, 0.25, 0.01)
-    assert moved.conditions.angle_limit == 0.25
-    assert moved.conditions.domain_limit == 0.25
+    assert moved.angle_ok == (moved.angle_lhs < moved.c / 2)
+    assert moved.domain_ok == (moved.domain_lhs < moved.eta)
     assert moved.xi_eps == xi(0.01, cert.constants, 2, 3)
     data = moved.to_json_dict()
     assert (data["c"], data["eta"], data["epsilon"]) == (0.5, 0.25, 0.01)
@@ -329,9 +327,19 @@ def test_certificate_reads_its_values_from_its_conditions(line_certificate):
     assert dataclasses.replace(report, acb_bound=-1.0).status == "failed"
 
 
+def test_compute_epsilon_returns_the_certificate(heisenberg, line_certificate):
+    # build_certificate adds only the seed to compute_epsilon's record
+    box, u, traj, cert, report = line_certificate
+    constants = estimate_constants(heisenberg, box, grid_resolution=11)
+    eta = compute_eta(traj, box, constants)
+    found = compute_epsilon(constants, report.c, eta, 2, 3, traj.horizon)
+    assert (found.seed, cert.seed) == (0, 42)
+    assert found == dataclasses.replace(cert, seed=0)
+
+
 def test_certificate_restriction_invariance(heisenberg, line_certificate):
     box, u, traj, cert, _ = line_certificate
-    sub_u = u.window(100, 400)
+    sub_u = ControlSignal(300 * u.dt, u.samples[100:400])
     sub_traj = Trajectory(traj.states[100:401], sub_u)
     sub_cert, _ = build_certificate(heisenberg, box, sub_u, sub_traj,
                                     grid_resolution=11, seed=42)
@@ -339,10 +347,9 @@ def test_certificate_restriction_invariance(heisenberg, line_certificate):
     assert sub_cert.c >= cert.c - 1e-12
     assert sub_cert.epsilon >= cert.epsilon - 1e-9
     # condition slacks evaluated at the full-run radius are at least as wide
-    full = cert.conditions
-    assert (sub_cert.eta - full.domain_lhs) >= (cert.eta - full.domain_lhs) - 1e-12
-    assert (0.5 * sub_cert.c - full.angle_lhs) >= \
-        (0.5 * cert.c - full.angle_lhs) - 1e-12
+    assert (sub_cert.eta - cert.domain_lhs) >= (cert.eta - cert.domain_lhs) - 1e-12
+    assert (0.5 * sub_cert.c - cert.angle_lhs) >= \
+        (0.5 * cert.c - cert.angle_lhs) - 1e-12
 
 
 def test_verification_zero_violations(heisenberg, line_certificate):
@@ -393,7 +400,7 @@ def test_verification_catches_inflated_constant(heisenberg, line_certificate):
     # a certificate claiming a much larger angle constant must be caught
     box, u, traj, cert, _ = line_certificate
     from dataclasses import replace
-    bogus = replace(cert, conditions=replace(cert.conditions, c=250.0))
+    bogus = replace(cert, c=250.0)
     report = verify_certificate(heisenberg, box, u, traj, bogus,
                                 n_trials=10, base_seed=0)
     assert not report.ok

@@ -473,7 +473,7 @@ def test_control_validation():
 
 def test_control_window():
     u = smooth_perturbation(np.random.default_rng(3), n_cells=40)
-    w = u.window(10, 30)
+    w = ControlSignal(20 * u.dt, u.samples[10:30])
     assert w.n_cells == 20
     assert w.horizon == pytest.approx(0.5)
     assert np.array_equal(w.samples, u.samples[10:30])

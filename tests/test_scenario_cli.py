@@ -249,6 +249,27 @@ def test_frame_and_top_level_errors_rejected(tmp_path, edit):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ('"2": {"0,1,0": -0.5}', '"2": {"0,1,0": -0.5, "0,01,0": 7.0}', "'0,01,0'"),
+    ('"2": {"0,1,0": -0.5}', '"2": {"0,1,0": -0.5, "0,1,0": 7.0}', "'0,1,0'"),
+    ('"seed": 0,', '"seed": 0, "seed": 3,', "'seed'"),
+    ('"2": {"0,1,0": -0.5}', '"2": {"0,1,0": -0.5}, "02": {"0,1,0": -0.5}', "'02'"),
+], ids=["exponent_spelled_twice", "exponent_repeated", "seed_repeated",
+        "coordinate_spelled_twice"])
+def test_repeated_scenario_key_rejected(tmp_path, old, new, key):
+    # json keeps the last of a repeated key, and "0,01,0" and "02" parse to
+    # an exponent and a coordinate already given: each used to load, with a
+    # term dropped or the seed replaced
+    text = bundled_scenario_path("heisenberg_line").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "repeated.json"
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ScenarioError, match=key):
+        load_scenario(str(path))
+    assert main(["integrate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_segment_off_grid_rejected(tmp_path):
     # an off-grid boundary used to be snapped to the nearest node
     data = _load_bundled_dict("jump_control")
@@ -592,8 +613,7 @@ def test_cli_certified_requires_conditions(tmp_path, monkeypatch):
 
     def broken_angle(*args, **kwargs):
         cert, report = build(*args, **kwargs)
-        cond = replace(cert.conditions, angle_lhs=2.0 * cert.conditions.angle_limit)
-        return replace(cert, conditions=cond), report
+        return replace(cert, angle_lhs=cert.c), report    # twice c/2
 
     monkeypatch.setattr(srx.certify, "build_certificate", broken_angle)
     cfg = _quick_certify_scenario(tmp_path, n_trials=2, n_cells=200)

@@ -302,6 +302,11 @@ def main(argv: list[str] | None = None) -> int:
     except SRXError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as err:
+        # numpy refuses an allocation larger than the machine at once,
+        # naming its size: a grid too large for this host is bad input
+        print(f"scenario too large for memory: {err}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -46,6 +46,7 @@ ExponentTable = dict[tuple[int, ...], float]
 FRAME_CHECK_CHUNK = 4096    # grid points per batch of the frame-independence check
 FRAME_SV_TOL = 1e-10        # smallest field-matrix singular value accepted
 NORMALIZED_TOL = 1e-12
+_CHAIN = 32                 # terms per statement of a generated RK4 step
 # defaults of the pipeline modules, kept here so that srx.scenario imports only core
 SIGMA_TOL = 1e-8
 THETA_MIN = 1e-3
@@ -121,41 +122,66 @@ class _StackedPolys:
                 @ np.abs(self.weights))[0]
 
     @functools.cached_property
-    def row(self):
-        """The stack at one point on Python floats: a sequence of n floats
-        -> tuple of the rows, with no numpy call.
+    def step(self):
+        """One classical RK4 step on Python floats, for a stack whose d rows
+        are the derivatives of its first d variables: (y, c, h, half, sixth)
+        -> tuple of the d state values one step of width h later.
 
-        Generated once per stack as straight-line Python source: one
-        statement per product, sharing the products of common factor
-        prefixes, then one per weighted term, each row summed from 0.0 in
-        the order of the matmul (zero weights skipped).  Nothing is nested,
-        so any degree compiles.
+        y holds the d state values and c the remaining variables, fixed over
+        the step; half and sixth are 0.5 * h and h / 6.0.  Generated once per
+        stack as straight-line Python source, with no numpy call.  Each of
+        the four stages forms the monomials one statement per product,
+        sharing the products of common factor prefixes, then sums each row
+        from 0.0 over its nonzero weighted terms in the order of the matmul;
+        the stage states and the combination are flows._rk4's, rounded the
+        same way.  No expression chains more than _CHAIN terms, so any
+        degree and any number of terms compiles.
         """
-        body = ["".join(f"x{b}, " for b in range(1, self.n + 1)) + "= x"]
-        products: dict[tuple[int, ...], str] = {}
-        names = []
-        for index in zip(*self.factors):
-            index = tuple(int(b) for b in index if b)
-            name = f"x{index[0]}" if index else "1.0"
-            for c in range(2, len(index) + 1):
-                if index[:c] not in products:
-                    products[index[:c]] = f"m{len(products)}"
-                    body.append(f"{products[index[:c]]} = "
-                                f"{name} * x{index[c - 1]}")
-                name = products[index[:c]]
-            names.append(name)
-        rows = range(self.weights.shape[1])
-        for r, column in zip(rows, self.weights.T):
-            body.append(f"r{r} = 0.0")
-            for j in np.flatnonzero(column):
-                w = float(column[j])
-                term = names[j] if abs(w) == 1.0 else f"{abs(w)!r} * {names[j]}"
-                body.append(f"r{r} = r{r} {'+' if w > 0.0 else '-'} {term}")
-        body.append("return (" + "".join(f"r{r}, " for r in rows) + ")")
+        d = self.weights.shape[1]
+        body = ["".join(f"y{b}, " for b in range(1, d + 1)) + "= y"]
+        if self.n > d:
+            body.append("".join(f"x{b}, " for b in range(d + 1, self.n + 1))
+                        + "= c")
+        indices = [tuple(int(b) for b in index if b)
+                   for index in zip(*self.factors)]
+        used = {b for index in indices for b in index}
+        for s, (var, scale) in enumerate([("y", None), ("x", "half"),
+                                          ("x", "half"), ("x", "h")], start=1):
+            if scale:
+                body.extend(f"x{b} = y{b} + {scale} * k{s - 1}_{b - 1}"
+                            for b in range(1, d + 1) if b in used)
+            name_of = [f"{var if b <= d else 'x'}{b}"
+                       for b in range(self.n + 1)]
+            products: dict[tuple[int, ...], str] = {}
+            names = []
+            for index in indices:
+                name = name_of[index[0]] if index else "1.0"
+                for c in range(2, len(index) + 1):
+                    if index[:c] not in products:
+                        products[index[:c]] = f"m{len(products)}"
+                        body.append(f"{products[index[:c]]} = "
+                                    f"{name} * {name_of[index[c - 1]]}")
+                    name = products[index[:c]]
+                names.append(name)
+            for r, column in enumerate(self.weights.T):
+                terms = []
+                for j in np.flatnonzero(column):
+                    w = float(column[j])
+                    term = (names[j] if abs(w) == 1.0
+                            else f"{abs(w)!r} * {names[j]}")
+                    terms.append(f" {'+' if w > 0.0 else '-'} {term}")
+                k = f"k{s}_{r}"
+                body.append(f"{k} = 0.0" + "".join(terms[:_CHAIN]))
+                body.extend(f"{k} = {k}" + "".join(terms[i:i + _CHAIN])
+                            for i in range(_CHAIN, len(terms), _CHAIN))
+        body.append("return (" + "".join(
+            f"y{b} + sixth * (k1_{b - 1} + 2.0 * (k2_{b - 1} + k3_{b - 1})"
+            f" + k4_{b - 1}), " for b in range(1, d + 1)) + ")")
         namespace = {"inf": math.inf, "nan": math.nan}
-        exec(compile("def row(x):\n    " + "\n    ".join(body),
-                     "<srx.core._StackedPolys.row>", "exec"), namespace)
-        return namespace["row"]
+        exec(compile("def step(y, c, h, half, sixth):\n    "
+                     + "\n    ".join(body),
+                     "<srx.core._StackedPolys.step>", "exec"), namespace)
+        return namespace["step"]
 
 
 def _validate_table(table: ExponentTable, n: int) -> ExponentTable:

@@ -9,8 +9,9 @@ states, whose one right-hand side is the variational system of
 `_variational_flow`: a state with one variation of it, which gives both the
 homotopy members with their variation fields and the columns of the
 tangent-flow cell propagators.  One system (the base trajectory on the
-"drift" stack, the Hamiltonian oracle on "hamiltonian") steps on a stack's
-row function through `_rk4_row`: _rk4's arithmetic on Python floats.
+"drift" stack, the Hamiltonian oracle on "hamiltonian") steps through
+`_rk4_row` on a stack's generated RK4 step: _rk4's arithmetic on Python
+floats.
 """
 from __future__ import annotations
 
@@ -58,29 +59,25 @@ def _rk4(f, y0: np.ndarray, h: float, substeps: int,
         yield y
 
 
-def _rk4_row(f, y0: np.ndarray, h: float, substeps: int,
+def _rk4_row(step, c, y0: np.ndarray, h: float, substeps: int,
              n_cells: int) -> np.ndarray:
     """_rk4 for one system of d equations, on Python floats.
 
-    f(j) is called once, when cell j's first step starts, and returns the
-    cell's right-hand side: a function of one state (a list of d floats)
-    that returns d floats.  Each operation is _rk4's, rounded the same way.
-    Returns the (n_cells + 1, d) states at the cell ends, or raises
-    _rk4's IntegrationError.
+    step is a stack's generated RK4 step (core._StackedPolys.step) whose
+    first d variables are the state.  c(j) is called once, when cell j's
+    first step starts, and returns the cell's values of the stack's other
+    variables, fixed over the cell.  Each operation is _rk4's, rounded the
+    same way.  Returns the (n_cells + 1, d) states at the cell ends, or
+    raises _rk4's IntegrationError.
     """
     ys = np.empty((n_cells + 1, y0.shape[0]))
     ys[0] = y0
     y = y0.tolist()
     half, sixth = 0.5 * h, h / 6.0
     for j in range(n_cells):
-        rhs = f(j)
+        cell = c(j)
         for _ in range(substeps):
-            k1 = rhs(y)
-            k2 = rhs([a + half * b for a, b in zip(y, k1)])
-            k3 = rhs([a + half * b for a, b in zip(y, k2)])
-            k4 = rhs([a + h * b for a, b in zip(y, k3)])
-            y = [a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+            y = step(y, cell, h, half, sixth)
         ys[j + 1] = y
     finite = np.isfinite(ys).all(axis=1)
     if not finite.all():
@@ -128,13 +125,9 @@ def integrate_trajectory(frame: SRFrame, u: ControlSignal, q0,
     A non-finite state raises IntegrationError.
     """
     q0 = _checked_start(frame, q0, domain, substeps)
-    row = frame._stack("drift").row
-
-    def cell_rhs(j):
-        u_j = u.samples[j].tolist()
-        return lambda q: row(q + u_j)
-
-    states = _rk4_row(cell_rhs, q0, u.dt / substeps, substeps, u.n_cells)
+    states = _rk4_row(frame._stack("drift").step,
+                      lambda j: u.samples[j].tolist(), q0, u.dt / substeps,
+                      substeps, u.n_cells)
     return _marked_trajectory(states, u, domain)
 
 

@@ -374,5 +374,7 @@ def load_scenario(path_or_name: str) -> Scenario:
         data = json.loads(raw_bytes.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ScenarioError(f"scenario is not valid JSON: {err}") from err
+    except RecursionError as err:
+        raise ScenarioError(f"scenario JSON is nested too deeply: {err}") from err
     sha = _new_sha256(raw_bytes).hexdigest()
     return parse_scenario(data, sha, name_hint=path.stem)

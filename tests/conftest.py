@@ -83,11 +83,67 @@ def batched_trajectory_states(frame, u, q0, substeps=1):
 def batched_oracle_stepper(frame):
     """A stand-in for the row stepper in hamiltonian_extremal: the
     Hamiltonian system on _rk4 with a batch of one row, evaluated by
-    SRFrame.hamiltonian_field, the reference for the row stepper."""
-    def stepper(f, y0, h, substeps, n_cells):
+    SRFrame.hamiltonian_field, the reference for the row stepper.  It takes
+    flows._rk4_row's arguments and ignores the step and its constants."""
+    def stepper(step, c, y0, h, substeps, n_cells):
         return np.stack(tuple(_rk4(lambda _: frame.hamiltonian_field,
                                    y0[None], h, substeps, n_cells)))[:, 0]
     return stepper
+
+
+def reference_row(stack):
+    """A stack's rows at one point on Python floats, from its factors and
+    weights alone: each monomial's factors multiplied in order, then each
+    row summed from 0.0 over its nonzero terms in the order of the matmul.
+    Multiplying by a padding 1.0 or a weight of +-1 and adding w * m for
+    -|w| * m are exact, so this rounds as the stages of the generated step
+    (_StackedPolys.step) do."""
+    monomials = [[int(b) for b in index] for index in zip(*stack.factors)]
+    rows = [[(int(j), float(column[j])) for j in np.flatnonzero(column)]
+            for column in stack.weights.T]
+
+    def row(x):
+        point = [1.0, *x]
+        values = []
+        for first, *rest in monomials:
+            value = point[first]
+            for b in rest:
+                value *= point[b]
+            values.append(value)
+        out = []
+        for terms in rows:
+            total = 0.0
+            for j, w in terms:
+                total += w * values[j]
+            out.append(total)
+        return out
+    return row
+
+
+def reference_row_stepper(stack, y0, h, substeps, n_cells, cells=None):
+    """flows._rk4_row before the RK4 step was generated: list comprehensions
+    around four reference_row calls per step, with the cell's row of `cells`
+    (or nothing) appended to every stage state.  The reference for the
+    generated step."""
+    row = reference_row(stack)
+    ys = np.empty((n_cells + 1, y0.shape[0]))
+    ys[0] = y0
+    y = y0.tolist()
+    half, sixth = 0.5 * h, h / 6.0
+    for j in range(n_cells):
+        c = [] if cells is None else cells[j].tolist()
+
+        def rhs(state):
+            return row(state + c)
+        for _ in range(substeps):
+            k1 = rhs(y)
+            k2 = rhs([a + half * b for a, b in zip(y, k1)])
+            k3 = rhs([a + half * b for a, b in zip(y, k2)])
+            k4 = rhs([a + h * b for a, b in zip(y, k3)])
+            y = [a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        ys[j + 1] = y
+    return ys
 
 
 def constant_control(value, horizon=1.0, n_cells=1000):

@@ -10,7 +10,8 @@ from srx import core
 from srx.scenario import BUNDLED, load_scenario
 
 from conftest import (constant_control, jet_variation_rhs, make_quartic_frame,
-                      make_random_poly_frame, smooth_perturbation)
+                      make_random_poly_frame, reference_row,
+                      reference_row_stepper, smooth_perturbation)
 
 
 # -- polynomial fields ------------------------------------------------------
@@ -172,6 +173,10 @@ def _stack_tables(frame, key):
         return frame._tables(0) + frame._tables(1), frame.n
     if key == "variation":
         return frame._variation_tables(), 2 * (frame.n + frame.k)
+    if key == "drift":      # the dq/dt rows without the b and du exponents
+        n, k = frame.n, frame.k
+        return ([{e[:n] + e[2 * n:2 * n + k]: c for e, c in t.items()}
+                 for t in frame._variation_tables()[:n]], n + k)
     return frame._tables(key), frame.n
 
 
@@ -226,13 +231,17 @@ STACK_FRAMES = {
 
 
 @pytest.mark.parametrize("frame", [*STACK_FRAMES.values()], ids=[*STACK_FRAMES])
-@pytest.mark.parametrize("key", [0, 1, 2, "jet", "hamiltonian", "variation"])
+@pytest.mark.parametrize("key", [0, 1, 2, "jet", "hamiltonian", "variation",
+                                 "drift"])
 @pytest.mark.parametrize("shape", [(0,), (1,), (17,), (1088,), (4, 6), ()])
 def test_stack_matches_the_pow_evaluator(frame, key, shape):
     # x*x*x and pow(x, 3) round differently, and merged monomials are
     # summed in another order: agreement to rounding, relative to the sum
-    # of the terms' absolute values; the row function is checked point by
-    # point against the same bound
+    # of the terms' absolute values.  The stacks whose rows are the
+    # derivatives of their first variables also have a generated RK4 step:
+    # at the first 17 points its stages are the reference row, checked
+    # against the same bound, so one step of it equals the reference
+    # stepper's bit for bit
     tables, n = _stack_tables(frame, key)
     pts = _test_points(np.random.default_rng(len(shape) + sum(shape)), shape, n)
     stack = _stack(frame, key)
@@ -240,19 +249,33 @@ def test_stack_matches_the_pow_evaluator(frame, key, shape):
     expected, scale = _pow_reference(tables, n, pts)
     assert out.shape == shape + (len(tables),)
     assert np.all(np.abs(out - expected) <= 1e-14 * scale)
-    rows = [stack.row(p) for p in pts.reshape(-1, n).tolist()]
-    assert all(type(r) is tuple and len(r) == len(tables) for r in rows)
-    rows = np.array(rows, dtype=float).reshape(out.shape)
-    assert np.all(np.abs(rows - expected) <= 1e-14 * scale)
+    if key not in ("hamiltonian", "variation", "drift"):
+        return
+    d = len(tables)
+    row = reference_row(stack)
+    for p, ref, bound in zip(pts.reshape(-1, n)[:17],
+                             expected.reshape(-1, d), scale.reshape(-1, d)):
+        assert np.all(np.abs(np.array(row(p.tolist())) - ref) <= 1e-14 * bound)
+        h = 2.0 ** -10
+        step = stack.step(p[:d].tolist(), p[d:].tolist(), h, 0.5 * h, h / 6.0)
+        assert type(step) is tuple and len(step) == d
+        reference = reference_row_stepper(stack, p[:d], h, 1, 1, p[None, d:])
+        assert np.isfinite(step).all()
+        assert np.array_equal(np.array(step).view(np.int64),
+                              reference[1].view(np.int64))
 
 
 @pytest.mark.parametrize("exp", [(300,), (150, 150), (0, 300, 1)])
 def test_row_function_of_a_high_degree_monomial(exp):
     # one statement per product: no nested expression for the compiler to
-    # recurse into, whatever the degree
-    stack = core._StackedPolys([{exp: 0.5}, {}], len(exp))
-    pts = np.full((1, len(exp)), 1.001)
-    assert stack.row(pts[0].tolist()) == tuple(stack.eval(pts)[0])
+    # recurse into, whatever the degree; the generated step's stages are
+    # the stack's rows, so one step equals the reference stepper's
+    stack = core._StackedPolys([{exp: 0.5}] + [{}] * (len(exp) - 1),
+                               len(exp))
+    y0 = np.full(len(exp), 1.001)
+    step = stack.step(y0.tolist(), (), 1e-3, 5e-4, 1e-3 / 6.0)
+    assert step == tuple(reference_row_stepper(stack, y0, 1e-3, 1, 1)[1])
+    assert step[0] > 1.001
 
 
 def test_degree_one_stack_equals_the_pow_evaluator(heisenberg):
@@ -311,15 +334,17 @@ def test_variation_stack_monomials(name, distinct):
 ], ids=[*BUNDLED, "random_n3", "random_n4", "random_n5"])
 def test_drift_row_is_the_variation_rows_dq_part(frame):
     # the base trajectory's "drift" stack is the "variation" stack's dq/dt
-    # rows over (q, u): at b = 0, du = 0 the two row functions form the
+    # rows over (q, u): at b = 0, du = 0 the two generated steps form the
     # same products and add the same terms in the same order
     n, k = frame.n, frame.k
     drift = frame._stack("drift")
     assert drift.n == n + k and drift.weights.shape[1] == n
-    variation = frame._stack("variation").row
+    variation = frame._stack("variation").step
     for p in _test_points(np.random.default_rng(n), (64,), n + k).tolist():
         q, u = p[:n], p[n:]
-        assert drift.row(p) == variation(q + [0.0] * n + u + [0.0] * k)[:n]
+        assert (drift.step(q, u, 0.125, 0.0625, 0.125 / 6.0)
+                == variation(q + [0.0] * n, u + [0.0] * k, 0.125, 0.0625,
+                             0.125 / 6.0)[:n])
 
 
 @pytest.mark.parametrize("shape", [(0,), (5,), (4, 6)])

@@ -6,7 +6,7 @@ from srx import (GridMismatchError, angle_to_subspace, hamiltonian_extremal,
                  span_profile, tangent_flow)
 from srx import extremals
 from srx.extremals import DegenerateSpanError, NotNormalizedError, OrthoDistribution
-from srx.flows import COND_LIMIT
+from srx.flows import COND_LIMIT, _rk4
 from srx.scenario import load_scenario
 
 from conftest import (constant_control, make_euclidean_frame,
@@ -357,12 +357,16 @@ def test_streaming_span_matches_stacked_svd(case, tau_range, sample_stride):
 
 @pytest.mark.parametrize("case", [_arc_case, _k3_case], ids=["arc", "k3"])
 @pytest.mark.parametrize("sample_stride", [1, 3])
-def test_span_scan_blocks_match_stacked_svd(monkeypatch, case, sample_stride):
-    # 61 nodes in scan blocks of 7 sampled nodes: every block after the
-    # first starts from the carried factor, and with stride 3 a block ends
-    # inside the stride of its last sampled node
+@pytest.mark.parametrize("batch", [1, 2, 3, 5, 7, 8])
+def test_span_scan_blocks_match_stacked_svd(monkeypatch, case, sample_stride,
+                                            batch):
+    # 61 nodes in scan blocks of `batch` sampled nodes: every block after
+    # the first starts from the carried factor, with stride 3 a block ends
+    # inside the stride of its last sampled node, and the one-entry, odd
+    # and power-of-two blocks (and the shorter last block) exercise the
+    # bounds of the Brent-Kung sweeps
     import srx.extremals as extremals
-    monkeypatch.setattr(extremals, "SPAN_BATCH", 7)
+    monkeypatch.setattr(extremals, "SPAN_BATCH", batch)
     _check_span_against_stacked_svd(case, "0..t", sample_stride)
 
 
@@ -497,24 +501,25 @@ class _Captured(Exception):
     pass
 
 
-def _oracle_rhs(monkeypatch, frame, q0, p0):
-    """Cell 0's right-hand side from the function the oracle hands to the
-    row stepper."""
+def _oracle_step(monkeypatch, frame, q0, p0):
+    """The step and cell constants the oracle hands to the row stepper."""
     import srx.extremals as extremals
 
-    def capture(f, *args):
-        raise _Captured(f)
+    def capture(step, c, *args):
+        raise _Captured(step, c)
 
     monkeypatch.setattr(extremals, "_rk4_row", capture)
     with pytest.raises(_Captured) as caught:
         hamiltonian_extremal(frame, q0, p0, 1.0, 10)
-    return caught.value.args[0](0)
+    return caught.value.args
 
 
 def test_hamiltonian_batched_rhs_matches_rows(monkeypatch):
     scenario = load_scenario("martinet_arc")
     frame, n, k = scenario.frame, scenario.frame.n, scenario.frame.k
-    rhs = _oracle_rhs(monkeypatch, frame, scenario.q0, scenario.hamiltonian["p0"])
+    step, c = _oracle_step(monkeypatch, frame, scenario.q0,
+                           scenario.hamiltonian["p0"])
+    assert c(0) == ()
     rows = np.random.default_rng(4).uniform(-1.5, 1.5, size=(7, 2 * n))
     batched = frame.hamiltonian_field(rows)
     assert batched.shape == rows.shape
@@ -526,33 +531,36 @@ def test_hamiltonian_batched_rhs_matches_rows(monkeypatch):
         a = (u @ jac.reshape(k, n * n)).reshape(n, n)
         expected = np.concatenate([u @ f, -(p @ a)])
         assert np.abs(out - expected).max() <= 1e-15 * np.abs(expected).max()
-        single = np.array(rhs(y.tolist()))
-        assert np.abs(single - out).max() <= 1e-15 * np.abs(out).max()
+    # one generated step per row against one batched _rk4 step on the field
+    h = 0.01
+    *_, ends = _rk4(lambda _: frame.hamiltonian_field, rows, h, 1, 1)
+    for y, end in zip(rows, ends):
+        single = np.array(step(y.tolist(), c(0), h, 0.5 * h, h / 6.0))
+        assert np.abs(single - end).max() <= 1e-15 * np.abs(end).max()
 
 
 @pytest.mark.parametrize("n_cells, substeps", [(300, 1), (100, 2)])
 def test_hamiltonian_field_calls(heisenberg, monkeypatch, n_cells, substeps):
-    # four row-function calls per RK4 step, `substeps` steps per cell, plus
-    # the node slopes in batches of FLOW_BATCH; two half steps per cell
-    # took 8 N_t substeps
+    # one generated-step call per RK4 step, `substeps` steps per cell, plus
+    # the node slopes in batches of FLOW_BATCH
     from srx import SRFrame
     from srx.flows import FLOW_BATCH
-    calls, row_calls = [], []
+    calls, step_calls = [], []
     real_field = SRFrame.hamiltonian_field
     stack = heisenberg._stack("hamiltonian")
-    real_row = stack.row
+    real_step = stack.step
 
     def counting_field(self, states):
         calls.append(states)
         return real_field(self, states)
 
     monkeypatch.setattr(SRFrame, "hamiltonian_field", counting_field)
-    monkeypatch.setattr(stack, "row",
-                        lambda y: row_calls.append(y) or real_row(y))
+    monkeypatch.setattr(stack, "step",
+                        lambda *args: step_calls.append(args) or real_step(*args))
     hamiltonian_extremal(heisenberg, [0.0, 0.0, 0.0], [1.0, 0.0, 2.0], 1.0,
                          n_cells, substeps=substeps)
     batches = -(-(n_cells + 1) // FLOW_BATCH)
-    assert len(row_calls) == 4 * n_cells * substeps
+    assert len(step_calls) == n_cells * substeps
     assert len(calls) == batches
 
 

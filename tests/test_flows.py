@@ -7,13 +7,13 @@ from srx import (ControlSignal, Domain, GridMismatchError, IntegrationError,
                  hamiltonian_extremal, integrate_trajectory, tangent_flow)
 from srx.cli import _resolve_run
 from srx.core import _StackedPolys
-from srx.flows import COND_LIMIT, FLOW_BATCH, _rk4
+from srx.flows import COND_LIMIT, FLOW_BATCH, _rk4, _rk4_row
 from srx.scenario import BUNDLED, load_scenario
 
 from conftest import (batched_oracle_stepper, batched_trajectory_states,
                       constant_control, make_quartic_frame,
-                      make_random_poly_frame, sampled_control,
-                      smooth_perturbation, two_point_map)
+                      make_random_poly_frame, reference_row_stepper,
+                      sampled_control, smooth_perturbation, two_point_map)
 
 
 def test_euclidean_straight_line(euclidean2):
@@ -312,6 +312,35 @@ def test_velocity_transport_identity(heisenberg):
         assert np.linalg.norm(residual) < tol
 
 
+STEP_FRAMES = {
+    **{name: load_scenario(name).frame for name in BUNDLED},
+    **{f"random_n{n}": make_random_poly_frame(np.random.default_rng(20 + n), n=n)
+       for n in (3, 4, 5)},
+}
+
+
+@pytest.mark.parametrize("frame", [*STEP_FRAMES.values()], ids=[*STEP_FRAMES])
+@pytest.mark.parametrize("key", ["drift", "hamiltonian"])
+@pytest.mark.parametrize("substeps", [1, 2])
+def test_generated_step_matches_the_reference_row_stepper(frame, key,
+                                                          substeps):
+    # the generated step forms the reference row's products and sums in
+    # the same order and combines the stages as the list comprehensions
+    # did: the states agree bit for bit, signs of zero included
+    stack = frame._stack(key)
+    d = stack.weights.shape[1]
+    rng = np.random.default_rng(d + substeps)
+    y0 = rng.uniform(-0.5, 0.5, size=d)
+    y0[::3] = -0.0
+    cells = rng.uniform(-1.0, 1.0, size=(12, stack.n - d))
+    cells[::4] = -0.0
+    states = _rk4_row(stack.step, lambda j: cells[j].tolist(), y0, 0.01,
+                      substeps, 12)
+    reference = reference_row_stepper(stack, y0, 0.01, substeps, 12, cells)
+    assert np.isfinite(states).all()
+    assert np.array_equal(states.view(np.int64), reference.view(np.int64))
+
+
 def test_domain_exit_marking(euclidean2):
     box = Domain([-1.0, -1.0], [1.0, 1.0])
     u = constant_control([1.0, 0.0], horizon=2.0, n_cells=100)
@@ -345,7 +374,7 @@ def test_blow_up_raises_the_same_error_on_both_steppers():
         ("t=200", lambda: hamiltonian_extremal(frame, [1e76, 0.0], [1.0, 0.0],
                                                2e4, 100)),
         ("t=200", lambda: batched_oracle_stepper(frame)(
-            None, np.array([1e76, 0.0, 1.0, 0.0]), 200.0, 1, 100)),
+            None, None, np.array([1e76, 0.0, 1.0, 0.0]), 200.0, 1, 100)),
     ]
     for at, run in runs:
         with pytest.raises(IntegrationError) as err:

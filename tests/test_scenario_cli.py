@@ -826,6 +826,38 @@ def test_cli_output_file_that_is_a_directory_exits_2(tmp_path, command, name):
     assert run.stderr == f"cannot write output file {out / name}: Is a directory\n"
 
 
+def test_cli_deeply_nested_json_exits_2(tmp_path):
+    # used to exit 1 with a RecursionError traceback from the JSON decoder
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    run = _run_cli("integrate", "--config", str(path),
+                   "--out", str(tmp_path / "out"))
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("scenario error: scenario JSON is nested "
+                                 "too deeply: maximum recursion depth")
+
+
+@pytest.mark.parametrize("scenario, section, shape", [
+    ("heisenberg_line", "control", "(10000000000000, 2)"),
+    ("heisenberg_arc", "hamiltonian", "(10000000000001, 6)")])
+def test_cli_grid_too_large_for_memory_exits_2(tmp_path, scenario, section,
+                                               shape):
+    # N_t = 10^13 used to exit 1 with numpy's _ArrayMemoryError traceback,
+    # from the loader's control samples or from the oracle's states; numpy
+    # refuses both sizes (146 and 437 TiB) at once, so nothing is allocated
+    data = _load_bundled_dict(scenario)
+    data[section]["N_t"] = 10 ** 13
+    run = _run_cli("integrate", "--config", _write_scenario(tmp_path, data),
+                   "--out", str(tmp_path / "out"))
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("scenario too large for memory: "
+                                 "Unable to allocate ")
+    assert f"with shape {shape} and data type float64\n" in run.stderr
+    assert run.stderr.count("\n") == 1
+
+
 def test_cli_certify_control_leaving_the_domain_writes_the_reason(tmp_path):
     # used to exit 3 without writing any file
     data = _load_bundled_dict("heisenberg_line")

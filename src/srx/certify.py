@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -64,15 +64,16 @@ def estimate_constants(frame: SRFrame, domain: Domain,
         raise ValueError("margin must be finite and >= 1")
     n = frame.n
     fvals = frame.derivative_bounds(0, domain)                # (k, n)
-    c0 = np.linalg.norm(fvals, axis=1).max()
     jacs = frame.derivative_bounds(1, domain)                 # (k, n, n)
-    c1 = np.linalg.norm(jacs, axis=1).max()                   # column norms
-    c2 = np.linalg.svd(jacs, compute_uv=False)[:, 0].max()
     hess = frame.derivative_bounds(2, domain)                 # (k, a, b, c)
     # Lipschitz of the column map q -> dX_i/dq^b: slice over (a, c) per (i, b).
     slices = np.swapaxes(hess, 1, 2).reshape(-1, n, n)
-    c3 = np.linalg.svd(slices, compute_uv=False)[:, 0].max()
-    c0, c1, c2, c3 = (margin * np.array([c0, c1, c2, c3])).tolist()
+    with np.errstate(over="ignore"):    # a bound beyond the float range is inf
+        c0 = np.linalg.norm(fvals, axis=1).max()
+        c1 = np.linalg.norm(jacs, axis=1).max()               # column norms
+        c2 = np.linalg.svd(jacs, compute_uv=False)[:, 0].max()
+        c3 = np.linalg.svd(slices, compute_uv=False)[:, 0].max()
+        c0, c1, c2, c3 = (margin * np.array([c0, c1, c2, c3])).tolist()
     return FrameConstants(c0, c1, c2, c3, grid_resolution, margin)
 
 
@@ -122,11 +123,12 @@ def xi(t: float, constants: FrameConstants, k: int, n: int) -> float:
 
 def _squares(x: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
     """|x|^2 (or |x - x0|^2) over the last axis, summed left to right, as
-    np.linalg.norm sums up to 7 components."""
+    np.linalg.norm sums up to 7 components; inf where it overflows."""
     total = 0.0
-    for a in range(x.shape[-1]):
-        xa = x[..., a] if x0 is None else x[..., a] - x0[..., a]
-        total = total + xa * xa
+    with np.errstate(over="ignore"):
+        for a in range(x.shape[-1]):
+            xa = x[..., a] if x0 is None else x[..., a] - x0[..., a]
+            total = total + xa * xa
     return total
 
 
@@ -188,16 +190,16 @@ def _fold_extremes(blocks, u: ControlSignal, deltas: list[ControlSignal],
         extremes = block if extremes is None else np.maximum(extremes, block)
         b0[lo:lo + y.shape[1]] = np.sqrt(_squares(b[0]))
         lo += y.shape[1]
-    ends = q[:, -1]
+    with np.errstate(over="ignore"):    # a gap beyond the float range is inf
+        gaps = [float(np.linalg.norm(gap)) for gap in q[-1, -1] - q[0, -1]]
 
     def inside(row):
         low, high = np.split(row[3:], 2)
         return domain is None or (domain.contains(-low) and domain.contains(high))
 
     return [FamilyExtremes(row, b0[:, h], phi[:, h], du.l2_norm_sq(), du.k, n,
-                           inside(row),
-                           float(np.linalg.norm(ends[-1, h] - ends[0, h])))
-            for h, (du, row) in enumerate(zip(deltas, extremes))]
+                           inside(row), gap)
+            for h, (du, row, gap) in enumerate(zip(deltas, extremes, gaps))]
 
 
 def family_extremes(hom: Homotopy, u: ControlSignal,
@@ -388,8 +390,8 @@ def build_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
                       nsre_kwargs: dict | None = None
                       ) -> tuple[Certificate, NSREReport]:
     """Run the full chain: NSRE test (its guards of the control and frame
-    come first), constants, tube radius, radius search; the search's
-    Certificate is returned with the trial seed set."""
+    come first), constants (refused unless finite), tube radius, radius
+    search; the search's Certificate is returned with the trial seed set."""
     report = nsre_check(frame, u, traj, substeps=substeps, **(nsre_kwargs or {}))
     if report.status == "failed":
         raise NotCertifiableError("trajectory fails the NSRE regularity test",
@@ -398,6 +400,11 @@ def build_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
         raise NotCertifiableError("NSRE angle condition is inconclusive at this "
                                   "resolution", report)
     constants = estimate_constants(frame, domain, grid_resolution, margin)
+    infinite = [f"{name}={value!r}" for name, value in zip(
+        ("C0", "C1", "C2", "C3"), astuple(constants)) if not math.isfinite(value)]
+    if infinite:
+        raise NotCertifiableError(f"frame constants not finite ({', '.join(infinite)});"
+                                  " the fields overflow on the domain")
     eta = compute_eta(traj, domain, constants)
     cert = compute_epsilon(constants, report.c, eta, frame.k, frame.n,
                            traj.horizon, margin_factor=margin_factor)
@@ -547,7 +554,10 @@ def verify_certificate(frame: SRFrame, domain: Domain, u: ControlSignal,
         raise ValueError(f"t_prime must be a finite number > 0, got {t_prime!r}")
     dt = u.dt
     target = t_prime if t_prime is not None else min(cert.epsilon, 0.05)
-    m = int(math.floor(target / dt + 1e-9))
+    # no cell past the first one beyond the radius: the loop then takes at
+    # most two steps, whatever t_prime is
+    m = math.floor(min(target / dt + 1e-9,
+                       math.floor((cert.epsilon + 1e-12) / dt) + 1))
     while m >= 1 and m * dt > cert.epsilon + 1e-12:
         m -= 1
     if m < 1:

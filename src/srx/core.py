@@ -121,21 +121,45 @@ class _StackedPolys:
         return (self._monomials(radius.reshape(1, self.n))
                 @ np.abs(self.weights))[0]
 
+    def batch_step(self, y: np.ndarray, rows: np.ndarray, h: float,
+                   half: float, sixth: float) -> np.ndarray:
+        """One classical RK4 step of a batch, for a stack whose d rows are
+        the derivatives of its first d variables: (B, d) states -> the (B, d)
+        states one step of width h later.
+
+        rows is a reused (B, variables) buffer whose trailing columns hold
+        the remaining variables, fixed over the step; half and sixth are
+        0.5 * h and h / 6.0.  Each stage writes its state into the first d
+        columns and evaluates the stack once (eval copies its input, so the
+        buffer is free again).  Rows advance independently.  Overflow is not
+        reported here: it surfaces as non-finite states.
+        """
+        d = y.shape[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows[:, :d] = y
+            k1 = self.eval(rows)
+            rows[:, :d] = y + half * k1
+            k2 = self.eval(rows)
+            rows[:, :d] = y + half * k2
+            k3 = self.eval(rows)
+            rows[:, :d] = y + h * k3
+            k4 = self.eval(rows)
+            return y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+
     @functools.cached_property
     def step(self):
-        """One classical RK4 step on Python floats, for a stack whose d rows
-        are the derivatives of its first d variables: (y, c, h, half, sixth)
-        -> tuple of the d state values one step of width h later.
+        """batch_step for one system on Python floats: (y, c, h, half,
+        sixth) -> tuple of the d state values one step of width h later.
 
-        y holds the d state values and c the remaining variables, fixed over
-        the step; half and sixth are 0.5 * h and h / 6.0.  Generated once per
-        stack as straight-line Python source, with no numpy call.  Each of
-        the four stages forms the monomials one statement per product,
-        sharing the products of common factor prefixes, then sums each row
-        from 0.0 over its nonzero weighted terms in the order of the matmul;
-        the stage states and the combination are flows._rk4's, rounded the
-        same way.  No expression chains more than _CHAIN terms, so any
-        degree and any number of terms compiles.
+        y holds the d state values and c the remaining variables.  Generated
+        once per stack as straight-line Python source, with no numpy call.
+        Each of the four stages forms the monomials one statement per
+        product, sharing the products of common factor prefixes, then sums
+        each row from 0.0 over its nonzero weighted terms in the order of the
+        matmul; the stage states and the combination are batch_step's,
+        rounded the same way, so the two agree bit for bit where the weighted
+        products are exact.  No expression chains more than _CHAIN terms, so
+        any degree and any number of terms compiles.
         """
         d = self.weights.shape[1]
         body = ["".join(f"y{b}, " for b in range(1, d + 1)) + "= y"]
@@ -276,15 +300,6 @@ class SRFrame:
         is one evaluation of the cached stack of its 2n partials.
         """
         return self._stack("hamiltonian").eval(states)
-
-    def variation_field(self, rows) -> np.ndarray:
-        """(..., 2n + 2k) rows (q, b, u, du) -> (..., 2n) rows (dq/dt, db/dt).
-
-        The right-hand side of a member dq/dt = f_u(q) with its variation
-        db/dt = f_du(q) + Df_u(q) b is a polynomial in all 2n + 2k
-        variables, so it is one evaluation of the cached stack of its rows.
-        """
-        return self._stack("variation").eval(rows)
 
     def field_matrix_many(self, points) -> np.ndarray:
         """(..., n) points -> (..., n, k) field matrices, columns X_1..X_k."""

@@ -16,7 +16,7 @@ from .core import (ACB_BOUND, NORMALIZED_TOL, SIGMA_TOL, TAU_RANGE, TAU_RANGES,
                    THETA_MIN, ControlSignal, Domain, GridMismatchError, SRFrame,
                    SRXError, Trajectory)
 from .flows import (COND_LIMIT, FLOW_BATCH, IntegrationError, TangentFlow,
-                    _checked_start, _marked_trajectory, _rk4_row, tangent_flow)
+                    _checked_start, _marked_trajectory, _rk4_states, tangent_flow)
 
 SPAN_BATCH = 256            # nodes per batched SVD, bounds the temporaries
 _CONSERVATION_TOL = 1e-6    # bound on the oracle's level drift
@@ -396,8 +396,8 @@ def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
     Solves dq/dt = sum u^i X_i(q), dp/dt = -sum u^i (dX_i/dq)^T p with
     u^i = <p, X_i(q)>, starting on the unit level sum_i <p0, X_i(q0)>^2 = 1.
     That right-hand side is (dH/dp, -dH/dq) for the polynomial
-    H = 1/2 sum_i <p, X_i(q)>^2: the cached "hamiltonian" stack, stepped
-    by its generated RK4 step on Python floats (flows._rk4_row).  Each
+    H = 1/2 sum_i <p, X_i(q)>^2: the cached "hamiltonian" stack, whose
+    generated RK4 step on Python floats flows._rk4_states runs.  Each
     control cell of width h = horizon / n_cells takes `substeps` RK4 steps,
     as in integrate_trajectory and tangent_flow.  The control is sampled at cell
     midpoints, read from the cubic Hermite interpolant of
@@ -429,8 +429,8 @@ def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
 
     n = frame.n
     h = horizon / n_cells
-    ys = _rk4_row(frame._stack("hamiltonian").step, lambda _: (),
-                  np.concatenate([q0, p0]), h / substeps, substeps, n_cells)
+    ys = _rk4_states(frame._stack("hamiltonian").step, lambda _: (),
+                     np.concatenate([q0, p0]), h / substeps, substeps, n_cells)
     slopes = np.concatenate([frame.hamiltonian_field(ys[lo:lo + FLOW_BATCH])
                              for lo in range(0, n_cells + 1, FLOW_BATCH)])
     mids = 0.5 * (ys[:-1] + ys[1:]) + (h / 8.0) * (slopes[:-1] - slopes[1:])

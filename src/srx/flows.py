@@ -3,15 +3,15 @@
 One RK4 step per control cell (optionally substepped): within a cell the
 control is constant, so the vector field is autonomous and smooth there and
 the classical order-4 error bound applies cell by cell.  Adaptive steppers
-are deliberately avoided to keep every run bit-deterministic.  Batches of
-systems step on numpy arrays through `_rk4`, a generator of the cell-end
-states, whose one right-hand side is the variational system of
-`_variational_flow`: a state with one variation of it, which gives both the
-homotopy members with their variation fields and the columns of the
-tangent-flow cell propagators.  One system (the base trajectory on the
-"drift" stack, the Hamiltonian oracle on "hamiltonian") steps through
-`_rk4_row` on a stack's generated RK4 step: _rk4's arithmetic on Python
-floats.
+are deliberately avoided to keep every run bit-deterministic.  Every
+integration is one loop, `_rk4`, a generator of the cell-end states, over
+one polynomial stack whose RK4 step (core._StackedPolys) holds the stage
+arithmetic.  One system (the base trajectory on the "drift" stack, the
+Hamiltonian oracle on "hamiltonian") takes the stack's generated step on
+Python floats and is stored by `_rk4_states`.  Batches take its batch_step:
+on the "variation" stack, a state with one variation of it, they give both
+the homotopy members with their variation fields and the columns of the
+tangent-flow cell propagators.
 """
 from __future__ import annotations
 
@@ -32,53 +32,36 @@ COND_LIMIT = 1e12
 FLOW_BATCH = 256           # cells per batch of propagators, bounds the temporaries
 
 
-def _rk4(f, y0: np.ndarray, h: float, substeps: int,
-         n_cells: int) -> Iterator[np.ndarray]:
+def _rk4(step, c, y0, h: float, substeps: int, n_cells: int) -> Iterator:
     """Classical RK4 over n_cells control cells of `substeps` steps each.
 
-    y0 is a (B, d) batch of states.  f(j) is called when cell j's first
-    step starts and returns the cell's right-hand side, (B, d) states ->
-    (B, d) derivatives; rows advance independently, so a batch integrates B
-    systems at the cost of one Python loop.  Yields the states at cell ends
-    0..n_cells (y0, then a new array per cell), so a caller stores or
-    reduces them, and raises IntegrationError at the first non-finite one.
+    step is a stack's RK4 step, its generated step on Python floats for
+    one system or its batch_step for a (B, d) batch, whose first d
+    variables are the state.  c(j) is called once, when cell j's first step
+    starts, and returns what step takes for the stack's other variables,
+    fixed over the cell: their values, or the batch's rows buffer with them
+    in its trailing columns.  Yields the states at cell ends 0..n_cells (y0,
+    then a new state per cell), unchecked: one system is stored and checked
+    by _rk4_states, a batch is checked per cell where it is consumed.
     """
+    half, sixth = 0.5 * h, h / 6.0
     y = y0
     yield y
-    for j in range(n_cells):
-        rhs = f(j)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(substeps):
-                k1 = rhs(y)
-                k2 = rhs(y + 0.5 * h * k1)
-                k3 = rhs(y + 0.5 * h * k2)
-                k4 = rhs(y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.isfinite(y).all():
-            raise _non_finite(j + 1, h, substeps)
-        yield y
-
-
-def _rk4_row(step, c, y0: np.ndarray, h: float, substeps: int,
-             n_cells: int) -> np.ndarray:
-    """_rk4 for one system of d equations, on Python floats.
-
-    step is a stack's generated RK4 step (core._StackedPolys.step) whose
-    first d variables are the state.  c(j) is called once, when cell j's
-    first step starts, and returns the cell's values of the stack's other
-    variables, fixed over the cell.  Each operation is _rk4's, rounded the
-    same way.  Returns the (n_cells + 1, d) states at the cell ends, or
-    raises _rk4's IntegrationError.
-    """
-    ys = np.empty((n_cells + 1, y0.shape[0]))
-    ys[0] = y0
-    y = y0.tolist()
-    half, sixth = 0.5 * h, h / 6.0
     for j in range(n_cells):
         cell = c(j)
         for _ in range(substeps):
             y = step(y, cell, h, half, sixth)
-        ys[j + 1] = y
+        yield y
+
+
+def _rk4_states(step, c, y0: np.ndarray, h: float, substeps: int,
+                n_cells: int) -> np.ndarray:
+    """_rk4's states of one system of d equations on Python floats, stored
+    in an (n_cells + 1, d) array allocated before the first step.  Returns
+    them, or raises IntegrationError at the first non-finite one."""
+    ys = np.empty((n_cells + 1, y0.shape[0]))
+    for j, y in enumerate(_rk4(step, c, y0.tolist(), h, substeps, n_cells)):
+        ys[j] = y
     finite = np.isfinite(ys).all(axis=1)
     if not finite.all():
         raise _non_finite(int(np.argmin(finite)), h, substeps)
@@ -125,38 +108,10 @@ def integrate_trajectory(frame: SRFrame, u: ControlSignal, q0,
     A non-finite state raises IntegrationError.
     """
     q0 = _checked_start(frame, q0, domain, substeps)
-    states = _rk4_row(frame._stack("drift").step,
-                      lambda j: u.samples[j].tolist(), q0, u.dt / substeps,
-                      substeps, u.n_cells)
+    states = _rk4_states(frame._stack("drift").step,
+                         lambda j: u.samples[j].tolist(), q0, u.dt / substeps,
+                         substeps, u.n_cells)
     return _marked_trajectory(states, u, domain)
-
-
-def _variational_flow(frame: SRFrame, y0: np.ndarray, cell_rows, h: float,
-                      substeps: int, n_cells: int) -> Iterator[np.ndarray]:
-    """RK4 states of a batch of states, each with one variation of it.
-
-    Row r integrates dq/dt = f_u(q) jointly with db/dt = f_du(q) + Df_u(q) b,
-    so the b stages use the row's own RK4 stage states.  That right-hand
-    side is one polynomial in (q, b, u, du), so each RK4 stage is one
-    SRFrame.variation_field call.  y0 is (B, 2n), the start rows (q, b), and
-    cell_rows(j), called when cell j starts, returns the (B, 2k) rows
-    (u, du) of that cell, the last stack variables.  Yields _rk4's (B, 2n)
-    states at cell ends 0..n_cells.
-    """
-    # one (q, b, u, du) buffer serves every stage: the stack evaluation
-    # copies its input, so nothing keeps the buffer between stages
-    d = y0.shape[1]
-    stage = np.empty((y0.shape[0], d + 2 * frame.k))
-
-    def f(j):
-        stage[:, d:] = cell_rows(j)
-
-        def rhs(y):
-            stage[:, :d] = y
-            return frame.variation_field(stage)
-        return rhs
-
-    return _rk4(f, y0, h, substeps, n_cells)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,8 +146,9 @@ def tangent_flow(frame: SRFrame, u: ControlSignal, base: Trajectory,
     B3 = I + h/2 A2 B2 and B4 = I + h A3 B3: the same linear map as
     integrating M alongside the state.  The cell propagators P_j (the
     products of a cell's substep maps) are evaluated FLOW_BATCH cells at a
-    time, column by column: column c of P_j is the variation of
-    _variational_flow started from (q_j, e_c) with du = 0.  Then
+    time, column by column: column c of P_j is the variation b of one
+    batched RK4 cell on the "variation" stack started from (q_j, e_c) with
+    du = 0.  Then
     M_{j+1} = P_j M_j, anchored at t = 0.
     Condition numbers above COND_LIMIT do not abort: the NSRE report flags
     them as `ill_conditioned`, advisory for downstream rank decisions.
@@ -200,7 +156,7 @@ def tangent_flow(frame: SRFrame, u: ControlSignal, base: Trajectory,
     require_same_grid(u, base.control)
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    n = frame.n
+    n, stack = frame.n, frame._stack("variation")
     mats = np.empty((u.n_cells + 1, n, n))
     mats[0] = np.eye(n)
     for lo in range(0, u.n_cells, FLOW_BATCH):
@@ -209,16 +165,14 @@ def tangent_flow(frame: SRFrame, u: ControlSignal, base: Trajectory,
         # later its b holds column c of P_j
         y0 = np.concatenate([np.repeat(base.states[lo:hi], n, axis=0),
                              np.tile(np.eye(n), (hi - lo, 1))], axis=1)
-        rows = np.zeros((y0.shape[0], 2 * frame.k))
-        rows[:, :frame.k] = np.repeat(u.samples[lo:hi], n, axis=0)
-        try:
-            *_, ends = _variational_flow(frame, y0, lambda _: rows,
-                                         u.dt / substeps, substeps, 1)
-            columns = ends[:, n:]
-        except IntegrationError:
+        rows = np.zeros((y0.shape[0], stack.n))
+        rows[:, 2 * n:2 * n + frame.k] = np.repeat(u.samples[lo:hi], n, axis=0)
+        *_, ends = _rk4(stack.batch_step, lambda _: rows, y0, u.dt / substeps,
+                        substeps, 1)
+        if not np.isfinite(ends).all():
             raise IntegrationError("a cell propagator became non-finite after "
-                                   f"t={lo * u.dt:.6g}") from None
-        props = columns.reshape(-1, n, n).swapaxes(1, 2)
+                                   f"t={lo * u.dt:.6g}")
+        props = ends[:, n:].reshape(-1, n, n).swapaxes(1, 2)
         with np.errstate(over="ignore", invalid="ignore"):
             for j, prop in enumerate(props, start=lo):
                 mats[j + 1] = prop @ mats[j]

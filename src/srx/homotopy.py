@@ -17,7 +17,7 @@ import numpy as np
 from .core import (N_S, SIGMA_TOL, ControlSignal, Domain, SRFrame, Trajectory,
                    control_inner, require_same_grid)
 from .extremals import span_profile
-from .flows import TangentFlow, _checked_start, _variational_flow
+from .flows import TangentFlow, _checked_start, _non_finite, _rk4
 
 COMPARISON_TOL = 1e-12      # slack allowed in the energy-comparison checks
 
@@ -62,7 +62,8 @@ def _homotopy_cells(frame: SRFrame, u: ControlSignal, deltas: np.ndarray, q0,
     deltas is a (B, N, k) stack of increments du on u's grid.  Member i of
     homotopy f follows u + s_i du_f from q0 together with its variation
     field.  The iterator yields the (n_s + 1, B, 2n) states (q, b) at cell
-    ends 0..N, and cell j's (u + s du, du) rows are built when that cell
+    ends 0..N and raises IntegrationError at the first non-finite one; cell
+    j's (u + s du, du) are written into the rows buffer when that cell
     starts.  Rows do not interact, so B changes no result.
     """
     if n_s < 1:
@@ -71,17 +72,25 @@ def _homotopy_cells(frame: SRFrame, u: ControlSignal, deltas: np.ndarray, q0,
     s_grid = np.linspace(0.0, 1.0, n_s + 1)
     members, families, k = s_grid.shape[0], deltas.shape[0], u.k
     s = s_grid[:, None, None]
+    stack, h = frame._stack("variation"), u.dt / substeps
+    rows = np.empty((members * families, stack.n))
+    cell = rows.reshape(members, families, -1)[..., 2 * frame.n:]
 
     def cell_rows(j):
-        du, rows = deltas[:, j], np.empty((members, families, 2 * k))
-        rows[..., :k] = u.samples[j] + s * du
-        rows[..., k:] = du
-        return rows.reshape(-1, 2 * k)
+        du = deltas[:, j]
+        cell[..., :k] = u.samples[j] + s * du
+        cell[..., k:] = du
+        return rows
 
-    y0 = np.tile(np.concatenate([q0, np.zeros(frame.n)]), (members * families, 1))
-    cells = _variational_flow(frame, y0, cell_rows, u.dt / substeps, substeps,
-                              u.n_cells)
-    return s_grid, (y.reshape(members, families, -1) for y in cells)
+    y0 = np.tile(np.concatenate([q0, np.zeros(frame.n)]), (rows.shape[0], 1))
+
+    def cells():
+        for j, y in enumerate(_rk4(stack.batch_step, cell_rows, y0, h,
+                                   substeps, u.n_cells)):
+            if not np.isfinite(y).all():
+                raise _non_finite(j, h, substeps)
+            yield y.reshape(members, families, -1)
+    return s_grid, cells()
 
 
 def natural_homotopy(frame: SRFrame, u: ControlSignal, du: ControlSignal, q0,

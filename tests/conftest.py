@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from srx import ControlSignal, Domain, PolyVectorField, SRFrame
-from srx.flows import _rk4
 
 
 def make_euclidean_frame(n=2):
@@ -69,26 +68,17 @@ def jet_variation_rhs(frame, rows):
     return np.concatenate([(cells @ f)[:, 0], db], axis=1)
 
 
-def batched_trajectory_states(frame, u, q0, substeps=1):
-    """integrate_trajectory's states from the batched stepper: _rk4 on a
-    batch of one row with sum_i u_i X_i(q) as a (1, k) @ (k, n) matmul, the
-    reference for the row stepper."""
-    cells = u.samples[:, None, None, :]
-    return np.stack(tuple(_rk4(
-        lambda j: lambda q: (cells[j] @ frame.derivatives(0, q))[:, 0],
-        np.asarray(q0, dtype=float)[None], u.dt / substeps, substeps,
-        u.n_cells)))[:, 0]
-
-
-def batched_oracle_stepper(frame):
-    """A stand-in for the row stepper in hamiltonian_extremal: the
-    Hamiltonian system on _rk4 with a batch of one row, evaluated by
-    SRFrame.hamiltonian_field, the reference for the row stepper.  It takes
-    flows._rk4_row's arguments and ignores the step and its constants."""
-    def stepper(step, c, y0, h, substeps, n_cells):
-        return np.stack(tuple(_rk4(lambda _: frame.hamiltonian_field,
-                                   y0[None], h, substeps, n_cells)))[:, 0]
-    return stepper
+def rhs_step(rhs):
+    """A test-side RK4 step of the stacks' signature (y, c, h, half, sixth)
+    for a right-hand side rhs(c, y) of (B, d) arrays, with the stage states
+    and the combination of _StackedPolys.batch_step."""
+    def step(y, c, h, half, sixth):
+        k1 = rhs(c, y)
+        k2 = rhs(c, y + half * k1)
+        k3 = rhs(c, y + half * k2)
+        k4 = rhs(c, y + h * k3)
+        return y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+    return step
 
 
 def reference_row(stack):
@@ -121,10 +111,10 @@ def reference_row(stack):
 
 
 def reference_row_stepper(stack, y0, h, substeps, n_cells, cells=None):
-    """flows._rk4_row before the RK4 step was generated: list comprehensions
-    around four reference_row calls per step, with the cell's row of `cells`
-    (or nothing) appended to every stage state.  The reference for the
-    generated step."""
+    """The one-system RK4 loop before the step was generated: list
+    comprehensions around four reference_row calls per step, with the
+    cell's row of `cells` (or nothing) appended to every stage state.  The
+    reference for the generated step."""
     row = reference_row(stack)
     ys = np.empty((n_cells + 1, y0.shape[0]))
     ys[0] = y0

@@ -305,7 +305,7 @@ def test_variation_stack_matches_the_jet_rhs(frame, n_rows):
     # rounding, relative to the sum of the terms' absolute values
     tables, dim = _stack_tables(frame, "variation")
     rows = _test_points(np.random.default_rng(n_rows), (n_rows,), dim)
-    out = frame.variation_field(rows)
+    out = frame._stack("variation").eval(rows)
     expected = jet_variation_rhs(frame, rows)
     scale = _pow_reference(tables, dim, rows)[1]
     assert out.shape == (n_rows, 2 * frame.n)

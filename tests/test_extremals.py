@@ -6,7 +6,7 @@ from srx import (GridMismatchError, angle_to_subspace, hamiltonian_extremal,
                  span_profile, tangent_flow)
 from srx import extremals
 from srx.extremals import DegenerateSpanError, NotNormalizedError, OrthoDistribution
-from srx.flows import COND_LIMIT, _rk4
+from srx.flows import COND_LIMIT
 from srx.scenario import load_scenario
 
 from conftest import (constant_control, make_euclidean_frame,
@@ -502,13 +502,13 @@ class _Captured(Exception):
 
 
 def _oracle_step(monkeypatch, frame, q0, p0):
-    """The step and cell constants the oracle hands to the row stepper."""
+    """The step and cell constants the oracle hands to the stored loop."""
     import srx.extremals as extremals
 
     def capture(step, c, *args):
         raise _Captured(step, c)
 
-    monkeypatch.setattr(extremals, "_rk4_row", capture)
+    monkeypatch.setattr(extremals, "_rk4_states", capture)
     with pytest.raises(_Captured) as caught:
         hamiltonian_extremal(frame, q0, p0, 1.0, 10)
     return caught.value.args
@@ -531,9 +531,10 @@ def test_hamiltonian_batched_rhs_matches_rows(monkeypatch):
         a = (u @ jac.reshape(k, n * n)).reshape(n, n)
         expected = np.concatenate([u @ f, -(p @ a)])
         assert np.abs(out - expected).max() <= 1e-15 * np.abs(expected).max()
-    # one generated step per row against one batched _rk4 step on the field
+    # one generated step per row against one batch_step of the same stack
     h = 0.01
-    *_, ends = _rk4(lambda _: frame.hamiltonian_field, rows, h, 1, 1)
+    ends = frame._stack("hamiltonian").batch_step(rows, rows.copy(), h, 0.5 * h,
+                                                  h / 6.0)
     for y, end in zip(rows, ends):
         single = np.array(step(y.tolist(), c(0), h, 0.5 * h, h / 6.0))
         assert np.abs(single - end).max() <= 1e-15 * np.abs(end).max()
@@ -562,47 +563,6 @@ def test_hamiltonian_field_calls(heisenberg, monkeypatch, n_cells, substeps):
     batches = -(-(n_cells + 1) // FLOW_BATCH)
     assert len(step_calls) == n_cells * substeps
     assert len(calls) == batches
-
-
-def _one_row_runs(scenario, trajectory_states):
-    """The oracle's states, costates and control (arcs) and the base
-    trajectory of the scenario's control, or of the oracle's."""
-    frame, q0 = scenario.frame, scenario.q0
-    runs, u = [], scenario.control
-    if scenario.hamiltonian:
-        ham = scenario.hamiltonian
-        ext = hamiltonian_extremal(frame, q0, ham["p0"], ham["T"], ham["N_t"],
-                                   scenario.substeps)
-        runs = [ext.trajectory.states, ext.costates, ext.control.samples]
-        u = ext.control
-    return runs, trajectory_states(frame, u, q0, scenario.substeps)
-
-
-# The batched stepper sums weighted terms by a matmul, which a BLAS kernel
-# may round as a fused multiply-add; Python floats round each product, so
-# the two agree bit for bit only where those products are exact: the
-# oracle's stacks have weights that are powers of 2 on the Heisenberg and
-# Martinet frames, and sum_i u_i X_i(q) has one field term per coordinate
-# on the Martinet frame and a control like (1, 0) on the line scenarios.
-@pytest.mark.parametrize("name, oracle_rel, trajectory_rel", [
-    ("heisenberg_line", None, 0.0), ("jump_control", None, 0.0),
-    ("heisenberg_arc", 0.0, 1e-13), ("martinet_arc", 0.0, 0.0),
-    ("cartan_arc", 1e-13, 1e-13)])
-def test_row_stepper_matches_the_batched_stepper(monkeypatch, name,
-                                                 oracle_rel, trajectory_rel):
-    import srx.extremals as extremals
-    from conftest import batched_oracle_stepper, batched_trajectory_states
-    scenario = load_scenario(name)
-    rows = _one_row_runs(scenario, lambda frame, u, q0, substeps:
-                         integrate_trajectory(frame, u, q0,
-                                              substeps=substeps).states)
-    monkeypatch.setattr(extremals, "_rk4_row",
-                        batched_oracle_stepper(scenario.frame))
-    batched = _one_row_runs(scenario, batched_trajectory_states)
-    for row, ref in zip(rows[0], batched[0]):
-        assert np.all(np.abs(row - ref) <= oracle_rel * np.abs(ref).max())
-    assert np.all(np.abs(rows[1] - batched[1])
-                  <= trajectory_rel * np.abs(batched[1]).max())
 
 
 def test_hamiltonian_level_conservation(heisenberg):
@@ -655,7 +615,7 @@ def test_hamiltonian_rejects_a_bad_horizon_before_integrating(
     def never(*args):
         raise AssertionError("integrated before the horizon check")
 
-    monkeypatch.setattr(extremals, "_rk4_row", never)
+    monkeypatch.setattr(extremals, "_rk4_states", never)
     with pytest.raises(ValueError, match="horizon must be a finite number > 0"):
         hamiltonian_extremal(heisenberg, [0.0, 0.0, 0.0], [1.0, 0.0, 2.0],
                              horizon, 10)

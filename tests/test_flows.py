@@ -7,12 +7,11 @@ from srx import (ControlSignal, Domain, GridMismatchError, IntegrationError,
                  hamiltonian_extremal, integrate_trajectory, tangent_flow)
 from srx.cli import _resolve_run
 from srx.core import _StackedPolys
-from srx.flows import COND_LIMIT, FLOW_BATCH, _rk4, _rk4_row
+from srx.flows import COND_LIMIT, FLOW_BATCH, _rk4, _rk4_states
 from srx.scenario import BUNDLED, load_scenario
 
-from conftest import (batched_oracle_stepper, batched_trajectory_states,
-                      constant_control, make_quartic_frame,
-                      make_random_poly_frame, reference_row_stepper,
+from conftest import (constant_control, make_quartic_frame,
+                      make_random_poly_frame, reference_row_stepper, rhs_step,
                       sampled_control, smooth_perturbation, two_point_map)
 
 
@@ -44,16 +43,22 @@ def test_heisenberg_constant_control_is_integrated_exactly(heisenberg):
 
 
 def test_rk4_order_on_quartic_field():
+    # on the "drift" stack's step and on a test-side step of its right-hand
+    # side dx/dt = 1, dy/dt = x^4 (u = 1), both stepped by the one loop
     frame = make_quartic_frame()
     u = constant_control([1.0], horizon=1.0, n_cells=8)
     x0 = 0.2
     exact = np.array([x0 + 1.0, ((x0 + 1.0) ** 5 - x0 ** 5) / 5.0])
-    errs = []
-    for sub in (1, 2, 4):
-        traj = integrate_trajectory(frame, u, [x0, 0.0], substeps=sub)
-        errs.append(np.linalg.norm(traj.endpoint - exact))
-    assert 12.0 < errs[0] / errs[1] < 20.0
-    assert 12.0 < errs[1] / errs[2] < 20.0
+    step = rhs_step(lambda _, y: np.stack([np.ones_like(y[:, 0]), y[:, 0] ** 4],
+                                          axis=1))
+    for endpoint in (
+            lambda sub: integrate_trajectory(frame, u, [x0, 0.0],
+                                             substeps=sub).endpoint,
+            lambda sub: list(_rk4(step, lambda _: None, np.array([[x0, 0.0]]),
+                                  u.dt / sub, sub, u.n_cells))[-1][0]):
+        errs = [np.linalg.norm(endpoint(sub) - exact) for sub in (1, 2, 4)]
+        assert 12.0 < errs[0] / errs[1] < 20.0
+        assert 12.0 < errs[1] / errs[2] < 20.0
 
 
 def test_tangent_flow_euclidean_identity(euclidean2):
@@ -133,22 +138,23 @@ def _jet_tangent_maps(frame, u, base, substeps):
     and Jacobians with two stacked matmuls per stage, so one cell later it
     holds P_j; the chain M_{j+1} = P_j M_j is tangent_flow's."""
     n, k = frame.n, frame.k
+
+    def rhs(cells, y):
+        q = y[:, :n]
+        values, jacobians = frame.derivatives(0, q), frame.derivatives(1, q)
+        a = (cells @ jacobians.reshape(-1, k, n * n)).reshape(-1, n, n)
+        return np.concatenate(
+            [(cells @ values)[:, 0],
+             (a @ y[:, n:].reshape(-1, n, n)).reshape(-1, n * n)], axis=1)
+
     mats = [np.eye(n)]
     for lo in range(0, u.n_cells, FLOW_BATCH):
         cells = u.samples[lo:lo + FLOW_BATCH, None, :]
-
-        def rhs(y):
-            q = y[:, :n]
-            values, jacobians = frame.derivatives(0, q), frame.derivatives(1, q)
-            a = (cells @ jacobians.reshape(-1, k, n * n)).reshape(-1, n, n)
-            return np.concatenate(
-                [(cells @ values)[:, 0],
-                 (a @ y[:, n:].reshape(-1, n, n)).reshape(-1, n * n)], axis=1)
-
         q = base.states[lo:lo + cells.shape[0]]
         y0 = np.concatenate([q, np.tile(np.eye(n).ravel(), (q.shape[0], 1))],
                             axis=1)
-        *_, ends = _rk4(lambda _: rhs, y0, u.dt / substeps, substeps, 1)
+        *_, ends = _rk4(rhs_step(rhs), lambda _: cells, y0, u.dt / substeps,
+                        substeps, 1)
         props = ends[:, n:]
         for prop in props.reshape(-1, n, n):
             mats.append(prop @ mats[-1])
@@ -334,11 +340,41 @@ def test_generated_step_matches_the_reference_row_stepper(frame, key,
     y0[::3] = -0.0
     cells = rng.uniform(-1.0, 1.0, size=(12, stack.n - d))
     cells[::4] = -0.0
-    states = _rk4_row(stack.step, lambda j: cells[j].tolist(), y0, 0.01,
-                      substeps, 12)
+    states = _rk4_states(stack.step, lambda j: cells[j].tolist(), y0, 0.01,
+                         substeps, 12)
     reference = reference_row_stepper(stack, y0, 0.01, substeps, 12, cells)
     assert np.isfinite(states).all()
     assert np.array_equal(states.view(np.int64), reference.view(np.int64))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+@pytest.mark.parametrize("key", ["drift", "hamiltonian", "variation"])
+def test_generated_step_matches_batch_step_on_one_row(name, key):
+    # batch_step sums each row's weighted terms by a matmul, which a BLAS
+    # kernel may round as a fused multiply-add; the generated step rounds
+    # each product, so the two loops agree bit for bit where the products
+    # are exact: on every stack whose weights are powers of 2, which is all
+    # but cartan_arc's "hamiltonian"
+    stack = load_scenario(name).frame._stack(key)
+    d = stack.weights.shape[1]
+    rng = np.random.default_rng(stack.n)
+    y0 = rng.uniform(-0.5, 0.5, size=d)
+    cells = rng.uniform(-1.0, 1.0, size=(12, stack.n - d))
+    rows = np.empty((1, stack.n))
+
+    def cell_rows(j):
+        rows[0, d:] = cells[j]
+        return rows
+    states = _rk4_states(stack.step, lambda j: cells[j].tolist(), y0, 0.01,
+                         2, 12)
+    batch = np.concatenate(tuple(_rk4(stack.batch_step, cell_rows, y0[None],
+                                      0.01, 2, 12)))
+    exact = np.all(np.abs(np.frexp(stack.weights[stack.weights != 0])[0])
+                   == 0.5)
+    assert exact == ((name, key) != ("cartan_arc", "hamiltonian"))
+    assert np.isfinite(batch).all()
+    assert np.all(np.abs(states - batch)
+                  <= (0.0 if exact else 1e-13) * np.abs(batch).max())
 
 
 def test_domain_exit_marking(euclidean2):
@@ -363,18 +399,19 @@ def test_blow_up_raises():
 
 def test_blow_up_raises_the_same_error_on_both_steppers():
     # dy/dt = x^4 = 1e304 from x = 1e76: y overflows to inf at about
-    # t = 1.8e4, in the middle of the run; on the oracle x^8 = inf times
-    # p2 = 0 is already nan in the first stage
-    from srx import hamiltonian_extremal
+    # t = 1.8e4, in the middle of the run, on the generated step of a
+    # stored one-system run and on the batch_step of homotopy members with
+    # du = 0, checked cell by cell; on the oracle x^8 = inf times p2 = 0 is
+    # already nan in the first stage
+    from srx import hamiltonian_extremal, natural_homotopy
     frame = make_quartic_frame()
     u = constant_control([1.0], horizon=2e4, n_cells=100)
+    du = constant_control([0.0], horizon=2e4, n_cells=100)
     runs = [
         ("t=18000", lambda: integrate_trajectory(frame, u, [1e76, 0.0])),
-        ("t=18000", lambda: batched_trajectory_states(frame, u, [1e76, 0.0])),
+        ("t=18000", lambda: natural_homotopy(frame, u, du, [1e76, 0.0], n_s=2)),
         ("t=200", lambda: hamiltonian_extremal(frame, [1e76, 0.0], [1.0, 0.0],
                                                2e4, 100)),
-        ("t=200", lambda: batched_oracle_stepper(frame)(
-            None, None, np.array([1e76, 0.0, 1.0, 0.0]), 200.0, 1, 100)),
     ]
     for at, run in runs:
         with pytest.raises(IntegrationError) as err:

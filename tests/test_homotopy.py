@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from srx import (ControlSignal, Domain, GridMismatchError, SRFrame,
+from srx import (ControlSignal, Domain, GridMismatchError,
                  control_inner, energy_comparison_check, estimate_constants,
                  hamiltonian_extremal, integrate_trajectory, natural_homotopy,
                  span_profile, tangent_flow, variation_direct,
@@ -13,7 +13,6 @@ from srx import cli, io
 from srx.certify import _fold_extremes, bound_slacks, family_extremes
 from srx.core import _StackedPolys
 from srx.extremals import ACB_BOUND, nsre_check
-from srx.flows import _variational_flow
 from srx.homotopy import (_homotopy_cells, decomposition_residual_profile,
                           node_velocity)
 from srx.scenario import bundled_scenario_path, load_scenario
@@ -124,7 +123,8 @@ def test_natural_homotopy_matches_the_jet_route(monkeypatch, name):
     du = smooth_perturbation(np.random.default_rng(11), horizon=u.horizon,
                              n_cells=u.n_cells, k=u.k, amplitude=0.2)
     hom = natural_homotopy(frame, u, du, q0, n_s=4, substeps=2)
-    monkeypatch.setattr(SRFrame, "variation_field", jet_variation_rhs)
+    monkeypatch.setattr(frame._stack("variation"), "eval",
+                        lambda rows: jet_variation_rhs(frame, rows))
     ref = natural_homotopy(frame, u, du, q0, n_s=4, substeps=2)
     for got, want in ((hom.trajectories, ref.trajectories),
                       (hom.variations, ref.variations)):
@@ -141,11 +141,12 @@ def test_members_take_one_stack_evaluation_per_stage(monkeypatch, n_cells,
                         lambda self, pts: evals.append(self) or
                         evaluate(self, pts))
     rng = np.random.default_rng(n_cells)
-    cells = rng.normal(size=(3, n_cells, 2 * frame.k))
-    ys = np.stack(tuple(_variational_flow(
-        frame, np.zeros((3, 2 * frame.n)), lambda j: cells[:, j],
-        0.01 / substeps, substeps, n_cells)), axis=1)
-    assert ys.shape == (3, n_cells + 1, 2 * frame.n)
+    u = ControlSignal(0.01 * n_cells, rng.normal(size=(n_cells, frame.k)))
+    deltas = rng.normal(size=(3, n_cells, frame.k))
+    _, cells = _homotopy_cells(frame, u, deltas, np.zeros(frame.n), 2, None,
+                               substeps)
+    ys = np.stack(tuple(cells))
+    assert ys.shape == (n_cells + 1, 3, 3, 2 * frame.n)
     assert len(evals) == 4 * n_cells * substeps
     assert all(stack is frame._stack("variation") for stack in evals)
 

@@ -566,6 +566,42 @@ def test_cli_homotopy_with_overflowing_growth_bounds_exits_0(tmp_path):
         assert bounds[name]["slack"] == math.inf
 
 
+@pytest.mark.parametrize("command, file", [("homotopy", "lemma_slacks.json"),
+                                           ("certify", "certificate.json")])
+def test_cli_with_overflowing_frame_constants_exits_3(tmp_path, capsys,
+                                                      command, file):
+    # the squared norms of the +-1e300 fields overflow: under the
+    # RuntimeWarning filter both commands used to exit 1 with a traceback,
+    # and certify otherwise blamed the grid for the tube radius -inf
+    cfg = _overflow_copy(tmp_path, 1e300)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 3
+    data = json.loads((tmp_path / file).read_text())
+    if command == "homotopy":
+        assert data["in_domain"] is False
+        return
+    reason = ("frame constants not finite (C0=inf, C1=inf); the fields "
+              "overflow on the domain")
+    assert capsys.readouterr().err == f"not certifiable: {reason}\n"
+    assert data["certified"] is False and data["reason"] == reason
+
+
+def test_cli_certify_with_a_t_prime_far_beyond_the_radius(tmp_path):
+    # verification lowered m = T_prime / dt one cell at a time down to the
+    # radius, which never ended for T_prime = 1e300; epsilon < 0.05 here,
+    # so both runs verify up to the last cell inside the radius
+    t_primes = []
+    for t_prime in (None, 1e300):
+        data = _load_bundled_dict("heisenberg_line")
+        data["certify"].update(n_trials=2, T_prime=t_prime)
+        out = tmp_path / str(t_prime)
+        cfg = _write_scenario(tmp_path, data)
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["verification"]["t_prime"] <= cert["epsilon"] < 0.05
+        t_primes.append(cert["verification"]["t_prime"])
+    assert t_primes[0] == t_primes[1]
+
+
 def _quick_certify_scenario(tmp_path, n_trials=6, n_cells=500):
     data = _load_bundled_dict("heisenberg_line")
     data["control"]["N_t"] = n_cells

@@ -12,6 +12,7 @@ them, so integrate and nsre-check load neither.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -269,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ScenarioError("--seed must be a non-negative integer")
         scenario = load_scenario(args.config)
         if args.seed is not None:
-            object.__setattr__(scenario, "seed", int(args.seed))
+            scenario = dataclasses.replace(scenario, seed=args.seed)
         out = Path(args.out if args.out is not None
                    else scenario.out_dir or ".")
         try:

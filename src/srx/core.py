@@ -71,6 +71,29 @@ def _differentiate(table: ExponentTable, axis: int) -> ExponentTable:
     return out
 
 
+def _varied(tables: list[ExponentTable], d: int, m: int) -> list[ExponentTable]:
+    """The d rows dy/dt of a stack over m variables (y, c), y the first d,
+    then their exact variations sum_v d row/d v * dv, over (y, dy, c, dc).
+
+    Each row's monomials are grouped by their c exponents in first-seen
+    order, and each group is differentiated by c before y: that order fixes
+    the distinct monomials.  Terms of two dv or two groups never collide.
+    """
+    def lifted(exp: tuple[int, ...], v: int | None = None) -> tuple[int, ...]:
+        dv = [int(b == v) for b in range(m)]
+        return (*exp[:d], *dv[:d], *exp[d:], *dv[d:])
+
+    variations = []
+    for table in tables:
+        groups: dict[tuple[int, ...], ExponentTable] = {}
+        for exp, coef in table.items():
+            groups.setdefault(exp[d:], {})[exp] = coef
+        variations.append({lifted(e, v): c for group in groups.values()
+                           for v in [*range(d, m), *range(d)]
+                           for e, c in _differentiate(group, v).items()})
+    return [{lifted(e): c for e, c in t.items()} for t in tables] + variations
+
+
 class _StackedPolys:
     """Evaluates a flat list of monomial tables at (batches of) points.
 
@@ -292,15 +315,6 @@ class SRFrame:
         shape = (self.k,) + (self.n,) * (order + 1)
         return self._stack(order).bound(radius).reshape(shape)
 
-    def hamiltonian_field(self, states) -> np.ndarray:
-        """(..., 2n) rows (q, p) -> (..., 2n) rows (dH/dp, -dH/dq).
-
-        H(q, p) = 1/2 sum_i <p, X_i(q)>^2 is a polynomial in the 2n
-        variables, so the right-hand side of the normal Hamiltonian system
-        is one evaluation of the cached stack of its 2n partials.
-        """
-        return self._stack("hamiltonian").eval(states)
-
     def field_matrix_many(self, points) -> np.ndarray:
         """(..., n) points -> (..., n, k) field matrices, columns X_1..X_k."""
         return np.swapaxes(self.derivatives(0, points), -1, -2)
@@ -310,12 +324,17 @@ class SRFrame:
 
         The grid is evaluated FRAME_CHECK_CHUNK points at a time.  Raises
         FrameRankError when the value drops to FRAME_SV_TOL or below, naming
-        the first grid point that attains it.
+        the first grid point that attains it, or when a field matrix
+        overflows, naming the first grid point where it is not finite.
         """
         smin, worst = math.inf, None
         for pts in domain.grid_chunks(resolution, FRAME_CHECK_CHUNK):
-            svals = np.linalg.svd(self.field_matrix_many(pts),
-                                  compute_uv=False)[:, -1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                matrices = self.field_matrix_many(pts)
+            if not np.isfinite(matrices).all():
+                bad = pts[np.isfinite(matrices).all(axis=(1, 2)).argmin()]
+                raise FrameRankError(f"frame fields not finite at {bad.tolist()}")
+            svals = np.linalg.svd(matrices, compute_uv=False)[:, -1]
             j = int(svals.argmin())
             if svals[j] < smin:
                 smin, worst = float(svals[j]), pts[j]
@@ -359,51 +378,29 @@ class SRFrame:
         return grad[n:] + [{exp: -coef for exp, coef in t.items()}
                            for t in grad[:n]]
 
-    def _variation_tables(self) -> list[ExponentTable]:
-        """Tables of dq/dt then db/dt over the 2n + 2k variables (q, b, u, du).
-
-        dq/dt = sum_i u_i X_i(q) and db/dt = sum_i du_i X_i(q) +
-        sum_{i,c} u_i b_c dX_i/dq_c(q): each monomial of X_i^a, or of its
-        q_c-partial, is shifted by its u_i, du_i or u_i * b_c factor.  That
-        factor differs between any two terms of a row, so no two collide.
-        """
-        n, k = self.n, self.k
-        dim = 2 * (n + k)
-
-        def times(table: ExponentTable, *axes: int) -> ExponentTable:
-            tail = tuple(int(v in axes) for v in range(n, dim))
-            return {exp + tail: coef for exp, coef in table.items()}
-
-        dq, db = [{} for _ in range(n)], [{} for _ in range(n)]
-        for i, f in enumerate(self.fields):
-            u, du = 2 * n + i, 2 * n + k + i
-            for a, table in enumerate(f.coeffs):
-                dq[a].update(times(table, u))
-                db[a].update(times(table, du))
-                for c in range(n):
-                    db[a].update(times(_differentiate(table, c), u, n + c))
-        return dq + db
-
     def _stack(self, key) -> _StackedPolys:
         """The stack of one derivative order, "hamiltonian" (the partials of
-        H, over 2n variables), "variation" (a state with one variation of
-        it, over 2n + 2k variables; every batched RK4 integration steps on
-        it) or "drift" (its dq/dt rows, over the n + k variables (q, u)).
+        H, over 2n variables), "drift" (dq/dt = sum_i u_i X_i(q), over the
+        n + k variables (q, u)) or "variation" (the drift with its variation,
+        over the 2n + 2k variables (q, b, u, du); every batched RK4
+        integration steps on it).
 
         Built once per key and cached.
         """
         if key not in self._stacks:
+            n, k = self.n, self.k
             if key == "hamiltonian":
-                tables, dim = self._hamiltonian_tables(), 2 * self.n
-            elif key == "variation":
-                tables, dim = self._variation_tables(), 2 * (self.n + self.k)
-            elif key == "drift":    # drop the b and du exponents
-                n, k = self.n, self.k
-                tables = [{e[:n] + e[2 * n:2 * n + k]: c for e, c in t.items()}
-                          for t in self._variation_tables()[:n]]
+                tables, dim = self._hamiltonian_tables(), 2 * n
+            elif key in ("drift", "variation"):
+                tables = [{exp + tuple(int(c == i) for c in range(k)): coef
+                           for i, f in enumerate(self.fields)
+                           for exp, coef in f.coeffs[a].items()}
+                          for a in range(n)]
                 dim = n + k
+                if key == "variation":
+                    tables, dim = _varied(tables, n, dim), 2 * dim
             else:
-                tables, dim = self._tables(key), self.n
+                tables, dim = self._tables(key), n
             self._stacks[key] = _StackedPolys(tables, dim)
         return self._stacks[key]
 

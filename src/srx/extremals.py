@@ -429,9 +429,10 @@ def hamiltonian_extremal(frame: SRFrame, q0, p0, horizon: float, n_cells: int,
 
     n = frame.n
     h = horizon / n_cells
-    ys = _rk4_states(frame._stack("hamiltonian").step, lambda _: (),
-                     np.concatenate([q0, p0]), h / substeps, substeps, n_cells)
-    slopes = np.concatenate([frame.hamiltonian_field(ys[lo:lo + FLOW_BATCH])
+    stack = frame._stack("hamiltonian")
+    ys = _rk4_states(stack.step, lambda _: (), np.concatenate([q0, p0]),
+                     h / substeps, substeps, n_cells)
+    slopes = np.concatenate([stack.eval(ys[lo:lo + FLOW_BATCH])
                              for lo in range(0, n_cells + 1, FLOW_BATCH)])
     mids = 0.5 * (ys[:-1] + ys[1:]) + (h / 8.0) * (slopes[:-1] - slopes[1:])
     states, costates = ys[:, :n], ys[:, n:]

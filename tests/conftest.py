@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from srx import ControlSignal, Domain, PolyVectorField, SRFrame
+from srx.core import _differentiate
 
 
 def make_euclidean_frame(n=2):
@@ -66,6 +67,34 @@ def jet_variation_rhs(frame, rows):
     a = (cells @ jac.reshape(-1, k, n * n)).reshape(-1, n, n)
     db = (incs @ f)[:, 0] + (a @ b[:, :, None])[:, :, 0]
     return np.concatenate([(cells @ f)[:, 0], db], axis=1)
+
+
+def product_rule_tables(frame):
+    """The "variation" and "drift" tables by the hand-written product rule
+    the stacks were once built from.
+
+    Over (q, b, u, du): dq/dt = sum_i u_i X_i(q) and db/dt = sum_i du_i
+    X_i(q) + sum_{i,c} u_i b_c dX_i/dq_c(q), each monomial of X_i^a, or of
+    its q_c-partial, shifted by its u_i, du_i or u_i * b_c factor.  The
+    drift is the dq/dt rows without their b and du exponents, over (q, u).
+    """
+    n, k = frame.n, frame.k
+    dim = 2 * (n + k)
+
+    def times(table, *axes):
+        tail = tuple(int(v in axes) for v in range(n, dim))
+        return {exp + tail: coef for exp, coef in table.items()}
+
+    dq, db = [{} for _ in range(n)], [{} for _ in range(n)]
+    for i, f in enumerate(frame.fields):
+        u, du = 2 * n + i, 2 * n + k + i
+        for a, table in enumerate(f.coeffs):
+            dq[a].update(times(table, u))
+            db[a].update(times(table, du))
+            for c in range(n):
+                db[a].update(times(_differentiate(table, c), u, n + c))
+    drift = [{e[:n] + e[2 * n:2 * n + k]: c for e, c in t.items()} for t in dq]
+    return {"variation": dq + db, "drift": drift}
 
 
 def rhs_step(rhs):

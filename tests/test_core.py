@@ -10,8 +10,9 @@ from srx import core
 from srx.scenario import BUNDLED, load_scenario
 
 from conftest import (constant_control, jet_variation_rhs, make_quartic_frame,
-                      make_random_poly_frame, reference_row,
-                      reference_row_stepper, smooth_perturbation)
+                      make_random_poly_frame, product_rule_tables,
+                      reference_row, reference_row_stepper,
+                      smooth_perturbation)
 
 
 # -- polynomial fields ------------------------------------------------------
@@ -94,6 +95,25 @@ def test_frame_independence_check_chunks_change_nothing(monkeypatch, box3):
     assert "[0.0, -1.0]" in results[0][1]
 
 
+@pytest.mark.parametrize("chunk", [10 ** 6, 7])
+def test_frame_independence_check_rejects_non_finite_fields(monkeypatch,
+                                                            chunk):
+    # an overflowing field matrix used to pass: its SVD gave NaN, which
+    # never compares below sigma_min, so the check reported inf; a box far
+    # enough out ended in an uncaught LinAlgError instead.  X_2 = d/dy +
+    # 1e308 x d/dz overflows only at x = 2, from flat index 48 of the 4^3 grid
+    monkeypatch.setattr(core, "FRAME_CHECK_CHUNK", chunk)
+    frame = SRFrame((PolyVectorField(({(0, 0, 0): 1.0}, {}, {}), 3),
+                     PolyVectorField(({}, {(0, 0, 0): 1.0}, {(1, 0, 0): 1e308}),
+                                     3)), 3, 2)
+    with pytest.raises(FrameRankError,
+                       match=r"^frame fields not finite at \[2.0, -1.0, -1.0\]$"):
+        frame.check_independence(Domain([-1.0] * 3, [2.0] * 3), resolution=4)
+    with pytest.raises(FrameRankError, match=r"not finite at \[-1e\+160, "):
+        load_scenario("martinet_arc").frame.check_independence(
+            Domain([-1e160] * 3, [1e160] * 3), resolution=5)
+
+
 @pytest.mark.parametrize("name", ["euclidean_line", "heisenberg_arc",
                                   "martinet_arc", "cartan_arc"])
 @pytest.mark.parametrize("n_rows", [1, 300])
@@ -114,7 +134,7 @@ def test_hamiltonian_field_matches_jet_rhs(monkeypatch, name, n_rows):
     a = (u @ jac.reshape(-1, k, n * n)).reshape(-1, n, n)
     expected = np.concatenate([u @ f, -(p @ a)], axis=2)[:, 0]
     for _ in range(3):
-        out = frame.hamiltonian_field(rows)
+        out = frame._stack("hamiltonian").eval(rows)
         assert out.shape == rows.shape
         assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
     assert builds == [frame]
@@ -171,12 +191,9 @@ def _stack_tables(frame, key):
         return frame._hamiltonian_tables(), 2 * frame.n
     if key == "jet":
         return frame._tables(0) + frame._tables(1), frame.n
-    if key == "variation":
-        return frame._variation_tables(), 2 * (frame.n + frame.k)
-    if key == "drift":      # the dq/dt rows without the b and du exponents
-        n, k = frame.n, frame.k
-        return ([{e[:n] + e[2 * n:2 * n + k]: c for e, c in t.items()}
-                 for t in frame._variation_tables()[:n]], n + k)
+    if key in ("variation", "drift"):   # the test-side product rule
+        return (product_rule_tables(frame)[key],
+                (1 + (key == "variation")) * (frame.n + frame.k))
     return frame._tables(key), frame.n
 
 
@@ -310,6 +327,56 @@ def test_variation_stack_matches_the_jet_rhs(frame, n_rows):
     scale = _pow_reference(tables, dim, rows)[1]
     assert out.shape == (n_rows, 2 * frame.n)
     assert np.all(np.abs(out - expected) <= 1e-14 * scale)
+
+
+def test_varied_rows_by_hand():
+    # 3 y^2 c over (y, c): the row itself, then d/dc before d/dy, over
+    # (y, dy, c, dc); with no c variable only the y partials remain
+    def items(tables):
+        return [[*t.items()] for t in tables]
+
+    assert items(core._varied([{(2, 1): 3.0}], 1, 2)) == [
+        [((2, 0, 1, 0), 3.0)], [((2, 0, 0, 1), 3.0), ((1, 1, 1, 0), 6.0)]]
+    assert items(core._varied([{(1, 1): 2.0}, {}], 2, 2)) == [
+        [((1, 1, 0, 0), 2.0)], [],
+        [((0, 1, 1, 0), 2.0), ((1, 0, 0, 1), 2.0)], []]
+
+
+def _random_frames(count):
+    rng = np.random.default_rng(33)
+    return [make_random_poly_frame(rng, n=int(rng.integers(3, 6)),
+                                   k=int(rng.integers(2, 4)),
+                                   degree=int(rng.integers(2, 5)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("key", ["variation", "drift"])
+def test_stack_tables_equal_the_product_rule_bit_for_bit(monkeypatch, key):
+    # the tables _stack hands to _StackedPolys, in key order, and the
+    # stack's weights and factors against the hand-written product rule's:
+    # the same distinct monomials in the same order, so the generated
+    # steps and the matmuls sum the same terms in the same order
+    stacked, built = core._StackedPolys, []
+
+    class Recording(stacked):
+        def __init__(self, tables, n):
+            built.append(tables)
+            super().__init__(tables, n)
+
+    monkeypatch.setattr(core, "_StackedPolys", Recording)
+    frames = [load_scenario(name).frame for name in BUNDLED]
+    for frame in frames + _random_frames(200):
+        stack = SRFrame(frame.fields, frame.n, frame.k)._stack(key)
+        expected = product_rule_tables(frame)[key]
+        assert [[*t.items()] for t in built.pop()] == [[*t.items()]
+                                                       for t in expected]
+        reference = stacked(expected, stack.n)
+        assert stack.n == (1 + (key == "variation")) * (frame.n + frame.k)
+        assert stack.weights.shape == reference.weights.shape
+        assert stack.weights.tobytes() == reference.weights.tobytes()
+        assert len(stack.factors) == len(reference.factors)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(stack.factors, reference.factors))
 
 
 @pytest.mark.parametrize("name, distinct", [("heisenberg_line", 10),

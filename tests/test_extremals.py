@@ -521,7 +521,7 @@ def test_hamiltonian_batched_rhs_matches_rows(monkeypatch):
                            scenario.hamiltonian["p0"])
     assert c(0) == ()
     rows = np.random.default_rng(4).uniform(-1.5, 1.5, size=(7, 2 * n))
-    batched = frame.hamiltonian_field(rows)
+    batched = frame._stack("hamiltonian").eval(rows)
     assert batched.shape == rows.shape
     for y, out in zip(rows, batched):
         # dq = sum u^i X_i, dp = -sum u^i (dX_i/dq)^T p, one row at a time
@@ -543,19 +543,14 @@ def test_hamiltonian_batched_rhs_matches_rows(monkeypatch):
 @pytest.mark.parametrize("n_cells, substeps", [(300, 1), (100, 2)])
 def test_hamiltonian_field_calls(heisenberg, monkeypatch, n_cells, substeps):
     # one generated-step call per RK4 step, `substeps` steps per cell, plus
-    # the node slopes in batches of FLOW_BATCH
-    from srx import SRFrame
+    # the node slopes: one evaluation of the Hamiltonian stack per
+    # FLOW_BATCH nodes
     from srx.flows import FLOW_BATCH
     calls, step_calls = [], []
-    real_field = SRFrame.hamiltonian_field
     stack = heisenberg._stack("hamiltonian")
-    real_step = stack.step
-
-    def counting_field(self, states):
-        calls.append(states)
-        return real_field(self, states)
-
-    monkeypatch.setattr(SRFrame, "hamiltonian_field", counting_field)
+    real_eval, real_step = stack.eval, stack.step
+    monkeypatch.setattr(stack, "eval",
+                        lambda states: calls.append(states) or real_eval(states))
     monkeypatch.setattr(stack, "step",
                         lambda *args: step_calls.append(args) or real_step(*args))
     hamiltonian_extremal(heisenberg, [0.0, 0.0, 0.0], [1.0, 0.0, 2.0], 1.0,

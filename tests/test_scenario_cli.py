@@ -585,6 +585,32 @@ def test_cli_with_overflowing_frame_constants_exits_3(tmp_path, capsys,
     assert data["certified"] is False and data["reason"] == reason
 
 
+@pytest.mark.parametrize("case, point", [
+    ("coefficients", "[-2.0, -2.0, -2.0]"),
+    ("box", "[-1e+160, -1e+160, -1e+160]")])
+def test_frame_that_overflows_on_the_check_grid_exits_2(tmp_path, capsys,
+                                                        case, point):
+    # heisenberg_line with z coefficients -+1.5e308, whose field matrices
+    # overflow on the grid, loaded with sigma_min = inf and then failed
+    # deep in the run (exit 5); martinet_arc on the box [-1e160, 1e160]^3
+    # ended every command in an uncaught "SVD did not converge"
+    if case == "coefficients":
+        cfg = _overflow_copy(tmp_path, 1.5e308)
+    else:
+        data = _load_bundled_dict("martinet_arc")
+        data["domain"] = {"lower": [-1e160] * 3, "upper": [1e160] * 3}
+        cfg = _write_scenario(tmp_path, data)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(cfg)
+    assert isinstance(err.value.__cause__, srx.FrameRankError)
+    message = f"scenario error: frame fields not finite at {point}\n"
+    for command in ("integrate", "nsre-check", "homotopy", "certify"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+
 def test_cli_certify_with_a_t_prime_far_beyond_the_radius(tmp_path):
     # verification lowered m = T_prime / dt one cell at a time down to the
     # radius, which never ended for T_prime = 1e300; epsilon < 0.05 here,
